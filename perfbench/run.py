@@ -2,13 +2,18 @@
 
 Run from the repository root:
 
-    python3 perfbench/run.py --workload messaging --seed 1 --seconds 40 --trace 0
+    python3 perfbench/run.py --workload messaging --seed 1 --seconds 30 --trace 0
 
 The last line of standard output is one JSON object with ``correct``,
 ``attempted``, ``failed`` and ``metrics``.  ``--trace 0`` reports the
 end-to-end metrics; ``--trace 1`` wraps netpad's public functions and
-reports the per-layer metrics instead.  ``--smoke`` runs a few operations
-with one set-up, to check that the benchmark itself works.
+reports the per-layer metrics instead.  ``--smoke`` runs a few operations,
+to check that the benchmark itself works.
+
+``setup_s`` is the median of three set-ups, each timed from process start
+to the first timed operation: this process's own, and two more in child
+processes (``--setup-only``) started after the measurement, so that each
+one pays the cold costs a deployment pays once.
 
 Operations and set-up are timed in process CPU time (user + system).  The
 loop is single-threaded and CPU-bound, so on an idle core this equals wall
@@ -22,6 +27,7 @@ import json
 import resource
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import traceback
@@ -34,8 +40,11 @@ SRC = ROOT / "src"
 # p90 is reported, so a run times at least this many operations to leave
 # ten samples beyond it, even if that takes longer than --seconds.
 MIN_OPS = 100
+# A run whose operations keep failing ends here, within the 180 s a run may
+# take, short of MIN_OPS timed operations.
+MAX_SECONDS = 120
 SMOKE_OPS = 3
-SETUP_REPS = 3
+SETUP_CHILDREN = 2
 
 END_TO_END = {
     "p50_ms": "ms",
@@ -65,25 +74,31 @@ def parse_args(argv=None):
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
     parser.add_argument("--smoke", action="store_true")
+    parser.add_argument("--setup-only", action="store_true",
+                        help="set up, print setup_s and exit (used for setup_s samples)")
     return parser.parse_args(argv)
 
 
 def set_up(workload_cls, args, workdir, tracer):
-    """Build the fixtures and run one warm-up operation, SETUP_REPS times
-    in fresh directories; return the last workload and the median time."""
-    times = []
-    for rep in range(1 if args.smoke else SETUP_REPS):
-        rep_dir = workdir / f"setup{rep}"
-        rep_dir.mkdir()
-        t0 = process_time()
-        workload = workload_cls(args.seed, rep_dir, tracer)
-        workload.setup()
-        op = workload.prepare()
-        workload.run(op)
-        times.append(process_time() - t0)
-        if not workload.check(op):
-            sys.exit("warm-up operation failed its correctness check")
-    return workload, statistics.median(times)
+    """Build the fixtures and run one warm-up operation."""
+    workload = workload_cls(args.seed, workdir, tracer)
+    workload.setup()
+    op = workload.prepare()
+    workload.run(op)
+    if not workload.check(op):
+        sys.exit("warm-up operation failed its correctness check")
+    return workload
+
+
+def child_setup_s(args) -> float:
+    """setup_s of a fresh process that sets up the same workload."""
+    proc = subprocess.run(
+        [sys.executable, __file__, "--workload", args.workload, "--seed", str(args.seed),
+         "--seconds", "0", "--setup-only"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    if proc.returncode != 0:
+        sys.exit(f"set-up in a child process exited {proc.returncode}:\n{proc.stderr}")
+    return float(proc.stdout.strip().splitlines()[-1])
 
 
 def measure(workload, args, tracer):
@@ -119,10 +134,12 @@ def measure(workload, args, tracer):
                 continue
             latencies.append(elapsed)
             bits += workload.bits(op)
+        elapsed_s = perf_counter() - start
         if args.smoke:
             if attempted >= SMOKE_OPS:
                 break
-        elif perf_counter() - start >= args.seconds and attempted >= MIN_OPS:
+        elif (elapsed_s >= args.seconds and len(latencies) >= MIN_OPS
+              or elapsed_s >= MAX_SECONDS):
             break
     return latencies, bits, attempted, failed, correct
 
@@ -132,14 +149,17 @@ def main(argv=None) -> int:
     import_netpad()
     from tracing import Tracer
     from workloads import WORKLOADS
-    startup_s = process_time()  # since process start: interpreter and imports
 
     tracer = Tracer()
     if args.trace:
         tracer.install()
     workdir = Path(tempfile.mkdtemp(prefix=".perfbench-", dir=ROOT))
     try:
-        workload, setup_rep_s = set_up(WORKLOADS[args.workload], args, workdir, tracer)
+        workload = set_up(WORKLOADS[args.workload], args, workdir, tracer)
+        setup_s = process_time()  # CPU time since process start, imports included
+        if args.setup_only:
+            print(setup_s)
+            return 0
         latencies, bits, attempted, failed, correct = measure(workload, args, tracer)
     finally:
         tracer.uninstall()
@@ -158,7 +178,8 @@ def main(argv=None) -> int:
             "p90_ms": statistics.quantiles(latencies, n=10)[-1] * 1e3,
             "throughput_kbit_s": bits / sum(latencies) / 1e3,
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6,
-            "setup_s": startup_s + setup_rep_s,
+            "setup_s": statistics.median(
+                [setup_s] + [child_setup_s(args) for _ in range(SETUP_CHILDREN)]),
         }
         metrics = {name: {"value": values[name], "unit": unit}
                    for name, unit in END_TO_END.items()}

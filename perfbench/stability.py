@@ -1,11 +1,11 @@
 """Run the benchmark once per seed on each workload and report, per metric,
 the median, the quartiles and the spread (q3 - q1) / median.
 
-    python3 perfbench/stability.py --seeds 1-10 --seconds 40
-    python3 perfbench/stability.py --workloads audit --seeds 1-3 --seconds 40 --trace 1
+    python3 perfbench/stability.py --seeds 1-10 --seconds 30
+    python3 perfbench/stability.py --seeds 1-3 --seconds 30 --trace 1
 
-Runs are sequential, one process at a time.  The raw results go to
-perfbench/results/<label>.json.
+It runs every workload that BENCHMARK.json names.  Runs are sequential, one
+process at a time.  The raw results go to perfbench/results/<label>.json.
 """
 
 import argparse
@@ -18,6 +18,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def seed_range(text: str) -> list[int]:
@@ -28,10 +29,13 @@ def seed_range(text: str) -> list[int]:
 def run_once(workload: str, seed: int, seconds: float, trace: int) -> dict:
     cmd = [sys.executable, str(HERE / "run.py"), "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
+    start = time.perf_counter()
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=180)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    result["wall_s"] = time.perf_counter() - start
+    return result
 
 
 def summarize(results: list[dict]) -> dict:
@@ -47,7 +51,6 @@ def summarize(results: list[dict]) -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--workloads", default="messaging,provisioning,audit")
     parser.add_argument("--seeds", default="1-10", help="inclusive range, e.g. 1-10")
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
@@ -57,14 +60,16 @@ def main() -> int:
     out = HERE / "results" / f"{args.label}.json"
     out.parent.mkdir(exist_ok=True)
     report = {}
-    for workload in args.workloads.split(","):
+    for workload in WORKLOADS:
         results = [run_once(workload, seed, args.seconds, args.trace)
                    for seed in seed_range(args.seeds)]
         summary = summarize(results)
         report[workload] = {"runs": results, "summary": summary}
         shares = sorted({r["failed"] / r["attempted"] for r in results})
         ops = [r["attempted"] for r in results]
-        print(f"{workload}: ops {min(ops)}-{max(ops)}, failed shares {shares}, "
+        walls = [r["wall_s"] for r in results]
+        print(f"{workload}: ops {min(ops)}-{max(ops)}, wall {min(walls):.1f}-{max(walls):.1f} s "
+              f"per run, failed shares {shares}, "
               f"all correct {all(r['correct'] for r in results)}")
         for name, s in summary.items():
             print(f"  {name:40s} {s['median']:12.4f} {s['unit']:7s} "

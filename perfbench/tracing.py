@@ -7,6 +7,10 @@ duration minus the traced calls inside it.  Durations are process CPU
 time, like the end-to-end timings.  Values are recorded only
 while ``recording`` is on, which the harness sets for the timed part of
 an operation, so set-up and correctness checks leave no samples.
+
+The sampler's peak memory is not taken inside the timed spans: tracemalloc
+slows every Python allocation.  ``end_op`` replays the operation's largest
+sampler call once, untimed, under tracemalloc.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ import netpad.secure_check
 
 # Metrics a traced run reports: name -> (unit, kind).  "call" metrics are
 # the median over calls, "op" metrics the median over operations of a
-# per-operation total.  A layer a workload never calls reads 0.
+# per-operation total, "replay" metrics the median over operations of an
+# untimed replay.  A layer a workload never calls reads 0.
 LAYER_METRICS = {
     "cli.encrypt_ms": ("ms", "call"),
     "cli.decrypt_ms": ("ms", "call"),
@@ -43,7 +48,7 @@ LAYER_METRICS = {
     "amplify.encrypt_ms": ("ms", "call"),
     "amplify.decrypt_ms": ("ms", "call"),
     "amplify.sampling_matrix_ms": ("ms", "call"),
-    "amplify.sampling_matrix_peak_mb": ("MB", "call"),
+    "amplify.sampling_matrix_peak_mb": ("MB", "replay"),
     "amplify.codec_ms": ("ms", "call"),
     "gf2.from_dense_ms": ("ms", "call"),
     "gf2.mul_ms": ("ms", "call"),
@@ -63,6 +68,7 @@ class Tracer:
         self._per_op = defaultdict(list)
         self._op_counts = defaultdict(int)
         self._stack: list[float] = []
+        self._sampler_args: list[tuple] = []
         self._originals = []
 
     # -- recording ------------------------------------------------------
@@ -86,20 +92,28 @@ class Tracer:
             if self_name:
                 self._calls[self_name].append((dt - child) * 1e3)
 
-    def sample(self, name, value) -> None:
-        if self.recording:
-            self._calls[name].append(value)
-
     def count(self, name, k=1) -> None:
         if self.recording:
             self._op_counts[name] += k
 
     def end_op(self) -> None:
-        """Close one operation's per-operation totals."""
+        """Close one operation's per-operation totals, and replay its
+        largest sampler call (by matrix size) to take its peak memory.  Call
+        it outside the timed part, with recording off."""
         for name, (_, kind) in LAYER_METRICS.items():
             if kind == "op":
                 self._per_op[name].append(self._op_counts.get(name, 0))
         self._op_counts.clear()
+        if self._sampler_args:
+            args = max(self._sampler_args, key=lambda a: a[0] * a[1])
+            self._sampler_args.clear()
+            tracemalloc.start()
+            try:
+                self._sampler(*args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            self._per_op["amplify.sampling_matrix_peak_mb"].append(peak / 1e6)
 
     def metrics(self) -> dict[str, tuple[float, str]]:
         out = {}
@@ -152,16 +166,14 @@ class Tracer:
         self.timed(amp.CipherText, "to_bytes", "amplify.codec_ms")
         self.timed(amp.CipherText, "from_bytes", "amplify.codec_ms")
 
-        def sampler(fn, *args, **kwargs):
-            if not self.recording:
-                return fn(*args, **kwargs)
-            tracemalloc.start()
-            try:
-                return self.call("amplify.sampling_matrix_ms", fn, *args, **kwargs)
-            finally:
-                self.sample("amplify.sampling_matrix_peak_mb",
-                            tracemalloc.get_traced_memory()[1] / 1e6)
-                tracemalloc.stop()
+        # The sampler is a pure function of its arguments (sizes, weight and
+        # seed), so a replay allocates what the timed call did.
+        self._sampler = amp.sampling_matrix
+
+        def sampler(fn, *args):
+            if self.recording:
+                self._sampler_args.append(args)
+            return self.call("amplify.sampling_matrix_ms", fn, *args)
         # adversary holds its own reference to the sampler.
         self._replace(amp, "sampling_matrix", sampler)
         self._replace(netpad.adversary, "sampling_matrix", sampler)
