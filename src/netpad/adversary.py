@@ -41,26 +41,35 @@ class SecrecyWitness:
     full_rank: bool  # True is a proof of perfect secrecy
 
 
+def _unhacked_columns(ks: KeyStore, hacked) -> dict[int, int]:
+    """Column of each unhacked pool index in the eavesdropper's system."""
+    hacked_idx = set(ks.hacked_bits(hacked))
+    unhacked = [k for k in range(ks.u) if k not in hacked_idx]
+    return {k: pos for pos, k in enumerate(unhacked)}
+
+
+def _embed(local: BitMatrix, common, col_of: dict[int, int]) -> BitMatrix:
+    """Sampling rows over the common bits u_ij, moved into the unhacked
+    pool columns; the columns of hacked bits drop out."""
+    dense = np.zeros((local.n_rows, len(col_of)), dtype=np.uint8)
+    keep = [pos for pos, k in enumerate(common) if k in col_of]
+    if keep:
+        dense[:, [col_of[common[pos]] for pos in keep]] = local.to_dense()[:, keep]
+    return BitMatrix.from_dense(dense)
+
+
 def _channel_key_blocks(ks: KeyStore, tr: Transcript):
     """Per-ciphertext sampling rows embedded into the unhacked columns."""
     hset = set(tr.hacked)
-    hacked_idx = set(ks.hacked_bits(tr.hacked))
-    unhacked = [k for k in range(ks.u) if k not in hacked_idx]
-    col_of = {k: pos for pos, k in enumerate(unhacked)}
+    col_of = _unhacked_columns(ks, tr.hacked)
     blocks = []
     for ct in tr.ciphertexts:
         if ct.i in hset or ct.j in hset:
             raise ValueError(f"ciphertext on hacked channel ({ct.i},{ct.j})")
         common = ks.common_bits(ct.i, ct.j)
-        local = sampling_matrix(len(ct.body), len(common), tr.d,
-                                ct.sampling_seed).to_dense()
-        dense = np.zeros((len(ct.body), len(unhacked)), dtype=np.uint8)
-        keep = [pos for pos, k in enumerate(common) if k not in hacked_idx]
-        cols = [col_of[common[pos]] for pos in keep]
-        if cols:
-            dense[:, cols] = local[:, keep]
-        blocks.append(BitMatrix.from_dense(dense))
-    return blocks, len(unhacked)
+        local = sampling_matrix(len(ct.body), len(common), tr.d, ct.sampling_seed)
+        blocks.append(_embed(local, common, col_of))
+    return blocks, len(col_of)
 
 
 def build_security_matrix(ks: KeyStore, tr: Transcript) -> SecrecyWitness:
@@ -260,9 +269,7 @@ def full_rank_experiment(spec: SchemeSpec, n: int, t: int, profile: RateProfile,
 def _profile_blocks(ks: KeyStore, profile: RateProfile, hacked, d: int, seed):
     """One sampling block per positive-rate unhacked channel, with
     m_ij = floor(r_ij * l) key rows, over the unhacked pool columns."""
-    hacked_idx = set(ks.hacked_bits(hacked))
-    unhacked = [k for k in range(ks.u) if k not in hacked_idx]
-    col_of = {k: pos for pos, k in enumerate(unhacked)}
+    col_of = _unhacked_columns(ks, hacked)
     rng = np.random.default_rng(seed)
     blocks = []
     hset = set(hacked)
@@ -275,13 +282,8 @@ def _profile_blocks(ks: KeyStore, profile: RateProfile, hacked, d: int, seed):
         common = ks.common_bits(i, j)
         local = gf2.random_fixed_weight_matrix(
             m_bits, len(common), d, rng.integers(0, 2**63)
-        ).to_dense()
-        dense = np.zeros((m_bits, len(unhacked)), dtype=np.uint8)
-        keep = [pos for pos, k in enumerate(common) if k not in hacked_idx]
-        cols = [col_of[common[pos]] for pos in keep]
-        if cols:
-            dense[:, cols] = local[:, keep]
-        blocks.append(BitMatrix.from_dense(dense))
+        )
+        blocks.append(_embed(local, common, col_of))
     return blocks
 
 

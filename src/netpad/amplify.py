@@ -21,6 +21,7 @@ DEFAULT_WEIGHT = 128
 
 MAGIC = b"NPCT"
 VERSION = 1
+HEADER_SIZE = 46  # magic, <HIIQ version/i/j/counter, 16-byte seed, <Q bit count
 
 
 class BudgetError(Exception):
@@ -74,15 +75,19 @@ class CipherText:
     def from_bytes(cls, raw: bytes) -> "CipherText":
         if raw[:4] != MAGIC:
             raise ValueError("not a ciphertext (bad magic)")
+        if len(raw) < HEADER_SIZE:
+            raise ValueError(f"truncated ciphertext header ({len(raw)} bytes)")
         version, i, j, counter = struct.unpack("<HIIQ", raw[4:22])
         if version != VERSION:
             raise ValueError(f"unsupported ciphertext version {version}")
         seed = raw[22:38]
-        (n_bits,) = struct.unpack("<Q", raw[38:46])
+        (n_bits,) = struct.unpack("<Q", raw[38:HEADER_SIZE])
         n_bytes = -(-n_bits // 8)
-        body_raw = raw[46:46 + n_bytes]
-        if len(body_raw) != n_bytes:
+        body_raw = raw[HEADER_SIZE:]
+        if len(body_raw) < n_bytes:
             raise ValueError("truncated ciphertext body")
+        if len(body_raw) > n_bytes:
+            raise ValueError(f"{len(body_raw) - n_bytes} bytes after the ciphertext body")
         bits = np.unpackbits(np.frombuffer(body_raw, dtype=np.uint8),
                              bitorder="little", count=n_bits)
         return cls(i=i, j=j, counter=counter, sampling_seed=seed, body=BitString(bits))

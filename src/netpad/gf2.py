@@ -143,11 +143,10 @@ class BitMatrix:
         if arr.size and arr.max() > 1:
             raise ValueError("matrix entries must be 0 or 1")
         n_rows, n_cols = arr.shape
-        n_words = -(-n_cols // _WORD) if n_cols else 0
-        words = np.zeros((n_rows, n_words), dtype=np.uint64)
-        for i in range(n_rows):
-            words[i] = _pack_bits(arr[i])
-        return cls(n_rows, n_cols, words)
+        n_words = -(-n_cols // _WORD)
+        packed = np.zeros((n_rows, n_words * 8), dtype=np.uint8)
+        packed[:, : -(-n_cols // 8)] = np.packbits(arr, axis=1, bitorder="little")
+        return cls(n_rows, n_cols, packed.view(np.uint64))
 
     @classmethod
     def from_rows(cls, rows: Sequence) -> "BitMatrix":
@@ -171,10 +170,8 @@ class BitMatrix:
         return (self.n_rows, self.n_cols)
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n_rows, self.n_cols), dtype=np.uint8)
-        for i in range(self.n_rows):
-            out[i] = _unpack_bits(self._words[i], self.n_cols)
-        return out
+        as_bytes = np.ascontiguousarray(self._words).view(np.uint8)
+        return np.unpackbits(as_bytes, axis=1, bitorder="little", count=self.n_cols)
 
     def row(self, i: int) -> BitString:
         return BitString(_unpack_bits(self._words[i], self.n_cols))
@@ -206,25 +203,8 @@ class BitMatrix:
     # -- linear algebra -------------------------------------------------
 
     def rank(self) -> int:
-        """GF(2) row rank via in-place elimination on a private copy."""
-        words = self._words.copy()
-        r = 0
-        for col in range(self.n_cols):
-            if r == self.n_rows:
-                break
-            w, b = divmod(col, _WORD)
-            mask = np.uint64(1 << b)
-            hits = np.nonzero(words[r:, w] & mask)[0]
-            if hits.size == 0:
-                continue
-            pivot = r + int(hits[0])
-            if pivot != r:
-                words[[r, pivot]] = words[[pivot, r]]
-            rest = hits[1:] + r
-            if rest.size:
-                words[rest] ^= words[r]
-            r += 1
-        return r
+        """GF(2) row rank via elimination on a private copy."""
+        return _eliminate(self._words.copy(), self.n_cols)
 
     def mul(self, v: BitString) -> BitString:
         """Matrix-vector product over GF(2)."""
@@ -245,22 +225,7 @@ class BitMatrix:
             [self._words, BitMatrix.identity(max(self.n_rows, 1))._words[: self.n_rows]],
             axis=1,
         )
-        r = 0
-        for col in range(self.n_cols):
-            if r == self.n_rows:
-                break
-            w, b = divmod(col, _WORD)
-            mask = np.uint64(1 << b)
-            hits = np.nonzero(words[r:, w] & mask)[0]
-            if hits.size == 0:
-                continue
-            pivot = r + int(hits[0])
-            if pivot != r:
-                words[[r, pivot]] = words[[pivot, r]]
-            rest = hits[1:] + r
-            if rest.size:
-                words[rest] ^= words[r]
-            r += 1
+        r = _eliminate(words, self.n_cols)
         masks = []
         track_words = words[:, n_words:]
         for i in range(r, self.n_rows):
@@ -269,6 +234,28 @@ class BitMatrix:
                 mask |= int(track_words[i, w]) << (w * _WORD)
             masks.append(mask)
         return masks
+
+
+def _eliminate(words: np.ndarray, n_cols: int) -> int:
+    """Row-reduce packed rows in place on their first *n_cols* columns
+    and return the rank; rows from the rank on are zero in those columns."""
+    n_rows = words.shape[0]
+    r = 0
+    for col in range(n_cols):
+        if r == n_rows:
+            break
+        w, b = divmod(col, _WORD)
+        hits = np.nonzero(words[r:, w] & np.uint64(1 << b))[0]
+        if hits.size == 0:
+            continue
+        pivot = r + int(hits[0])
+        if pivot != r:
+            words[[r, pivot]] = words[[pivot, r]]
+        rest = hits[1:] + r
+        if rest.size:
+            words[rest] ^= words[r]
+        r += 1
+    return r
 
 
 def rank(m: BitMatrix) -> int:

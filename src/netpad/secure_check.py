@@ -1,9 +1,9 @@
 """Achievability checkers for a set of channel rates.
 
 Three routes:
-  * check_exact      — iff-criterion: every hacked set, every channel
-                       subset with positive rate sum must stay strictly
-                       below its shared unhacked-secret-bit rate.
+  * check_exact      — iff-criterion, one minimum cut per hacked set:
+                       every channel subset with positive rate sum must
+                       stay strictly below its shared unhacked-bit rate.
   * check_relaxed    — per-subset-size criterion with closed forms for
                        symmetric schemes; a pass is sufficient, a fail is
                        advisory only.
@@ -24,17 +24,12 @@ from enum import Enum
 from fractions import Fraction
 from math import comb
 
-import numpy as np
+import networkx as nx
 
 from .predistribution import KeyStore, SchemeSpec
 from .rates import alpha
 
-DEFAULT_MAX_WORK = 1 << 26
 DEFAULT_EPSILON = Fraction(1, 2**20)
-
-
-class EnumerationBudgetError(Exception):
-    """check_exact's subset enumeration would exceed its work cap."""
 
 
 class Status(Enum):
@@ -139,26 +134,70 @@ def _hacked_sets(n: int, t: int):
         yield from itertools.combinations(range(1, n + 1), size)
 
 
-def _lex_min_mask(masks: np.ndarray) -> int:
-    """Among subset bitmasks, the one whose element tuple is lex-smallest."""
-    cand = masks.astype(np.int64)
-    acc = 0
-    while True:
-        lsb = cand & -cand
-        best = int(lsb.min())
-        cand = cand[lsb == best] ^ best
-        acc |= best
-        if (cand == 0).any():
-            return acc
-        cand = cand[cand != 0]
+def _lex_min_violation(ks: KeyStore, pairs, hacked, below=None):
+    """The lexicographically smallest channel tuple violating the criterion
+    under *hacked*, or None if there is none below the tuple *below*.
+
+    Channel e weighs K*D*l*r_e + 1 and each unhacked group G costs K*D*|G|
+    (D: lcm of the rate denominators, K = len(pairs) + 1).  A channel set
+    P with the groups that hold both endpoints of one of its channels then
+    weighs K*D*(l*r(P) - f_h(P)) + |P|, positive iff P is nonempty and
+    l*r(P) >= f_h(P), and one minimum s-t cut finds a heaviest P.  Then
+    channels are fixed in sorted order: one inside the last violating set
+    found joins for free, any other costs one cut that forces it in.
+    """
+    scale = (len(pairs) + 1) * math.lcm(*[r.denominator for _, r in pairs])
+    weight = {e: int(scale * ks.l * r) + 1 for e, r in pairs}
+    # Tagged, since a two-node group's tuple is also its channel's name.
+    cost = {("group", nodes): scale * len(idx)
+            for nodes, idx in ks.groups.items() if set(hacked).isdisjoint(nodes)}
+    covers = {e: [g for g in cost if e[0] in g[1] and e[1] in g[1]] for e in weight}
+
+    def gain(channels) -> int:
+        groups = {g for e in channels for g in covers[e]}
+        return sum(map(weight.get, channels)) - sum(map(cost.get, groups))
+
+    def heaviest(forced, excluded):
+        graph = nx.DiGraph()
+        graph.add_node("t")
+        for e in weight.keys() - excluded:
+            # A forced channel's source edge has no capacity: infinite.
+            graph.add_edge("s", e, **({} if e in forced else {"capacity": weight[e]}))
+            for g in covers[e]:
+                graph.add_edge(e, g)
+                graph.add_edge(g, "t", capacity=cost[g])
+        total = sum(weight[e] for e in weight.keys() - excluded)
+        cut, (source_side, _) = nx.minimum_cut(graph, "s", "t")
+        return source_side if total > cut else None
+
+    found = heaviest(set(), set())
+    if found is None:
+        return None
+    chosen, excluded = [], set()
+    for e in weight:
+        if chosen and gain(chosen) > 0:
+            break
+        if below is not None and (*chosen, e) >= below:
+            return None
+        if e not in found:
+            larger = heaviest({*chosen, e}, excluded)
+            if larger is None:
+                excluded.add(e)
+                continue
+            found = larger
+        chosen.append(e)
+    return tuple(chosen)
 
 
-def check_exact(ks: KeyStore, profile: RateProfile, t: int,
-                max_work: int = DEFAULT_MAX_WORK) -> SecurityVerdict:
-    """Iff-criterion by full enumeration of hacked sets and channel subsets.
+def check_exact(ks: KeyStore, profile: RateProfile, t: int) -> SecurityVerdict:
+    """Iff-criterion, decided by one minimum cut per hacked set.
 
+    Under a hacked set h, f_h(P) = |union of u_ij over P, minus u_h| is a
+    weighted coverage function over the groups, so finding a channel set
+    P with l*r(P) >= f_h(P) is a max-weight closure problem (Picard, 1976).
     Strict inequality at the boundary: privacy amplification is always
-    applied, so a rate sum equal to the bound is already insecure.
+    applied, so a rate sum equal to the bound is already insecure.  The
+    witness is the lexicographically smallest (channels, hacked) pair.
     """
     if profile.n != ks.n:
         raise ValueError(f"profile is for n={profile.n}, keystore has n={ks.n}")
@@ -166,63 +205,23 @@ def check_exact(ks: KeyStore, profile: RateProfile, t: int,
         raise ValueError(f"t={t} must satisfy 0 <= t <= n-2 = {ks.n - 2}")
 
     positive = sorted((p, r) for p, r in profile.rates.items() if r > 0)
-    work = 0
-    for hacked in _hacked_sets(ks.n, t):
-        k = sum(1 for (i, j), _ in positive if i not in hacked and j not in hacked)
-        work += 1 << k
-        if work > max_work:
-            raise EnumerationBudgetError(
-                f"subset enumeration needs ~{work} steps (cap {max_work}); "
-                "use check_relaxed for large symmetric instances"
-            )
-
-    best: tuple | None = None  # ((channels, hacked), Witness)
-    group_items = list(ks.groups.items())
-    for hacked in _hacked_sets(ks.n, t):
-        hset = set(hacked)
-        pairs = [(p, r) for p, r in positive
-                 if p[0] not in hset and p[1] not in hset]
+    best = None  # (channels, hacked); hacked sets run in lex order
+    for hacked in sorted(_hacked_sets(ks.n, t)):
+        pairs = [(p, r) for p, r in positive if set(p).isdisjoint(hacked)]
         if not pairs:
             continue
-        k = len(pairs)
-        denom = math.lcm(*[r.denominator for _, r in pairs])
-        nums = [int(r * denom) for _, r in pairs]
-
-        # Exact integer comparison: sum_P r >= bound  <=>  sums*l >= denom*counts.
-        big = max(sum(nums) * ks.l, denom * max(ks.u, 1)) >= 1 << 62
-        dtype = object if big else np.int64
-        sums = np.zeros(1, dtype=dtype)
-        for num in nums:
-            sums = np.concatenate([sums, sums + num])
-        counts = np.zeros(1 << k, dtype=dtype)
-        subset_idx = np.arange(1 << k, dtype=np.int64)
-        for nodes, idx in group_items:
-            if hset.intersection(nodes):
-                continue
-            members = set(nodes)
-            bm = 0
-            for pos, ((i, j), _) in enumerate(pairs):
-                if i in members and j in members:
-                    bm |= 1 << pos
-            if bm:
-                counts += len(idx) * ((subset_idx & bm) != 0).astype(dtype)
-
-        violating = np.nonzero((sums > 0) & (sums * ks.l >= denom * counts))[0]
-        if violating.size == 0:
-            continue
-        mask = _lex_min_mask(violating)
-        channels = tuple(p for pos, (p, _) in enumerate(pairs) if mask >> pos & 1)
-        key = (channels, hacked)
-        if best is None or key < best[0]:
-            rate_sum = sum((profile.rate(*c) for c in channels), Fraction(0))
-            bound = Fraction(ks.unhacked_union_size(channels, hacked), ks.l)
-            best = (key, Witness(hacked=hacked, channels=channels,
-                                 rate_sum=rate_sum, bound=bound))
+        channels = _lex_min_violation(ks, pairs, hacked, best and best[0])
+        if channels is not None:
+            best = (channels, hacked)
 
     if best is None:
         return SecurityVerdict(status=Status.ACHIEVABLE, method="exact")
+    channels, hacked = best
+    rate_sum = sum((profile.rate(*c) for c in channels), Fraction(0))
+    bound = Fraction(ks.unhacked_union_size(channels, hacked), ks.l)
     return SecurityVerdict(status=Status.NOT_ACHIEVABLE, method="exact",
-                           witness=best[1])
+                           witness=Witness(hacked=hacked, channels=channels,
+                                           rate_sum=rate_sum, bound=bound))
 
 
 # ---------------------------------------------------------------------------

@@ -55,8 +55,14 @@ def test_wire_format_rejects_garbage():
         CipherText.from_bytes(b"NOPE" + b"\x00" * 60)
     ct = CipherText(i=1, j=2, counter=1, sampling_seed=b"\x07" * 16,
                     body=BitString.from01("10101"))
+    raw = ct.to_bytes()
     with pytest.raises(ValueError):
-        CipherText.from_bytes(ct.to_bytes()[:-1])
+        CipherText.from_bytes(raw[:-1])
+    for cut in (4, 30, 45):
+        with pytest.raises(ValueError, match="header"):
+            CipherText.from_bytes(raw[:cut])
+    with pytest.raises(ValueError, match="after the ciphertext body"):
+        CipherText.from_bytes(raw + b"garbage")
 
 
 def test_encrypt_is_deterministic(ks):

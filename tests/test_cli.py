@@ -66,6 +66,13 @@ def test_check_with_profile_file(tmp_path):
     assert json.loads((tmp_path / "verdict.json").read_text())["status"] == "achievable"
 
 
+def test_check_exact_at_n8_t2():
+    res = run("check", "--scheme", "comb:a=3", "--n", "8", "--l", "1260",
+              "--t", "2", "--profile", "uniform:1/100", "--seed", "1")
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["status"] == "achievable"
+
+
 def test_encrypt_decrypt_file_roundtrip(tmp_path):
     for node in (1, 2):
         run("keygen", "--scheme", "comb:a=3", "--n", "4", "--l", "1260",
@@ -81,6 +88,13 @@ def test_encrypt_decrypt_file_roundtrip(tmp_path):
               "--in", str(tmp_path / "msg.npct"), "--out", str(tmp_path / "msg.out"))
     assert dec.exit_code == 0
     assert (tmp_path / "msg.out").read_bytes() == payload
+
+    raw = (tmp_path / "msg.npct").read_bytes()
+    for bad in (raw + b"garbage", raw[:30], b"NPCT"):
+        (tmp_path / "bad.npct").write_bytes(bad)
+        res = run("decrypt", "--keystore", str(tmp_path / "n2.npks"),
+                  "--in", str(tmp_path / "bad.npct"), "--out", str(tmp_path / "bad.out"))
+        assert res.exit_code == 3, res.output
 
 
 def test_encrypt_is_replayable_with_same_seed(tmp_path):

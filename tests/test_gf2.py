@@ -51,6 +51,21 @@ def test_bitstring_rejects_non_bits():
 # BitMatrix basics
 
 
+@pytest.mark.parametrize("shape", [(0, 10), (3, 0), (5, 64), (5, 65), (7, 130)])
+def test_packed_words_match_reference_layout(shape):
+    # Bit k of a row sits in word k // 64 at bit k % 64.
+    dense = np.random.default_rng(2).integers(0, 2, size=shape, dtype=np.uint8)
+    m = BitMatrix.from_dense(dense)
+    n_words = -(-shape[1] // 64)
+    for i, row in enumerate(dense):
+        value = sum(int(bit) << pos for pos, bit in enumerate(row))
+        assert [int(w) for w in m._words[i]] == [
+            (value >> (64 * w)) & (2**64 - 1) for w in range(n_words)]
+    assert m._words.shape == (shape[0], n_words)
+    assert m.to_dense().shape == shape
+    assert np.array_equal(m.to_dense(), dense)
+
+
 def test_from_dense_to_dense_roundtrip():
     rng = np.random.default_rng(1)
     dense = rng.integers(0, 2, size=(7, 130), dtype=np.uint8)

@@ -8,7 +8,6 @@ import pytest
 
 from netpad.predistribution import SchemeSpec, generate
 from netpad.secure_check import (
-    EnumerationBudgetError,
     RateProfile,
     Status,
     check_exact,
@@ -160,11 +159,41 @@ def test_relabeling_invariance(four_node):
         assert check_exact(four_node, relabeled, 1).status is base
 
 
-def test_enumeration_budget():
-    ks = generate(SchemeSpec.parse("pairwise"), 6, 30, seed=0)
-    profile = RateProfile.uniform(6, Fraction(1, 100))
-    with pytest.raises(EnumerationBudgetError):
-        check_exact(ks, profile, 2, max_work=100)
+@pytest.mark.parametrize("text,n,l,t", [
+    ("pairwise", 4, 12, 1),
+    ("comb:a=3", 5, 12, 1),
+    ("random:p=1/2", 4, 10, 1),
+])
+def test_witness_is_lex_min_of_oracle(text, n, l, t):
+    ks = generate(SchemeSpec.parse(text), n, l, seed=31)
+    rng = np.random.default_rng(11)
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    for _ in range(20):
+        profile = RateProfile(n, {
+            p: Fraction(int(rng.integers(0, 4)), int(rng.integers(6, 20)))
+            for p in pairs
+        })
+        verdict = check_exact(ks, profile, t)
+        _, violations = achievable_oracle(ks, profile, t)
+        if violations:
+            channels, hacked = min((c, h) for h, c, _, _ in violations)
+            assert (verdict.witness.channels, verdict.witness.hacked) == (channels, hacked)
+
+
+def test_exact_beyond_enumeration_reach():
+    # 37 hacked sets with up to 28 positive channels each: listing every
+    # channel subset would take about 2^28 steps for the empty set alone.
+    ks = generate(SchemeSpec.parse("comb:a=3"), 8, 1260, seed=1)
+    ok = RateProfile.uniform(8, Fraction(1, 100))
+    assert check_feasibility(ks, ok, 2).achievable
+    assert check_exact(ks, ok, 2).achievable
+
+    bad = check_exact(ks, RateProfile.uniform(8, Fraction(1, 10)), 2)
+    assert bad.status is Status.NOT_ACHIEVABLE
+    w = bad.witness
+    assert w.rate_sum == Fraction(len(w.channels), 10)
+    assert w.bound == Fraction(union_size_oracle(ks, w.channels, w.hacked), ks.l)
+    assert w.rate_sum >= w.bound
 
 
 # ---------------------------------------------------------------------------
