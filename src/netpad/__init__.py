@@ -19,6 +19,7 @@ from .gf2 import (
     cross_independent,
     random_bernoulli_matrix,
     random_fixed_weight_matrix,
+    sample_indices,
 )
 from .permutation import PermutationFamily
 from .predistribution import KeyStore, SchemeSpec, generate, random_regular_groups
@@ -75,6 +76,7 @@ __all__ = [
     "random_fixed_weight_matrix",
     "random_max_rates",
     "random_regular_groups",
+    "sample_indices",
     "scheme_max_rates",
     "tradeoff_check",
 ]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .amplify import DEFAULT_WEIGHT, CipherText, sampling_matrix
+from .amplify import DEFAULT_WEIGHT, CipherText, sampling_matrix, seed_to_int
 from .gf2 import BitMatrix
 from .permutation import _seed_int
 from .predistribution import KeyStore, SchemeSpec, generate
@@ -41,35 +41,37 @@ class SecrecyWitness:
     full_rank: bool  # True is a proof of perfect secrecy
 
 
-def _unhacked_columns(ks: KeyStore, hacked) -> dict[int, int]:
-    """Column of each unhacked pool index in the eavesdropper's system."""
-    hacked_idx = set(ks.hacked_bits(hacked))
-    unhacked = [k for k in range(ks.u) if k not in hacked_idx]
-    return {k: pos for pos, k in enumerate(unhacked)}
+def _unhacked_columns(ks: KeyStore, hacked) -> tuple[np.ndarray, int]:
+    """Column of each pool index in the eavesdropper's system (-1 for a
+    hacked bit), and the number of unhacked columns."""
+    unhacked = np.ones(ks.u, dtype=bool)
+    unhacked[np.asarray(ks.hacked_bits(hacked), dtype=np.int64)] = False
+    col_of = np.cumsum(unhacked, dtype=np.int64) - 1
+    col_of[~unhacked] = -1
+    return col_of, int(unhacked.sum())
 
 
-def _embed(local: BitMatrix, common, col_of: dict[int, int]) -> BitMatrix:
-    """Sampling rows over the common bits u_ij, moved into the unhacked
-    pool columns; the columns of hacked bits drop out."""
-    dense = np.zeros((local.n_rows, len(col_of)), dtype=np.uint8)
-    keep = [pos for pos, k in enumerate(common) if k in col_of]
-    if keep:
-        dense[:, [col_of[common[pos]] for pos in keep]] = local.to_dense()[:, keep]
-    return BitMatrix.from_dense(dense)
+def _embed(idx: np.ndarray, common, col_of: np.ndarray, n_cols: int) -> BitMatrix:
+    """Sampling rows, given as positions in the common bits u_ij, moved
+    into the unhacked pool columns; the columns of hacked bits drop out."""
+    cols = col_of[np.asarray(common, dtype=np.int64)[idx]]
+    keep = cols >= 0
+    return BitMatrix.from_positions(idx.shape[0], n_cols, np.nonzero(keep)[0], cols[keep])
 
 
 def _channel_key_blocks(ks: KeyStore, tr: Transcript):
     """Per-ciphertext sampling rows embedded into the unhacked columns."""
     hset = set(tr.hacked)
-    col_of = _unhacked_columns(ks, tr.hacked)
+    col_of, n_cols = _unhacked_columns(ks, tr.hacked)
     blocks = []
     for ct in tr.ciphertexts:
         if ct.i in hset or ct.j in hset:
             raise ValueError(f"ciphertext on hacked channel ({ct.i},{ct.j})")
         common = ks.common_bits(ct.i, ct.j)
-        local = sampling_matrix(len(ct.body), len(common), tr.d, ct.sampling_seed)
-        blocks.append(_embed(local, common, col_of))
-    return blocks, len(col_of)
+        idx = gf2.sample_indices(len(ct.body), len(common), tr.d,
+                                 seed_to_int(ct.sampling_seed))
+        blocks.append(_embed(idx, common, col_of, n_cols))
+    return blocks, n_cols
 
 
 def build_security_matrix(ks: KeyStore, tr: Transcript) -> SecrecyWitness:
@@ -269,7 +271,7 @@ def full_rank_experiment(spec: SchemeSpec, n: int, t: int, profile: RateProfile,
 def _profile_blocks(ks: KeyStore, profile: RateProfile, hacked, d: int, seed):
     """One sampling block per positive-rate unhacked channel, with
     m_ij = floor(r_ij * l) key rows, over the unhacked pool columns."""
-    col_of = _unhacked_columns(ks, hacked)
+    col_of, n_cols = _unhacked_columns(ks, hacked)
     rng = np.random.default_rng(seed)
     blocks = []
     hset = set(hacked)
@@ -280,10 +282,8 @@ def _profile_blocks(ks: KeyStore, profile: RateProfile, hacked, d: int, seed):
         if m_bits == 0:
             continue
         common = ks.common_bits(i, j)
-        local = gf2.random_fixed_weight_matrix(
-            m_bits, len(common), d, rng.integers(0, 2**63)
-        )
-        blocks.append(_embed(local, common, col_of))
+        idx = gf2.sample_indices(m_bits, len(common), d, rng.integers(0, 2**63))
+        blocks.append(_embed(idx, common, col_of, n_cols))
     return blocks
 
 

@@ -2,9 +2,11 @@
 bits, apply the one-time pad, and account for consumed channel budget.
 
 Sampling seeds are public and travel in the ciphertext header: secrecy
-rests on the pool bits, not on the sampler.  The exact sampling matrix is
-reconstructible from the header, so an auditor can rebuild the linear
-system bit-for-bit.
+rests on the pool bits, not on the sampler.  Both endpoints and the
+auditor draw the d positions of every key bit from one sampler,
+``gf2.sample_indices``, in O(m*d) time and memory for m key bits: the
+endpoints XOR the pool bits at those positions, and an auditor rebuilds
+the same rows as a sampling matrix, bit-for-bit.
 """
 
 from __future__ import annotations
@@ -14,13 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gf2 import BitMatrix, BitString, random_fixed_weight_matrix
+from .gf2 import BitMatrix, BitString, random_fixed_weight_matrix, sample_indices
 from .permutation import _seed_int
 
 DEFAULT_WEIGHT = 128
 
 MAGIC = b"NPCT"
-VERSION = 1
+VERSION = 2  # version 1 keys came from another sampler
 HEADER_SIZE = 46  # magic, <HIIQ version/i/j/counter, 16-byte seed, <Q bit count
 
 
@@ -44,6 +46,8 @@ class ChannelCipherState:
     seen_counters: set[int] = field(default_factory=set)
 
     def __post_init__(self):
+        if self.d < 1:
+            raise ValueError(f"sampling weight d={self.d} must be at least 1")
         if self.i == self.j:
             raise ValueError("a channel needs two distinct endpoints")
         if self.i > self.j:
@@ -88,6 +92,8 @@ class CipherText:
             raise ValueError("truncated ciphertext body")
         if len(body_raw) > n_bytes:
             raise ValueError(f"{len(body_raw) - n_bytes} bytes after the ciphertext body")
+        if n_bits % 8 and body_raw[-1] >> (n_bits % 8):
+            raise ValueError("nonzero padding bits after the ciphertext body")
         bits = np.unpackbits(np.frombuffer(body_raw, dtype=np.uint8),
                              bitorder="little", count=n_bits)
         return cls(i=i, j=j, counter=counter, sampling_seed=seed, body=BitString(bits))
@@ -101,14 +107,17 @@ def seed_to_int(sampling_seed: bytes) -> int:
 
 def sampling_matrix(n_key_bits: int, n_common: int, d: int,
                     sampling_seed: bytes) -> BitMatrix:
-    """The exact fixed-weight sampling matrix for one message."""
+    """The fixed-weight sampling matrix of one message: row r has its ones
+    at the common-bit positions that derive_key XORs into key bit r."""
     return random_fixed_weight_matrix(n_key_bits, n_common, d,
                                       seed_to_int(sampling_seed))
 
 
 def derive_key(ks, state: ChannelCipherState, n_bits: int,
                sampling_seed: bytes) -> BitString:
-    """Secret key = M . u_ij with M the fixed-weight-d sampling matrix.
+    """Secret key = M . u_ij with M the fixed-weight-d sampling matrix,
+    computed as a gather of the d sampled common bits of each key bit and
+    their parity, without building M.
 
     Deterministic: both endpoints derive identical keys from the same
     keystore views and header.
@@ -120,8 +129,9 @@ def derive_key(ks, state: ChannelCipherState, n_bits: int,
         raise ValueError(
             f"sampling weight d={state.d} exceeds |u_ij|={len(common)}"
         )
-    matrix = sampling_matrix(n_bits, len(common), state.d, sampling_seed)
-    return matrix.mul(ks.bit_values(common))
+    idx = sample_indices(n_bits, len(common), state.d, seed_to_int(sampling_seed))
+    pool = ks.bit_values(common).bits
+    return BitString(np.bitwise_xor.reduce(pool[idx], axis=1))
 
 
 def _derive_sampling_seed(seed, counter: int) -> bytes:

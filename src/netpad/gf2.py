@@ -149,6 +149,22 @@ class BitMatrix:
         return cls(n_rows, n_cols, packed.view(np.uint64))
 
     @classmethod
+    def from_positions(cls, n_rows: int, n_cols: int, rows, cols) -> "BitMatrix":
+        """Matrix with a one at (rows[k], cols[k]) for every k, built
+        directly in packed words."""
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        if cols.size and (cols.min() < 0 or cols.max() >= n_cols):
+            raise ValueError("column index out of range")
+        if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
+            raise ValueError("row index out of range")
+        n_words = -(-n_cols // _WORD)
+        words = np.zeros(n_rows * n_words, dtype=np.uint64)
+        np.bitwise_or.at(words, rows * n_words + (cols >> 6),
+                         np.left_shift(np.uint64(1), (cols & 63).astype(np.uint64)))
+        return cls(n_rows, n_cols, words.reshape(n_rows, n_words))
+
+    @classmethod
     def from_rows(cls, rows: Sequence) -> "BitMatrix":
         dense = np.array([_as_bit_array(getattr(r, "bits", r)) for r in rows], dtype=np.uint8)
         return cls.from_dense(dense)
@@ -277,21 +293,55 @@ def random_bernoulli_matrix(
     return BitMatrix.from_dense(dense)
 
 
+def sample_indices(n_rows: int, n_cols: int, d: int, seed) -> np.ndarray:
+    """Row r is a uniform d-subset of range(n_cols), ascending.
+
+    O(n_rows*d) time and memory; the result is a pure function of the
+    arguments.  Each row starts as d uniform draws, and the draws that
+    repeat an earlier value are redrawn until the row is distinct.  That
+    procedure commutes with any relabelling of the columns, so every
+    d-subset is equally likely.  Sampling the d indices directly instead of
+    ordering all n_cols columns follows Bentley & Floyd, "A sample of
+    brilliance" (CACM 30(9), 1987).  When 2d >= n_cols redraws would be
+    frequent, so the d smallest of n_cols uniform keys are taken instead,
+    which costs O(n_rows*n_cols) = O(n_rows*d).
+    """
+    if d < 0:
+        raise ValueError("row weight must be non-negative")
+    if d > n_cols:
+        raise ValueError(f"row weight {d} exceeds column count {n_cols}")
+    rng = np.random.default_rng(seed)
+    if d == 0 or n_rows == 0:
+        return np.zeros((n_rows, d), dtype=np.int64)
+    if 2 * d >= n_cols:
+        keys = rng.random((n_rows, n_cols))
+        idx = np.argpartition(keys, d - 1, axis=1)[:, :d].astype(np.int64)
+        idx.sort(axis=1)
+        return idx
+    idx = rng.integers(0, n_cols, size=(n_rows, d), dtype=np.int64)
+    idx.sort(axis=1)
+    rows = np.arange(n_rows)
+    while True:
+        sub = idx[rows]
+        repeat = np.zeros(sub.shape, dtype=bool)
+        repeat[:, 1:] = sub[:, 1:] == sub[:, :-1]
+        hit = repeat.any(axis=1)
+        if not hit.any():
+            return idx
+        rows, sub, repeat = rows[hit], sub[hit], repeat[hit]
+        sub[repeat] = rng.integers(0, n_cols, size=int(repeat.sum()), dtype=np.int64)
+        sub.sort(axis=1)
+        idx[rows] = sub
+
+
 def random_fixed_weight_matrix(
     n_rows: int, n_cols: int, weight_d: int, seed
 ) -> BitMatrix:
-    """Every row has exactly *weight_d* ones, sampled without replacement."""
-    if weight_d > n_cols:
-        raise ValueError(f"row weight {weight_d} exceeds column count {n_cols}")
-    if weight_d < 0:
-        raise ValueError("row weight must be non-negative")
-    rng = np.random.default_rng(seed)
-    dense = np.zeros((n_rows, n_cols), dtype=np.uint8)
-    if weight_d and n_rows:
-        keys = rng.random((n_rows, n_cols))
-        idx = np.argpartition(keys, weight_d - 1, axis=1)[:, :weight_d]
-        np.put_along_axis(dense, idx, 1, axis=1)
-    return BitMatrix.from_dense(dense)
+    """Every row has exactly *weight_d* ones, at the columns that
+    sample_indices draws for the same arguments."""
+    idx = sample_indices(n_rows, n_cols, weight_d, seed)
+    return BitMatrix.from_positions(n_rows, n_cols,
+                                    np.repeat(np.arange(n_rows), weight_d), idx.ravel())
 
 
 def cross_independent(

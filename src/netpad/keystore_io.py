@@ -57,15 +57,39 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack("<" + fmt, self.read(struct.calcsize("<" + fmt)))
 
-    def varint(self) -> int:
-        shift = 0
-        value = 0
-        while True:
-            (byte,) = self.read(1)
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return value
-            shift += 7
+    def varint_span(self, count: int) -> tuple[int, int]:
+        """Move past *count* LEB128 varints and return the byte span they
+        fill, scanning at most 9*count bytes (a varint holds at most 63
+        bits)."""
+        remaining = len(self.data) - self.pos
+        if count > remaining:
+            raise ValueError(f"table of {count} varints overruns the "
+                             f"{remaining} bytes left in the keystore file")
+        start = self.pos
+        if count:
+            window = np.frombuffer(self.data, dtype=np.uint8,
+                                   count=min(9 * count, remaining), offset=start)
+            last_bytes = np.flatnonzero(window < 0x80)
+            if last_bytes.size < count:
+                raise ValueError("truncated keystore file or a varint longer than 9 bytes")
+            self.pos = start + int(last_bytes[count - 1]) + 1
+        return start, self.pos
+
+    def varints(self, spans) -> np.ndarray:
+        """Decode the varints that fill the given byte spans, all in one
+        vectorized pass."""
+        raw = np.frombuffer(self.data, dtype=np.uint8)
+        stream = np.concatenate([raw[a:b] for a, b in spans] or [raw[:0]])
+        ends = np.flatnonzero(stream < 0x80)
+        starts = np.zeros_like(ends)
+        starts[1:] = ends[:-1] + 1
+        if np.any(ends - starts >= 9):
+            raise ValueError("keystore varint longer than 9 bytes")
+        if not ends.size:
+            return np.zeros(0, dtype=np.uint64)
+        shifts = 7 * (np.arange(stream.size) - np.repeat(starts, ends - starts + 1))
+        payload = (stream & 0x7F).astype(np.uint64) << shifts.astype(np.uint64)
+        return np.bitwise_or.reduceat(payload, starts)
 
     def text(self) -> str:
         (length,) = self.unpack("H")
@@ -100,19 +124,20 @@ def _write_groups(out: bytearray, groups) -> None:
 
 def _read_groups(rd: _Reader) -> dict[tuple[int, ...], list[int]]:
     (count,) = rd.unpack("I")
-    groups: dict[tuple[int, ...], list[int]] = {}
+    node_sets, spans, sizes = [], [], []
     for _ in range(count):
         (set_len,) = rd.unpack("H")
-        nodes = tuple(rd.unpack(f"{set_len}I"))
+        node_sets.append(tuple(rd.unpack(f"{set_len}I")))
         (bit_count,) = rd.unpack("Q")
-        indices = []
-        value = 0
-        for first in [True] + [False] * (bit_count - 1) if bit_count else []:
-            delta = rd.varint()
-            value = delta if first else value + delta
-            indices.append(value)
-        groups[nodes] = indices
-    return groups
+        spans.append(rd.varint_span(bit_count))
+        sizes.append(bit_count)
+    # Each group's deltas restart from 0: a running sum over the whole
+    # table, less its value before the group, gives the group's indices.
+    sums = np.concatenate((np.zeros(1, dtype=np.uint64),
+                           np.cumsum(rd.varints(spans), dtype=np.uint64)))
+    bounds = np.cumsum([0] + sizes)
+    flat = (sums[1:] - np.repeat(sums[bounds[:-1]], sizes)).tolist()
+    return {nodes: flat[a:b] for nodes, a, b in zip(node_sets, bounds[:-1], bounds[1:])}
 
 
 def _pack_pool(bits: np.ndarray) -> bytes:
@@ -239,12 +264,10 @@ def load_node_view(path) -> NodeView:
     n, l, u, scheme, seed = _read_header(rd)
     groups = _read_groups(rd)
     (count,) = rd.unpack("Q")
-    locations = {}
-    for _ in range(count):
-        k = rd.varint()
-        locations[k] = rd.varint()
+    table = rd.varints([rd.varint_span(2 * count)])  # pool index, location, ...
+    locations = dict(zip(table[0::2].tolist(), table[1::2].tolist()))
     held = sorted(locations)
     values_bits = _unpack_pool(rd.read(-(-count // 8)), count)
-    values = {k: int(values_bits.bits[pos]) for pos, k in enumerate(held)}
+    values = dict(zip(held, values_bits.bits.tolist()))
     return NodeView(node=node, n=n, l=l, scheme=scheme, seed=seed, u=u,
                     groups=groups, locations=locations, values=values)

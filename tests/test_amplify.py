@@ -63,6 +63,14 @@ def test_wire_format_rejects_garbage():
             CipherText.from_bytes(raw[:cut])
     with pytest.raises(ValueError, match="after the ciphertext body"):
         CipherText.from_bytes(raw + b"garbage")
+    padded = bytearray(raw)
+    padded[-1] |= 0xE0  # the 3 unused high bits of the 5-bit body
+    with pytest.raises(ValueError, match="padding"):
+        CipherText.from_bytes(bytes(padded))
+    assert amplify.VERSION == 2
+    version_1 = raw[:4] + (1).to_bytes(2, "little") + raw[6:]
+    with pytest.raises(ValueError, match="version 1"):
+        CipherText.from_bytes(version_1)
 
 
 def test_encrypt_is_deterministic(ks):
@@ -122,6 +130,39 @@ def test_weight_cannot_exceed_common_bits(ks):
     state = ChannelCipherState(1, 2, d=len(ks.common_bits(1, 2)) + 1)
     with pytest.raises(ValueError):
         derive_key(ks, state, 4, b"\x00" * 16)
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_weight_below_one_rejected(d):
+    # d = 0 would make every key bit an empty XOR, so the pad would be zero.
+    with pytest.raises(ValueError, match="at least 1"):
+        ChannelCipherState(1, 2, d=d)
+
+
+def test_derive_key_is_the_sampling_matrix_times_the_common_bits(ks):
+    # The endpoints (derive_key) and the auditor (sampling_matrix) agree.
+    common = ks.common_bits(1, 3)
+    pool = ks.bit_values(common)
+    rng = np.random.default_rng(3)
+    for d in (1, 7, 60, len(common) // 2, len(common)):
+        state = ChannelCipherState(1, 3, d=d)
+        for _ in range(25):
+            seed = rng.bytes(16)
+            m = int(rng.integers(0, 90))
+            assert derive_key(ks, state, m, seed) == \
+                sampling_matrix(m, len(common), d, seed).mul(pool)
+
+
+def test_large_message_roundtrip():
+    # |u_12| = 84000 and a 6300-bit key: the sampler draws 6300 x 128
+    # indices, never a dense 6300 x 84000 array.
+    ks = generate(SchemeSpec.parse("comb:a=3"), 4, 126000, seed=1)
+    assert len(ks.common_bits(1, 2)) == 84000
+    msg = BitString.random(6300, np.random.default_rng(4))
+    tx, rx = ChannelCipherState(1, 2), ChannelCipherState(1, 2)
+    ct = encrypt(ks, tx, msg, seed=6)
+    assert ct.body != msg
+    assert decrypt(ks, rx, CipherText.from_bytes(ct.to_bytes())) == msg
 
 
 def test_state_normalizes_endpoints():

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import struct
 
 from click.testing import CliRunner
 
@@ -90,11 +91,36 @@ def test_encrypt_decrypt_file_roundtrip(tmp_path):
     assert (tmp_path / "msg.out").read_bytes() == payload
 
     raw = (tmp_path / "msg.npct").read_bytes()
-    for bad in (raw + b"garbage", raw[:30], b"NPCT"):
+    version_1 = raw[:4] + struct.pack("<H", 1) + raw[6:]
+    for bad in (raw + b"garbage", raw[:30], b"NPCT", version_1):
         (tmp_path / "bad.npct").write_bytes(bad)
         res = run("decrypt", "--keystore", str(tmp_path / "n2.npks"),
                   "--in", str(tmp_path / "bad.npct"), "--out", str(tmp_path / "bad.out"))
         assert res.exit_code == 3, res.output
+
+    # A node view claiming a 2^40-bit group is a format error, not a
+    # MemoryError: node 2's first group is (1, 2, 3) with 420 bits.
+    view = bytearray((tmp_path / "n2.npks").read_bytes())
+    at = view.index(struct.pack("<3IQ", 1, 2, 3, 420)) + 12
+    view[at:at + 8] = struct.pack("<Q", 2**40)
+    (tmp_path / "huge.npks").write_bytes(bytes(view))
+    res = run("decrypt", "--keystore", str(tmp_path / "huge.npks"),
+              "--in", str(tmp_path / "msg.npct"), "--out", str(tmp_path / "bad.out"))
+    assert res.exit_code == 3, res.output
+    assert not (tmp_path / "bad.out").exists()
+
+
+def test_encrypt_rejects_zero_weight(tmp_path):
+    # With d = 0 every key bit is an empty XOR: the body would be the plaintext.
+    run("keygen", "--scheme", "comb:a=3", "--n", "4", "--l", "1260",
+        "--seed", "3", "--node", "1", "--out", str(tmp_path / "n1.npks"))
+    (tmp_path / "msg.bin").write_bytes(b"attack at dawn")
+    res = run("encrypt", "--keystore", str(tmp_path / "n1.npks"), "--peer", "2",
+              "--in", str(tmp_path / "msg.bin"), "--out", str(tmp_path / "msg.npct"),
+              "--d", "0", "--seed", "5")
+    assert res.exit_code != 0
+    assert "at least 1" in res.output
+    assert not (tmp_path / "msg.npct").exists()
 
 
 def test_encrypt_is_replayable_with_same_seed(tmp_path):

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from netpad.gf2 import (
     cross_independent,
     random_bernoulli_matrix,
     random_fixed_weight_matrix,
+    sample_indices,
 )
 
 from helpers import py_rank
@@ -183,6 +187,86 @@ def test_generators_deterministic():
 def test_fixed_weight_validation():
     with pytest.raises(ValueError):
         random_fixed_weight_matrix(2, 5, 6, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# the key sampler
+
+# Upper 0.1% points of the chi-square distribution.
+CHI2_999 = {5: 20.515, 14: 36.123}
+
+
+def chi_square(counts: np.ndarray) -> float:
+    expected = counts.sum() / counts.size
+    return float(((counts - expected) ** 2).sum() / expected)
+
+
+@pytest.mark.parametrize("n_rows,n_cols,d", [
+    (300, 8400, 128),  # redraw path
+    (50, 200, 90),     # redraw path near 2d = n
+    (40, 200, 100),    # sorted-keys path, 2d >= n
+    (20, 7, 7),
+])
+def test_sample_indices_rows_are_sorted_distinct_subsets(n_rows, n_cols, d):
+    idx = sample_indices(n_rows, n_cols, d, seed=4)
+    assert idx.shape == (n_rows, d) and idx.dtype == np.int64
+    assert idx.min() >= 0 and idx.max() < n_cols
+    assert np.all(np.diff(idx, axis=1) > 0)
+    assert np.array_equal(idx, sample_indices(n_rows, n_cols, d, seed=4))
+    if d < n_cols:
+        assert not np.array_equal(idx, sample_indices(n_rows, n_cols, d, seed=5))
+
+
+def test_sample_indices_edges():
+    assert sample_indices(5, 9, 0, seed=1).shape == (5, 0)
+    assert sample_indices(0, 9, 3, seed=1).shape == (0, 3)
+    assert np.array_equal(sample_indices(3, 6, 6, seed=1), np.tile(np.arange(6), (3, 1)))
+    with pytest.raises(ValueError):
+        sample_indices(2, 5, 6, seed=0)
+    with pytest.raises(ValueError):
+        sample_indices(2, 5, -1, seed=0)
+
+
+@pytest.mark.parametrize("d", [2, 4])  # redraw path, sorted-keys path
+def test_sample_indices_is_uniform(d):
+    rows = 30_000
+    idx = sample_indices(rows, 6, d, seed=11)
+    subsets = {s: k for k, s in enumerate(itertools.combinations(range(6), d))}
+    assert len(subsets) == 15
+    counts = np.bincount([subsets[tuple(row)] for row in idx.tolist()], minlength=15)
+    assert chi_square(counts) < CHI2_999[14]
+    assert chi_square(np.bincount(idx.ravel(), minlength=6)) < CHI2_999[5]
+
+
+def test_sample_indices_memory_is_linear_in_rows_times_d():
+    tracemalloc.start()
+    try:
+        sample_indices(6300, 84000, 128, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6  # a dense 6300 x 84000 array needs 529 MB of uint8
+
+
+def test_fixed_weight_matrix_holds_the_sampled_indices():
+    m = random_fixed_weight_matrix(30, 500, 40, seed=8)
+    idx = sample_indices(30, 500, 40, seed=8)
+    dense = np.zeros((30, 500), dtype=np.uint8)
+    np.put_along_axis(dense, idx, 1, axis=1)
+    assert np.array_equal(m.to_dense(), dense)
+    assert m == BitMatrix.from_dense(dense)
+
+
+def test_from_positions_matches_dense():
+    rng = np.random.default_rng(2)
+    dense = (rng.random((7, 130)) < 0.3).astype(np.uint8)
+    rows, cols = np.nonzero(dense)
+    assert BitMatrix.from_positions(7, 130, rows, cols) == BitMatrix.from_dense(dense)
+    assert BitMatrix.from_positions(3, 0, [], []) == BitMatrix.zeros(3, 0)
+    with pytest.raises(ValueError):
+        BitMatrix.from_positions(2, 4, [0], [4])
+    with pytest.raises(ValueError):
+        BitMatrix.from_positions(2, 4, [2], [0])
 
 
 # ---------------------------------------------------------------------------

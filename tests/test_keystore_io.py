@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -105,3 +107,41 @@ def test_hybrid_load_verifies_content(tmp_path):
     (tmp_path / "bad.npks").write_bytes(bytes(raw))
     with pytest.raises(ValueError):
         keystore_io.load(tmp_path / "bad.npks")
+
+
+def test_varint_decoder_matches_the_writer():
+    values = [0, 1, 127, 128, 300, 2**21, 2**56 - 1, 2**63 - 1]
+    values += np.random.default_rng(1).integers(0, 2**63, 200).tolist()
+    out = bytearray(b"xy")
+    for v in values:
+        keystore_io._write_varint(out, v)
+    rd = keystore_io._Reader(bytes(out) + b"tail")
+    rd.pos = 2
+    split = 3
+    spans = [rd.varint_span(split), rd.varint_span(len(values) - split)]
+    assert rd.varints(spans).tolist() == values
+    assert rd.read(4) == b"tail"
+
+
+def test_varint_tables_are_bounded():
+    with pytest.raises(ValueError, match="overruns"):
+        keystore_io._Reader(b"\x01\x02").varint_span(3)
+    with pytest.raises(ValueError, match="9 bytes"):
+        keystore_io._Reader(b"\x80" * 9 + b"\x01").varint_span(1)  # a 10-byte varint
+    rd = keystore_io._Reader(b"\x00" + b"\x80" * 9 + b"\x01")
+    with pytest.raises(ValueError, match="9 bytes"):
+        rd.varints([rd.varint_span(2)])
+
+
+def test_huge_group_count_raises_value_error(tmp_path):
+    # Node 1's first group is (1, 2, 3) with 420 bits; a count of 2^40
+    # must be refused before anything is allocated.
+    ks = generate(SchemeSpec.parse("comb:a=3"), 4, 1260, seed=3)
+    path = tmp_path / "n1.npks"
+    keystore_io.save_node_view(ks, 1, path)
+    raw = bytearray(path.read_bytes())
+    at = raw.index(struct.pack("<3IQ", 1, 2, 3, 420)) + 12
+    raw[at:at + 8] = struct.pack("<Q", 2**40)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="overruns"):
+        keystore_io.load_node_view(path)
