@@ -165,11 +165,6 @@ class BitMatrix:
         return cls(n_rows, n_cols, words.reshape(n_rows, n_words))
 
     @classmethod
-    def from_rows(cls, rows: Sequence) -> "BitMatrix":
-        dense = np.array([_as_bit_array(getattr(r, "bits", r)) for r in rows], dtype=np.uint8)
-        return cls.from_dense(dense)
-
-    @classmethod
     def vstack(cls, blocks: Sequence["BitMatrix"]) -> "BitMatrix":
         if not blocks:
             raise ValueError("vstack of an empty block list")
@@ -272,14 +267,6 @@ def _eliminate(words: np.ndarray, n_cols: int) -> int:
             words[rest] ^= words[r]
         r += 1
     return r
-
-
-def rank(m: BitMatrix) -> int:
-    return m.rank()
-
-
-def mul(m: BitMatrix, v: BitString) -> BitString:
-    return m.mul(v)
 
 
 def random_bernoulli_matrix(

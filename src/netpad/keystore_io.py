@@ -8,22 +8,29 @@ Layout (little-endian):
   group table: count u32; per group: node-set length u16, node ids u32,
           bit count u64, pool-index list as delta-encoded varints
   full store: pool bits packed little-endian within bytes
-  node view: held-bit table (count u64; per bit: pool index varint,
-          storage location varint), then the held bit values packed
-          little-endian in ascending pool-index order
+  node view: held-bit table (count u64; per bit in ascending pool-index
+          order: pool index varint, storage location varint), then the
+          held bit values packed little-endian in the same order
+
+A full store records no storage locations: they follow from the scheme
+(``KeyStore.locations``).  The loaders raise ValueError (CLI exit 3) on
+group node ids not strictly ascending in 1..n, a repeated node set, a
+pool index >= u or in two groups, a view node outside 1..n or missing
+from one of its groups, a held table other than the union of the view's
+groups, locations repeated or outside 1..l, and trailing bytes.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .gf2 import RNG_ALGORITHM, BitString
-from .permutation import PermutationFamily
-from .predistribution import KeyStore, SchemeSpec, _sequential_locations, generate
+from .predistribution import KeyStore, SchemeSpec, generate, select_bits
 
 MAGIC = b"NPKS"
 VERSION = 1
@@ -95,6 +102,11 @@ class _Reader:
         (length,) = self.unpack("H")
         return self.read(length).decode("utf-8")
 
+    def finish(self) -> None:
+        if self.pos != len(self.data):
+            raise ValueError(f"{len(self.data) - self.pos} bytes follow the end "
+                             f"of the keystore")
+
 
 def _write_text(out: bytearray, text: str) -> None:
     raw = text.encode("utf-8")
@@ -116,28 +128,45 @@ def _write_groups(out: bytearray, groups) -> None:
         out += struct.pack(f"<{len(nodes)}I", *nodes)
         out += struct.pack("<Q", len(indices))
         prev = 0
-        for first, idx in zip([True] + [False] * len(indices), indices):
-            _write_varint(out, idx if first else idx - prev)
+        for idx in indices:
+            _write_varint(out, idx - prev)
             prev = idx
-    return
 
 
-def _read_groups(rd: _Reader) -> dict[tuple[int, ...], list[int]]:
+def _read_groups(rd: _Reader, n: int, u: int):
+    """The group table as a dict, and all its pool indices in ascending order."""
     (count,) = rd.unpack("I")
     node_sets, spans, sizes = [], [], []
     for _ in range(count):
         (set_len,) = rd.unpack("H")
-        node_sets.append(tuple(rd.unpack(f"{set_len}I")))
+        nodes = rd.unpack(f"{set_len}I")
+        if not nodes or nodes != tuple(sorted(set(nodes))) or nodes[0] < 1 or nodes[-1] > n:
+            raise ValueError(f"group {nodes} is not an ascending set of nodes in 1..{n}")
+        node_sets.append(nodes)
         (bit_count,) = rd.unpack("Q")
         spans.append(rd.varint_span(bit_count))
         sizes.append(bit_count)
+    if len(set(node_sets)) != count:
+        raise ValueError("a node set appears twice in the group table")
     # Each group's deltas restart from 0: a running sum over the whole
     # table, less its value before the group, gives the group's indices.
     sums = np.concatenate((np.zeros(1, dtype=np.uint64),
                            np.cumsum(rd.varints(spans), dtype=np.uint64)))
     bounds = np.cumsum([0] + sizes)
-    flat = (sums[1:] - np.repeat(sums[bounds[:-1]], sizes)).tolist()
-    return {nodes: flat[a:b] for nodes, a, b in zip(node_sets, bounds[:-1], bounds[1:])}
+    flat = sums[1:] - np.repeat(sums[bounds[:-1]], sizes)
+    # Within a group the indices rise strictly; a delta that wraps past
+    # 2^64 shows up as a fall.
+    group_of = np.repeat(np.arange(count), sizes)
+    if not np.all((flat[1:] > flat[:-1]) | (group_of[1:] != group_of[:-1])):
+        raise ValueError("a group's pool indices are not strictly ascending")
+    ordered = np.sort(flat)
+    if ordered.size and ordered[-1] >= u:
+        raise ValueError(f"pool index {int(ordered[-1])} outside 0..{u - 1}")
+    if np.any(ordered[1:] == ordered[:-1]):
+        raise ValueError("a pool index lies in two groups")
+    listed = flat.tolist()
+    groups = {nodes: listed[a:b] for nodes, a, b in zip(node_sets, bounds[:-1], bounds[1:])}
+    return groups, ordered
 
 
 def _pack_pool(bits: np.ndarray) -> bytes:
@@ -145,24 +174,22 @@ def _pack_pool(bits: np.ndarray) -> bytes:
 
 
 def _unpack_pool(raw: bytes, n_bits: int) -> BitString:
-    arr = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little",
-                        count=n_bits)
-    return BitString(arr)
+    return BitString(np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
+                                   bitorder="little", count=n_bits))
 
 
 def save(ks: KeyStore, path) -> None:
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<HB", VERSION, 0)
+    out = bytearray(MAGIC + struct.pack("<HB", VERSION, 0))
     _write_header(out, ks)
     _write_groups(out, ks.groups)
     out += _pack_pool(ks.pool.bits)
     Path(path).write_bytes(bytes(out))
 
 
-@dataclass
+@dataclass(eq=False)
 class NodeView:
-    """What a deployed node carries: its bits and group memberships."""
+    """What a deployed node carries: its group memberships and, for each
+    held pool index, its storage location and bit value."""
 
     node: int
     n: int
@@ -171,53 +198,62 @@ class NodeView:
     seed: int
     u: int
     groups: dict[tuple[int, ...], list[int]]
-    locations: dict[int, int]  # pool index -> storage location
-    values: dict[int, int]  # pool index -> bit value
+    held: np.ndarray  # held pool indices, ascending
+    held_slots: np.ndarray  # storage location of each held index
+    held_bits: np.ndarray  # bit value of each held index
+
+    @cached_property
+    def locations(self) -> dict[int, int]:
+        """Pool index -> storage location."""
+        return dict(zip(self.held.tolist(), self.held_slots.tolist()))
+
+    @cached_property
+    def values(self) -> dict[int, int]:
+        """Pool index -> bit value."""
+        return dict(zip(self.held.tolist(), self.held_bits.tolist()))
 
     def common_bits(self, i: int, j: int) -> list[int]:
         if self.node not in (i, j):
             raise ValueError(f"node view {self.node} is not an endpoint of ({i},{j})")
-        out: list[int] = []
-        for nodes, idx in self.groups.items():
-            if i in nodes and j in nodes:
-                out.extend(idx)
-        return sorted(out)
+        return select_bits(self.groups, lambda nodes: i in nodes and j in nodes)
 
     def bit_values(self, indices) -> BitString:
-        return BitString(np.array([self.values[k] for k in indices], dtype=np.uint8))
+        idx = np.asarray(indices, dtype=np.int64)
+        known = np.isin(idx, self.held)
+        if not known.all():
+            raise ValueError(f"node {self.node} does not hold pool index "
+                             f"{int(idx[~known][0])}")
+        return BitString(self.held_bits[np.searchsorted(self.held, idx)])
 
 
 def save_node_view(ks: KeyStore, node: int, path) -> None:
-    ks._check_node(node)
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<HB", VERSION, 1)
-    out += struct.pack("<I", node)
+    out = bytearray(MAGIC + struct.pack("<HBI", VERSION, 1, node))
     _write_header(out, ks)
-    own_groups = {nodes: idx for nodes, idx in ks.groups.items() if node in nodes}
-    _write_groups(out, own_groups)
-    held = sorted(ks.locations[node])
-    out += struct.pack("<Q", len(held))
-    for k in held:
+    _write_groups(out, {nodes: idx for nodes, idx in ks.groups.items() if node in nodes})
+    locations = ks.locations(node)
+    out += struct.pack("<Q", len(locations))
+    for k, slot in locations.items():
         _write_varint(out, k)
-        _write_varint(out, ks.locations[node][k])
-    values = ks.pool.bits[np.asarray(held, dtype=np.int64)] if held else np.zeros(0, np.uint8)
-    out += _pack_pool(values)
+        _write_varint(out, slot)
+    out += _pack_pool(ks.bit_values(locations).bits)
     Path(path).write_bytes(bytes(out))
 
 
-def _read_preamble(rd: _Reader):
+def _read_preamble(rd: _Reader, flags: int) -> None:
     if rd.read(4) != MAGIC:
         raise ValueError("not a keystore file (bad magic)")
-    version, flags = rd.unpack("HB")
+    version, got = rd.unpack("HB")
     if version != VERSION:
         raise ValueError(f"unsupported keystore version {version}")
-    return flags
+    if got != flags:
+        raise ValueError("file is a full keystore, use load" if flags
+                         else "file is a node view, use load_node_view")
 
 
 def _read_header(rd: _Reader):
     n, l, u = rd.unpack("IQQ")
     scheme = SchemeSpec.parse(rd.text())
+    scheme.validate(n)
     (seed,) = rd.unpack("Q")
     rng_id = rd.text()
     if rng_id != RNG_ALGORITHM:
@@ -228,46 +264,40 @@ def _read_header(rd: _Reader):
 
 def load(path) -> KeyStore:
     rd = _Reader(Path(path).read_bytes())
-    flags = _read_preamble(rd)
-    if flags != 0:
-        raise ValueError("file is a node view, use load_node_view")
+    _read_preamble(rd, 0)
     n, l, u, scheme, seed = _read_header(rd)
-    groups = _read_groups(rd)
+    groups, _ = _read_groups(rd, n, u)
     pool = _unpack_pool(rd.read(-(-u // 8)), u)
-    perm = None
-    if scheme.kind == "random":
-        perm = PermutationFamily(u, n, [seed, 0])
-        locations = {i: {} for i in range(1, n + 1)}
-        for nodes, idx in groups.items():
-            for i in nodes:
-                for k in idx:
-                    locations[i][k] = perm.permute(k + 1, i)
-    elif scheme.kind == "hybrid":
-        # Hybrid locations depend on the part boundary; rebuild the store
-        # deterministically from the header and check it matches the file.
+    rd.finish()
+    if scheme.kind == "hybrid":
+        # A hybrid's storage locations depend on its parts; rebuild the
+        # store deterministically from the header and check it matches.
         rebuilt = generate(scheme, n, l, seed)
         if rebuilt.groups != groups or rebuilt.pool != pool:
             raise ValueError("hybrid keystore content does not match its header")
         return rebuilt
-    else:
-        locations = _sequential_locations(n, groups)
-    return KeyStore(n=n, l=l, scheme=scheme, seed=seed, pool=pool,
-                    groups=groups, locations=locations, perm=perm)
+    return KeyStore(n=n, l=l, scheme=scheme, seed=seed, pool=pool, groups=groups)
 
 
 def load_node_view(path) -> NodeView:
     rd = _Reader(Path(path).read_bytes())
-    flags = _read_preamble(rd)
-    if flags != 1:
-        raise ValueError("file is a full keystore, use load")
+    _read_preamble(rd, 1)
     (node,) = rd.unpack("I")
     n, l, u, scheme, seed = _read_header(rd)
-    groups = _read_groups(rd)
+    if not 1 <= node <= n:
+        raise ValueError(f"node view names node {node} outside 1..{n}")
+    groups, indices = _read_groups(rd, n, u)
+    if any(node not in nodes for nodes in groups):
+        raise ValueError(f"node view {node} lists a group it is not in")
     (count,) = rd.unpack("Q")
     table = rd.varints([rd.varint_span(2 * count)])  # pool index, location, ...
-    locations = dict(zip(table[0::2].tolist(), table[1::2].tolist()))
-    held = sorted(locations)
-    values_bits = _unpack_pool(rd.read(-(-count // 8)), count)
-    values = dict(zip(held, values_bits.bits.tolist()))
-    return NodeView(node=node, n=n, l=l, scheme=scheme, seed=seed, u=u,
-                    groups=groups, locations=locations, values=values)
+    held, slots = table[0::2], table[1::2]
+    if not np.array_equal(held, indices):
+        raise ValueError("node view's held table is not the union of its groups")
+    ordered = np.sort(slots)
+    if slots.size and (ordered[0] < 1 or ordered[-1] > l or np.any(ordered[1:] == ordered[:-1])):
+        raise ValueError(f"node view's storage locations are not distinct in 1..{l}")
+    bits = _unpack_pool(rd.read(-(-count // 8)), count).bits
+    rd.finish()
+    return NodeView(node=node, n=n, l=l, scheme=scheme, seed=seed, u=u, groups=groups,
+                    held=held.astype(np.int64), held_slots=slots, held_bits=bits)

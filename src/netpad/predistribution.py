@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -100,17 +100,17 @@ class SchemeSpec:
         if text.startswith("comb:"):
             return cls("combinational", a=int(_param(text[5:], "a")))
         if text.startswith("sampled:"):
-            params = dict(kv.split("=") for kv in text[8:].split(","))
-            return cls("sampled_combinational", a=int(params["a"]), m=int(params["m"]))
+            a, _, m = text[8:].partition(",")
+            return cls("sampled_combinational", a=int(_param(a, "a")), m=int(_param(m, "m")))
         if text.startswith("random:"):
-            return cls("random", p=Fraction(_param(text[7:], "p")))
+            return cls("random", p=_fraction(_param(text[7:], "p")))
         if text.startswith("hybrid:"):
             match = re.fullmatch(r"lambda=([^,]+),\((.*)\),\((.*)\)", text[7:])
             if not match:
                 raise ValueError(f"malformed hybrid scheme {text!r}")
             return cls(
                 "hybrid",
-                lam=Fraction(match.group(1)),
+                lam=_fraction(match.group(1)),
                 parts=(cls.parse(match.group(2)), cls.parse(match.group(3))),
             )
         raise ValueError(f"unrecognized scheme {text!r}")
@@ -121,6 +121,13 @@ def _param(text: str, name: str) -> str:
     if key != name or not value:
         raise ValueError(f"expected {name}=<value>, got {text!r}")
     return value
+
+
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 @dataclass
@@ -138,10 +145,12 @@ class KeyStore:
     seed: int
     pool: BitString
     groups: dict[tuple[int, ...], list[int]]
-    locations: dict[int, dict[int, int]] = field(repr=False)
     perm: PermutationFamily | None = None
     parts: list["KeyStore"] | None = None
-    part_offsets: list[int] | None = None
+
+    def __post_init__(self):
+        if self.perm is None and self.scheme.kind == "random":
+            self.perm = PermutationFamily(self.u, self.n, [self.seed, 0])
 
     @property
     def u(self) -> int:
@@ -154,11 +163,7 @@ class KeyStore:
     def node_bits(self, i: int) -> list[int]:
         """Pool indices held by node i, ascending."""
         self._check_node(i)
-        out: list[int] = []
-        for nodes, idx in self.groups.items():
-            if i in nodes:
-                out.extend(idx)
-        return sorted(out)
+        return select_bits(self.groups, lambda nodes: i in nodes)
 
     def common_bits(self, i: int, j: int) -> list[int]:
         """Pool indices held by both i and j, ascending."""
@@ -166,22 +171,14 @@ class KeyStore:
         self._check_node(j)
         if i == j:
             raise ValueError("common_bits needs two distinct nodes")
-        out: list[int] = []
-        for nodes, idx in self.groups.items():
-            if i in nodes and j in nodes:
-                out.extend(idx)
-        return sorted(out)
+        return select_bits(self.groups, lambda nodes: i in nodes and j in nodes)
 
     def hacked_bits(self, hacked) -> list[int]:
         """Pool indices known to the eavesdropper, ascending."""
         hacked = set(hacked)
         for h in hacked:
             self._check_node(h)
-        out: list[int] = []
-        for nodes, idx in self.groups.items():
-            if hacked.intersection(nodes):
-                out.extend(idx)
-        return sorted(out)
+        return select_bits(self.groups, lambda nodes: not hacked.isdisjoint(nodes))
 
     def unhacked_common_indices(self, channels, hacked) -> list[int]:
         """Pool indices in the union of u_ij over channels, minus u_h."""
@@ -192,14 +189,8 @@ class KeyStore:
             self._check_node(j)
             if i in hacked or j in hacked:
                 raise ValueError(f"channel ({i},{j}) touches a hacked node")
-        out: list[int] = []
-        for nodes, idx in self.groups.items():
-            if hacked.intersection(nodes):
-                continue
-            members = set(nodes)
-            if any(i in members and j in members for i, j in channels):
-                out.extend(idx)
-        return sorted(out)
+        return select_bits(self.groups, lambda nodes: hacked.isdisjoint(nodes) and any(
+            i in nodes and j in nodes for i, j in channels))
 
     def unhacked_union_size(self, channels, hacked) -> int:
         """|union of u_ij over channels, minus u_h| from group metadata."""
@@ -207,6 +198,32 @@ class KeyStore:
 
     def bit_values(self, indices) -> BitString:
         return BitString(self.pool.bits[np.asarray(list(indices), dtype=np.int64)])
+
+    def locations(self, node: int) -> dict[int, int]:
+        """Pool index -> storage slot (1..l) of each bit node holds, ascending
+        by index: slots 1, 2, ... in index order for sequential schemes,
+        F(k+1, node) for the random scheme, and for a hybrid each part's,
+        shifted by the earlier parts' u (indices) and l (slots)."""
+        if self.scheme.kind == "hybrid":
+            out, offset, slot_offset = {}, 0, 0
+            for part in self.parts:
+                out.update({k + offset: slot + slot_offset
+                            for k, slot in part.locations(node).items()})
+                offset, slot_offset = offset + part.u, slot_offset + part.l
+            return out
+        held = self.node_bits(node)
+        if self.scheme.kind == "random":
+            return {k: self.perm.permute(k + 1, node) for k in held}
+        return dict(zip(held, range(1, len(held) + 1)))
+
+
+def select_bits(groups, keep) -> list[int]:
+    """Ascending pool indices of the groups whose node tuple passes keep."""
+    out: list[int] = []
+    for nodes, idx in groups.items():
+        if keep(nodes):
+            out.extend(idx)
+    return sorted(out)
 
 
 def generate(spec: SchemeSpec, n: int, l: int, seed, strict: bool = False) -> KeyStore:
@@ -237,76 +254,39 @@ def generate(spec: SchemeSpec, n: int, l: int, seed, strict: bool = False) -> Ke
             raise ValueError(
                 f"strict mode: per-node quota {quota} does not divide budget l={l}"
             )
-        groups: dict[tuple[int, ...], list[int]] = {}
-        next_idx = 0
-        for nodes in node_sets:
-            if group_size == 0:
-                continue
-            groups[nodes] = list(range(next_idx, next_idx + group_size))
-            next_idx += group_size
-        locations = _sequential_locations(n, groups)
-        pool = BitString.random(next_idx, np.random.default_rng([seed, 1]))
-        return KeyStore(n=n, l=l, scheme=spec, seed=seed, pool=pool,
-                        groups=groups, locations=locations)
+        groups = {nodes: list(range(g * group_size, (g + 1) * group_size))
+                  for g, nodes in enumerate(node_sets if group_size else [])}
+        pool = BitString.random(group_size * len(groups), np.random.default_rng([seed, 1]))
+        return KeyStore(n=n, l=l, scheme=spec, seed=seed, pool=pool, groups=groups)
 
     # random scheme: pool of u = round(l/p) bits, bit k held by node i iff
-    # F(k+1, i) <= l, stored at location F(k+1, i).
+    # F(k+1, i) <= l.
     u = round(Fraction(l) / spec.p)
     perm = PermutationFamily(u, n, [seed, 0])
     by_holders: dict[tuple[int, ...], list[int]] = {}
-    locations: dict[int, dict[int, int]] = {i: {} for i in range(1, n + 1)}
     for k in range(u):
-        holders = []
-        for i in range(1, n + 1):
-            loc = perm.permute(k + 1, i)
-            if loc <= l:
-                holders.append(i)
-                locations[i][k] = loc
+        holders = tuple(i for i in range(1, n + 1) if perm.permute(k + 1, i) <= l)
         if holders:
-            by_holders.setdefault(tuple(holders), []).append(k)
+            by_holders.setdefault(holders, []).append(k)
     pool = BitString.random(u, np.random.default_rng([seed, 1]))
     return KeyStore(n=n, l=l, scheme=spec, seed=seed, pool=pool,
-                    groups=by_holders, locations=locations, perm=perm)
-
-
-def _sequential_locations(n: int, groups) -> dict[int, dict[int, int]]:
-    locations: dict[int, dict[int, int]] = {i: {} for i in range(1, n + 1)}
-    counters = {i: 0 for i in range(1, n + 1)}
-    for nodes, idx in groups.items():
-        for i in nodes:
-            for k in idx:
-                counters[i] += 1
-                locations[i][k] = counters[i]
-    return locations
+                    groups=by_holders, perm=perm)
 
 
 def _generate_hybrid(spec, n, l, seed, strict) -> KeyStore:
     l1 = int(spec.lam * l)
-    l2 = l - l1
-    parts = []
-    for part_no, (child, budget) in enumerate(zip(spec.parts, (l1, l2))):
-        if budget < 1:
-            continue
-        parts.append(generate(child, n, budget, [seed, 2 + part_no], strict))
-    offsets = []
+    parts = [generate(child, n, budget, [seed, 2 + part_no], strict)
+             for part_no, (child, budget) in enumerate(zip(spec.parts, (l1, l - l1)))
+             if budget >= 1]
     groups: dict[tuple[int, ...], list[int]] = {}
-    locations: dict[int, dict[int, int]] = {i: {} for i in range(1, n + 1)}
-    pool_bits = []
     offset = 0
-    loc_offset = {i: 0 for i in range(1, n + 1)}
     for part in parts:
-        offsets.append(offset)
         for nodes, idx in part.groups.items():
             groups.setdefault(nodes, []).extend(k + offset for k in idx)
-        for i in range(1, n + 1):
-            for k, loc in part.locations[i].items():
-                locations[i][k + offset] = loc + loc_offset[i]
-            loc_offset[i] += part.l
-        pool_bits.append(part.pool.bits)
         offset += part.u
-    pool = BitString(np.concatenate(pool_bits) if pool_bits else np.zeros(0, dtype=np.uint8))
+    pool = BitString(np.concatenate([part.pool.bits for part in parts]))
     return KeyStore(n=n, l=l, scheme=spec, seed=seed, pool=pool, groups=groups,
-                    locations=locations, parts=parts, part_offsets=offsets)
+                    parts=parts)
 
 
 def random_regular_groups(n: int, a: int, m: int, seed, max_retries: int = 5000):

@@ -29,11 +29,13 @@ def py_rank(dense) -> int:
 
 
 def holders_by_index(ks) -> dict[int, set[int]]:
-    """Pool index -> set of holder nodes, scanned from the per-node
-    storage-location tables only (never from the group metadata)."""
+    """Pool index -> set of holder nodes, scanned from each node's storage
+    locations.  Those follow from the groups, so the random scheme's
+    membership rule is checked on its own by a full-pool permutation scan
+    in test_predistribution."""
     holders: dict[int, set[int]] = {k: set() for k in range(ks.u)}
     for node in range(1, ks.n + 1):
-        for k in ks.locations[node]:
+        for k in ks.locations(node):
             holders[k].add(node)
     return holders
 

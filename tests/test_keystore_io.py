@@ -1,3 +1,4 @@
+import itertools
 import struct
 
 import numpy as np
@@ -28,7 +29,8 @@ def test_full_store_roundtrip(text, n, l, tmp_path):
     assert loaded.scheme.canonical() == ks.scheme.canonical()
     assert loaded.groups == ks.groups
     assert loaded.pool == ks.pool
-    assert loaded.locations == ks.locations
+    for node in range(1, n + 1):
+        assert loaded.locations(node) == ks.locations(node)
 
 
 @pytest.mark.parametrize("text,n,l", SCHEMES)
@@ -40,7 +42,7 @@ def test_node_view_roundtrip(text, n, l, tmp_path):
     assert view.node == 2
     assert view.n == ks.n and view.l == ks.l and view.u == ks.u
     assert sorted(view.locations) == ks.node_bits(2)
-    assert view.locations == ks.locations[2]
+    assert view.locations == ks.locations(2)
     for k, bit in view.values.items():
         assert bit == ks.pool[k]
     for j in (1, 3, 4):
@@ -145,3 +147,163 @@ def test_huge_group_count_raises_value_error(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="overruns"):
         keystore_io.load_node_view(path)
+
+
+# NPKS version 1 bytes frozen from an earlier build (seed 5, n=4): the
+# comb:a=3 l=6 full store and node 2's view, and node 2's view of the
+# random:p=1/2 l=4 store.  Storage locations are not stored in a full
+# store, so these pin that the slot rule still gives the old ones.
+FROZEN = {
+    "comb_full": (
+        "4e504b5301000004000000060000000000000008000000000000000800636f6d623a613d33"
+        "05000000000000000b006e756d70792d706367363404000000030001000000020000000300"
+        "000002000000000000000001030001000000020000000400000002000000000000000201"
+        "030001000000030000000400000002000000000000000401030002000000030000000400"
+        "00000200000000000000060197"),
+    "comb_view": (
+        "4e504b530100010200000004000000060000000000000008000000000000000800636f6d62"
+        "3a613d3305000000000000000b006e756d70792d706367363403000000030001000000020000"
+        "000300000002000000000000000001030001000000020000000400000002000000000000"
+        "000201030002000000030000000400000002000000000000000601060000000000000000"
+        "010102020303040605070627"),
+    "random_view": (
+        "4e504b530100010200000004000000040000000000000008000000000000000c0072616e64"
+        "6f6d3a703d312f3205000000000000000b006e756d70792d7063673634040000000300010000"
+        "00020000000400000001000000000000000003000200000003000000040000000100000000"
+        "000000030100020000000100000000000000040200010000000200000001000000000000"
+        "00060400000000000000000403010402060305"),
+}
+
+
+def test_frozen_files_load_with_the_same_locations(tmp_path):
+    comb = generate(SchemeSpec.parse("comb:a=3"), 4, 6, seed=5)
+    rand = generate(SchemeSpec.parse("random:p=1/2"), 4, 4, seed=5)
+    for name, hexed in FROZEN.items():
+        (tmp_path / name).write_bytes(bytes.fromhex(hexed))
+    full = keystore_io.load(tmp_path / "comb_full")
+    assert full.groups == comb.groups and full.pool == comb.pool
+    assert full.locations(2) == {0: 1, 1: 2, 2: 3, 3: 4, 6: 5, 7: 6}
+    assert keystore_io.load_node_view(tmp_path / "comb_view").locations == full.locations(2)
+    view = keystore_io.load_node_view(tmp_path / "random_view")
+    assert view.locations == rand.locations(2) == {0: 4, 3: 1, 4: 2, 6: 3}
+    assert view.values == {k: rand.pool[k] for k in view.locations}
+    # The writers still produce these bytes.
+    keystore_io.save(comb, tmp_path / "again")
+    assert (tmp_path / "again").read_bytes() == bytes.fromhex(FROZEN["comb_full"])
+    keystore_io.save_node_view(rand, 2, tmp_path / "again")
+    assert (tmp_path / "again").read_bytes() == bytes.fromhex(FROZEN["random_view"])
+
+
+def _comb_files(tmp_path):
+    """comb:a=3 n=4 l=12 (u=16): groups (1,2,3) (1,2,4) (1,3,4) (2,3,4) of
+    four bits each, as a full store and as node 2's view."""
+    ks = generate(SchemeSpec.parse("comb:a=3"), 4, 12, seed=3)
+    keystore_io.save(ks, tmp_path / "full.npks")
+    keystore_io.save_node_view(ks, 2, tmp_path / "view.npks")
+    return ks, (tmp_path / "full.npks").read_bytes(), (tmp_path / "view.npks").read_bytes()
+
+
+def _group_at(raw: bytes, nodes) -> int:
+    """Offset of the node-set record of a group in a saved file."""
+    return raw.index(struct.pack(f"<H{len(nodes)}I", len(nodes), *nodes))
+
+
+def _edit(raw: bytes, at: int, new: bytes) -> bytes:
+    return raw[:at] + new + raw[at + len(new):]
+
+
+@pytest.mark.parametrize("case", [
+    "full trailing bytes", "view trailing bytes", "node id beyond n",
+    "node ids not ascending", "node set repeats", "index beyond u",
+    "index in two groups", "index repeats in a group", "view node beyond n",
+    "view node missing from a group",
+])
+def test_loaders_reject_malformed_tables(case, tmp_path):
+    _, full, view = _comb_files(tmp_path)
+    first = _group_at(full, (1, 2, 3))
+    second = _group_at(full, (1, 2, 4))
+    varints = first + 2 + 12 + 8  # group (1,2,3)'s indices: 0, +1, +1, +1
+    mutated, loader = {
+        "full trailing bytes": (full + b"junk", keystore_io.load),
+        "view trailing bytes": (view + b"junk", keystore_io.load_node_view),
+        "node id beyond n": (_edit(full, first + 10, struct.pack("<I", 9)), keystore_io.load),
+        "node ids not ascending": (_edit(full, first + 2, struct.pack("<I", 3)),
+                                   keystore_io.load),
+        "node set repeats": (_edit(full, second + 10, struct.pack("<I", 3)), keystore_io.load),
+        "index beyond u": (_edit(full, varints, bytes([100])), keystore_io.load),
+        "index in two groups": (_edit(full, second + 22, bytes([0])), keystore_io.load),
+        "index repeats in a group": (_edit(full, varints + 2, bytes([0])), keystore_io.load),
+        "view node beyond n": (_edit(view, 7, struct.pack("<I", 7)),
+                               keystore_io.load_node_view),
+        "view node missing from a group": (_edit(view, 7, struct.pack("<I", 1)),
+                                           keystore_io.load_node_view),
+    }[case]
+    path = tmp_path / "bad.npks"
+    path.write_bytes(mutated)
+    with pytest.raises(ValueError):
+        loader(path)
+
+
+@pytest.mark.parametrize("case", ["missing index", "foreign index", "repeated slot",
+                                  "slot 0", "slot beyond l"])
+def test_view_loader_checks_the_held_table(case, tmp_path, monkeypatch):
+    ks, _, _ = _comb_files(tmp_path)
+    good = ks.locations(2)
+    held = list(good)
+    bad = {
+        "missing index": {k: good[k] for k in held[:-1]},
+        "foreign index": {**good, 8: 12},  # bit 8 is in group (1,3,4)
+        "repeated slot": {k: 1 for k in held},
+        "slot 0": {**good, held[0]: 0},
+        "slot beyond l": {**good, held[0]: 13},
+    }[case]
+    monkeypatch.setattr(ks, "locations", lambda node: bad)
+    keystore_io.save_node_view(ks, 2, tmp_path / "bad.npks")
+    with pytest.raises(ValueError):
+        keystore_io.load_node_view(tmp_path / "bad.npks")
+
+
+# 0x01 makes small changes that keep most of the structure (node 3 -> 2,
+# index 4 -> 5); 0x80 flips varint continuation bits and high count bits.
+FUZZ_XOR = (0x01, 0x80)
+
+
+@pytest.mark.parametrize("text,l", [
+    ("pairwise", 6), ("comb:a=3", 12), ("sampled:a=3,m=4", 9), ("random:p=1/2", 10),
+])
+@pytest.mark.parametrize("as_view", [False, True], ids=["full", "view"])
+def test_mutated_files_raise_value_error_or_load(text, l, as_view, tmp_path):
+    """Every truncation of a saved file raises ValueError, and every
+    one-byte XOR either loads or raises ValueError: no other exception
+    reaches the CLI.  Hybrid stores are left out: their loader rebuilds
+    the whole store from the header."""
+    ks = generate(SchemeSpec.parse(text), 4, l, seed=11)
+    path = tmp_path / "ks.npks"
+    if as_view:
+        keystore_io.save_node_view(ks, 2, path)
+        loader = keystore_io.load_node_view
+    else:
+        keystore_io.save(ks, path)
+        loader = keystore_io.load
+    raw = path.read_bytes()
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(ValueError):
+            loader(path)
+    for at, x in itertools.product(range(len(raw)), FUZZ_XOR):
+        path.write_bytes(_edit(raw, at, bytes([raw[at] ^ x])))
+        try:
+            loader(path)
+        except ValueError:
+            pass
+
+
+def test_node_view_bit_values_match_the_store(tmp_path):
+    ks, _, _ = _comb_files(tmp_path)
+    view = keystore_io.load_node_view(tmp_path / "view.npks")
+    for j in (1, 3, 4):
+        common = view.common_bits(2, j)
+        assert view.bit_values(common) == ks.bit_values(ks.common_bits(2, j))
+    assert len(view.bit_values([])) == 0
+    with pytest.raises(ValueError, match="does not hold"):
+        view.bit_values([0, 8])  # bit 8 is in group (1,3,4)

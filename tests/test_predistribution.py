@@ -4,6 +4,8 @@ from math import comb
 
 import pytest
 
+from netpad import keystore_io
+from netpad.permutation import PermutationFamily
 from netpad.predistribution import (
     KeyStore,
     SchemeSpec,
@@ -41,6 +43,7 @@ def test_parse_canonical_roundtrip(text):
 
 @pytest.mark.parametrize("text", [
     "nonsense", "comb:b=3", "hybrid:lambda=1/2,(pairwise)", "random:q=1/2",
+    "sampled:b=3,m=4", "sampled:a=3", "random:p=1/0", "hybrid:lambda=1/0,(pairwise),(same)",
 ])
 def test_parse_rejects_malformed(text):
     with pytest.raises(ValueError):
@@ -97,7 +100,7 @@ def test_node_budget_respected(text, n, l):
     for node in range(1, n + 1):
         bits = ks.node_bits(node)
         assert len(bits) <= l
-        locs = ks.locations[node]
+        locs = ks.locations(node)
         assert sorted(locs) == bits
         values = list(locs.values())
         assert len(set(values)) == len(values)  # distinct storage slots
@@ -159,16 +162,25 @@ def test_floor_quota_when_not_strict():
     assert len(ks.node_bits(1)) == 9  # one budget bit unused
 
 
-def test_random_scheme_locations_follow_permutation():
+def test_random_scheme_locations_follow_permutation(tmp_path):
     ks = generate(SchemeSpec.parse("random:p=1/2"), 4, 20, seed=3)
     assert ks.u == 40
     for node in range(1, 5):
-        for k, loc in ks.locations[node].items():
+        for k, loc in ks.locations(node).items():
             assert ks.perm.permute(k + 1, node) == loc
             assert loc <= ks.l
     # Every pool bit held ~ p of the time.
-    total = sum(len(ks.locations[i]) for i in range(1, 5))
+    total = sum(len(ks.locations(i)) for i in range(1, 5))
     assert abs(total / (4 * 40) - 0.5) < 0.15
+    # Full-pool scan with a family rebuilt from the public seed: node i
+    # holds exactly the k with F(k+1, i) <= l, in a generated store and
+    # in one read back from disk.
+    keystore_io.save(ks, tmp_path / "random.npks")
+    perm = PermutationFamily(ks.u, ks.n, [ks.seed, 0])
+    for store in (ks, keystore_io.load(tmp_path / "random.npks")):
+        for node in range(1, 5):
+            scan = [k for k in range(ks.u) if perm.permute(k + 1, node) <= ks.l]
+            assert store.node_bits(node) == scan
 
 
 def test_random_scheme_determinism():
