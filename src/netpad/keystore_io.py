@@ -17,11 +17,14 @@ A full store records no storage locations: they follow from the scheme
 group node ids not strictly ascending in 1..n, a repeated node set, a
 pool index >= u or in two groups, a view node outside 1..n or missing
 from one of its groups, a held table other than the union of the view's
-groups, locations repeated or outside 1..l, and trailing bytes.
+groups, locations repeated or outside 1..l, and trailing bytes.  A hybrid
+store is rebuilt from its header, so its header must first agree with the
+file: u with the scheme's pool size, n with the nodes its groups name.
 """
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,29 +33,46 @@ from pathlib import Path
 import numpy as np
 
 from .gf2 import RNG_ALGORITHM, BitString
-from .predistribution import KeyStore, SchemeSpec, generate, select_bits
+from .predistribution import KeyStore, SchemeSpec, generate, pool_size, select_bits
 
 MAGIC = b"NPKS"
+_ENDING_BYTES = bytes(range(0x80))  # a byte with its high bit clear ends a varint
 VERSION = 1
 
 
-def _write_varint(out: bytearray, value: int) -> None:
-    if value < 0:
+def _leb128(values: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """The unsigned LEB128 encodings of values (non-negative int64),
+    concatenated in one vectorized pass, and the end offset of each."""
+    if np.any(values < 0):
         raise ValueError("varints are unsigned")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
+    rest = values.astype(np.uint64)
+    sizes = np.ones(rest.size, dtype=np.int64)
+    high = rest >> np.uint64(7)
+    while high.any():
+        sizes += high != 0
+        high >>= np.uint64(7)
+    ends, total = np.cumsum(sizes), int(sizes.sum())
+    # Byte j of every value at once; a value with fewer bytes writes its
+    # byte j to a spare slot past the end.
+    out = np.empty(total + 1, dtype=np.uint8)
+    at = ends - sizes
+    for j in range(int(sizes.max(initial=1))):
+        byte = (rest & np.uint64(0x7F)).astype(np.uint8)
+        byte[sizes > j + 1] |= 0x80
+        out[np.where(sizes > j, at, total)] = byte
+        at += 1
+        rest >>= np.uint64(7)
+    return out[:total].tobytes(), ends
 
 
 class _Reader:
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
+        # Offsets of the bytes that can end a varint (high bit clear),
+        # found once per file, and a cursor: (offset, ends before it).
+        self._ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) < 0x80)
+        self._cursor = (0, 0)
 
     def read(self, n: int) -> bytes:
         if self.pos + n > len(self.data):
@@ -66,20 +86,22 @@ class _Reader:
 
     def varint_span(self, count: int) -> tuple[int, int]:
         """Move past *count* LEB128 varints and return the byte span they
-        fill, scanning at most 9*count bytes (a varint holds at most 63
-        bits)."""
+        fill, at most 9*count bytes (a varint holds at most 63 bits).  The
+        cursor moves over the bytes since the last span (a group header)
+        and then count varint ends."""
         remaining = len(self.data) - self.pos
         if count > remaining:
             raise ValueError(f"table of {count} varints overruns the "
                              f"{remaining} bytes left in the keystore file")
         start = self.pos
         if count:
-            window = np.frombuffer(self.data, dtype=np.uint8,
-                                   count=min(9 * count, remaining), offset=start)
-            last_bytes = np.flatnonzero(window < 0x80)
-            if last_bytes.size < count:
+            offset, before = self._cursor
+            gap = self.data[offset:start]
+            last = before + len(gap) - len(gap.translate(None, _ENDING_BYTES)) + count - 1
+            if last >= self._ends.size or self._ends[last] - start >= 9 * count:
                 raise ValueError("truncated keystore file or a varint longer than 9 bytes")
-            self.pos = start + int(last_bytes[count - 1]) + 1
+            self.pos = int(self._ends[last]) + 1
+            self._cursor = (self.pos, last + 1)
         return start, self.pos
 
     def varints(self, spans) -> np.ndarray:
@@ -122,15 +144,21 @@ def _write_header(out: bytearray, ks: KeyStore) -> None:
 
 
 def _write_groups(out: bytearray, groups) -> None:
+    """The group table, with every group's delta varints encoded in one pass."""
+    sizes = [len(indices) for indices in groups.values()]
+    bounds = np.cumsum([0] + sizes)
+    flat = np.fromiter(itertools.chain.from_iterable(groups.values()), dtype=np.int64,
+                       count=bounds[-1])
+    # Each group's deltas restart from 0.
+    firsts = bounds[:-1][np.array(sizes, dtype=bool)]
+    deltas = np.diff(flat, prepend=0)
+    deltas[firsts] = flat[firsts]
+    encoded, ends = _leb128(deltas)
+    cuts = np.concatenate(([0], ends))[bounds].tolist()
     out += struct.pack("<I", len(groups))
-    for nodes, indices in groups.items():
-        out += struct.pack("<H", len(nodes))
-        out += struct.pack(f"<{len(nodes)}I", *nodes)
-        out += struct.pack("<Q", len(indices))
-        prev = 0
-        for idx in indices:
-            _write_varint(out, idx - prev)
-            prev = idx
+    for g, (nodes, size) in enumerate(zip(groups, sizes)):
+        out += struct.pack(f"<H{len(nodes)}IQ", len(nodes), *nodes, size)
+        out += encoded[cuts[g]:cuts[g + 1]]
 
 
 def _read_groups(rd: _Reader, n: int, u: int):
@@ -230,12 +258,12 @@ def save_node_view(ks: KeyStore, node: int, path) -> None:
     out = bytearray(MAGIC + struct.pack("<HBI", VERSION, 1, node))
     _write_header(out, ks)
     _write_groups(out, {nodes: idx for nodes, idx in ks.groups.items() if node in nodes})
-    locations = ks.locations(node)
-    out += struct.pack("<Q", len(locations))
-    for k, slot in locations.items():
-        _write_varint(out, k)
-        _write_varint(out, slot)
-    out += _pack_pool(ks.bit_values(locations).bits)
+    held, slots = ks.slots(node)
+    table = np.empty(2 * held.size, dtype=np.int64)  # pool index, location, ...
+    table[0::2], table[1::2] = held, slots
+    out += struct.pack("<Q", held.size)
+    out += _leb128(table)[0]
+    out += _pack_pool(ks.pool.bits[held])
     Path(path).write_bytes(bytes(out))
 
 
@@ -272,6 +300,14 @@ def load(path) -> KeyStore:
     if scheme.kind == "hybrid":
         # A hybrid's storage locations depend on its parts; rebuild the
         # store deterministically from the header and check it matches.
+        # Rebuilding costs O(u + n*l), so first check u against the header
+        # and n against the nodes the file lists (every node of a store
+        # with bits holds some): the cost is then bounded by the file.
+        if pool_size(scheme, n, l) != u:
+            raise ValueError(f"hybrid keystore has u={u} pool bits, its header "
+                             f"gives {pool_size(scheme, n, l)}")
+        if u and len(set().union(*groups)) != n:
+            raise ValueError(f"hybrid keystore lists bits for fewer than its {n} nodes")
         rebuilt = generate(scheme, n, l, seed)
         if rebuilt.groups != groups or rebuilt.pool != pool:
             raise ValueError("hybrid keystore content does not match its header")

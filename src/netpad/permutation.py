@@ -1,9 +1,12 @@
 """Seedable per-node bijections on {1..u} used by the random key scheme.
 
 A 4-round keyed Feistel network over the smallest even-bit-width domain
-covering u, restricted to the target range by cycle walking.  Not a
+covering u, restricted to the target range by cycle walking (Black &
+Rogaway, "Ciphers with arbitrary finite domains", CT-RSA 2002).  Not a
 cryptographic primitive: the mapping is public anyway, it only needs to
-be a reproducible bijection.
+be a reproducible bijection.  The network runs on numpy lanes, one per
+input, each half in uint32 so that products wrap mod 2^32 as the round
+function needs; cycle walking repeats it on the lanes still out of range.
 """
 
 from __future__ import annotations
@@ -11,17 +14,16 @@ from __future__ import annotations
 import numpy as np
 
 _ROUNDS = 4
-_MASK32 = 0xFFFFFFFF
 
 
-def _mix32(x: int, key: int) -> int:
-    # xxhash-style avalanche on a 32-bit lane.
-    x = (374761397 + key + x * 3266489917) & _MASK32
-    x = ((x << 17 | x >> 15) * 668265263) & _MASK32
+def _mix32(x: np.ndarray, key: np.uint32) -> np.ndarray:
+    # xxhash-style avalanche on uint32 lanes.
+    x = x * 3266489917 + 374761397 + key
+    x = (x << 17 | x >> 15) * 668265263
     x ^= x >> 15
-    x = (x * 2246822519) & _MASK32
+    x *= 2246822519
     x ^= x >> 13
-    x = (x * 3266489917) & _MASK32
+    x *= 3266489917
     return x ^ (x >> 16)
 
 
@@ -40,52 +42,56 @@ class PermutationFamily:
         half = max(1, -(-(max(u - 1, 1)).bit_length() // 2))
         self._half_bits = half
         self._half_mask = (1 << half) - 1
-        self._domain = 1 << (2 * half)
         self._round_keys = {}
 
-    def _keys(self, node: int) -> list[int]:
+    def _keys(self, node: int) -> np.ndarray:
+        if not 1 <= node <= self.n:
+            raise ValueError(f"node {node} outside 1..{self.n}")
         keys = self._round_keys.get(node)
         if keys is None:
             rng = np.random.default_rng([_seed_int(self.master_seed), node])
-            keys = [int(k) for k in rng.integers(0, 1 << 32, size=_ROUNDS, dtype=np.uint64)]
+            keys = rng.integers(0, 1 << 32, size=_ROUNDS, dtype=np.uint64).astype(np.uint32)
             self._round_keys[node] = keys
         return keys
 
-    def _feistel(self, x: int, keys) -> int:
-        left, right = x >> self._half_bits, x & self._half_mask
-        for key in keys:
-            left, right = right, left ^ (_mix32(right, key) & self._half_mask)
-        return (left << self._half_bits) | right
+    def _walk(self, x: np.ndarray, node: int, inverse: bool) -> np.ndarray:
+        """F(x, node), or F^-1(x, node), of each value of x in 1..u."""
+        keys = self._keys(node)[::-1] if inverse else self._keys(node)
+        x = (x - 1).astype(np.uint64)
+        todo = np.arange(x.size)
+        while todo.size:
+            lanes = x[todo]
+            left = (lanes >> self._half_bits).astype(np.uint32)
+            right = lanes.astype(np.uint32) & self._half_mask
+            for key in keys:
+                if inverse:
+                    left, right = right ^ (_mix32(left, key) & self._half_mask), left
+                else:
+                    left, right = right, left ^ (_mix32(right, key) & self._half_mask)
+            x[todo] = lanes = left.astype(np.uint64) << self._half_bits | right
+            todo = todo[lanes >= self.u]
+        return x.astype(np.int64) + 1
 
-    def _feistel_inv(self, x: int, keys) -> int:
-        left, right = x >> self._half_bits, x & self._half_mask
-        for key in reversed(keys):
-            left, right = right ^ (_mix32(left, key) & self._half_mask), left
-        return (left << self._half_bits) | right
+    def permute_all(self, node: int) -> np.ndarray:
+        """[F(1, node), ..., F(u, node)] as an int64 array."""
+        return self._walk(np.arange(1, self.u + 1), node, inverse=False)
 
-    def _check(self, k: int, i: int) -> None:
+    def invert_all(self, node: int, l: int) -> np.ndarray:
+        """[F^-1(1, node), ..., F^-1(l, node)] as an int64 array, l <= u."""
+        if not 0 <= l <= self.u:
+            raise ValueError(f"slot count {l} outside 0..{self.u}")
+        return self._walk(np.arange(1, l + 1), node, inverse=True)
+
+    def _lane(self, k: int) -> np.ndarray:
         if not 1 <= k <= self.u:
             raise ValueError(f"index {k} outside 1..{self.u}")
-        if not 1 <= i <= self.n:
-            raise ValueError(f"node {i} outside 1..{self.n}")
+        return np.array([k])
 
     def permute(self, k: int, i: int) -> int:
-        self._check(k, i)
-        keys = self._keys(i)
-        x = k - 1
-        while True:
-            x = self._feistel(x, keys)
-            if x < self.u:
-                return x + 1
+        return int(self._walk(self._lane(k), i, inverse=False)[0])
 
     def invert(self, s: int, i: int) -> int:
-        self._check(s, i)
-        keys = self._keys(i)
-        x = s - 1
-        while True:
-            x = self._feistel_inv(x, keys)
-            if x < self.u:
-                return x + 1
+        return int(self._walk(self._lane(s), i, inverse=True)[0])
 
 
 def _seed_int(seed) -> int:

@@ -199,22 +199,31 @@ class KeyStore:
     def bit_values(self, indices) -> BitString:
         return BitString(self.pool.bits[np.asarray(list(indices), dtype=np.int64)])
 
-    def locations(self, node: int) -> dict[int, int]:
-        """Pool index -> storage slot (1..l) of each bit node holds, ascending
-        by index: slots 1, 2, ... in index order for sequential schemes,
-        F(k+1, node) for the random scheme, and for a hybrid each part's,
-        shifted by the earlier parts' u (indices) and l (slots)."""
+    def slots(self, node: int) -> tuple[np.ndarray, np.ndarray]:
+        """The pool indices node holds, ascending, and the storage slot
+        (1..l) of each, as int64 arrays: slots 1, 2, ... in index order for
+        sequential schemes, F(k+1, node) for the random scheme (found by
+        inverting the l slots), and for a hybrid each part's, shifted by
+        the earlier parts' u (indices) and l (slots)."""
         if self.scheme.kind == "hybrid":
-            out, offset, slot_offset = {}, 0, 0
+            held, slots, offset, slot_offset = [], [], 0, 0
             for part in self.parts:
-                out.update({k + offset: slot + slot_offset
-                            for k, slot in part.locations(node).items()})
+                part_held, part_slots = part.slots(node)
+                held.append(part_held + offset)
+                slots.append(part_slots + slot_offset)
                 offset, slot_offset = offset + part.u, slot_offset + part.l
-            return out
-        held = self.node_bits(node)
+            return np.concatenate(held), np.concatenate(slots)
         if self.scheme.kind == "random":
-            return {k: self.perm.permute(k + 1, node) for k in held}
-        return dict(zip(held, range(1, len(held) + 1)))
+            held = self.perm.invert_all(node, self.l) - 1
+            order = np.argsort(held)
+            return held[order], order + 1
+        held = np.array(self.node_bits(node), dtype=np.int64)
+        return held, np.arange(1, held.size + 1)
+
+    def locations(self, node: int) -> dict[int, int]:
+        """Pool index -> storage slot of each bit node holds (see slots)."""
+        held, slots = self.slots(node)
+        return dict(zip(held.tolist(), slots.tolist()))
 
 
 def select_bits(groups, keep) -> list[int]:
@@ -238,39 +247,71 @@ def generate(spec: SchemeSpec, n: int, l: int, seed, strict: bool = False) -> Ke
     if spec.kind == "hybrid":
         return _generate_hybrid(spec, n, l, seed, strict)
 
-    if spec.kind in ("pairwise", "same", "combinational", "sampled_combinational"):
-        if spec.kind == "same":
-            node_sets = [tuple(range(1, n + 1))]
-            quota = 1
-        elif spec.kind == "sampled_combinational":
-            node_sets = random_regular_groups(n, spec.a, spec.m, [seed, 0])
-            quota = spec.a * spec.m // n
-        else:
-            a = spec.effective_a
-            node_sets = [tuple(c) for c in itertools.combinations(range(1, n + 1), a)]
-            quota = comb(n - 1, a - 1)
-        group_size, remainder = divmod(l, quota)
-        if strict and remainder:
-            raise ValueError(
-                f"strict mode: per-node quota {quota} does not divide budget l={l}"
-            )
-        groups = {nodes: list(range(g * group_size, (g + 1) * group_size))
-                  for g, nodes in enumerate(node_sets if group_size else [])}
-        pool = BitString.random(group_size * len(groups), np.random.default_rng([seed, 1]))
-        return KeyStore(n=n, l=l, scheme=spec, seed=seed, pool=pool, groups=groups)
+    u = pool_size(spec, n, l)
+    rng = np.random.default_rng([seed, 1])
+    if spec.kind == "random":
+        # Bit k is held by node i iff F(k+1, i) <= l, so node i holds
+        # exactly the l bits F^-1(s, i) - 1 for s = 1..l.
+        perm = PermutationFamily(u, n, [seed, 0])
+        holds = np.zeros((u, n), dtype=bool)
+        for i in range(1, n + 1):
+            holds[perm.invert_all(i, l) - 1, i - 1] = True
+        return KeyStore(n=n, l=l, scheme=spec, seed=seed, pool=BitString.random(u, rng),
+                        groups=_groups_by_holders(holds), perm=perm)
 
-    # random scheme: pool of u = round(l/p) bits, bit k held by node i iff
-    # F(k+1, i) <= l.
-    u = round(Fraction(l) / spec.p)
-    perm = PermutationFamily(u, n, [seed, 0])
-    by_holders: dict[tuple[int, ...], list[int]] = {}
-    for k in range(u):
-        holders = tuple(i for i in range(1, n + 1) if perm.permute(k + 1, i) <= l)
-        if holders:
-            by_holders.setdefault(holders, []).append(k)
-    pool = BitString.random(u, np.random.default_rng([seed, 1]))
-    return KeyStore(n=n, l=l, scheme=spec, seed=seed, pool=pool,
-                    groups=by_holders, perm=perm)
+    _, quota = _layout(spec, n)
+    group_size, remainder = divmod(l, quota)
+    if strict and remainder:
+        raise ValueError(
+            f"strict mode: per-node quota {quota} does not divide budget l={l}"
+        )
+    if not group_size:
+        node_sets = []
+    elif spec.kind == "same":
+        node_sets = [tuple(range(1, n + 1))]
+    elif spec.kind == "sampled_combinational":
+        node_sets = random_regular_groups(n, spec.a, spec.m, [seed, 0])
+    else:
+        node_sets = itertools.combinations(range(1, n + 1), spec.effective_a)
+    groups = {tuple(nodes): list(range(g * group_size, (g + 1) * group_size))
+              for g, nodes in enumerate(node_sets)}
+    return KeyStore(n=n, l=l, scheme=spec, seed=seed, pool=BitString.random(u, rng),
+                    groups=groups)
+
+
+def _layout(spec: SchemeSpec, n: int) -> tuple[int, int]:
+    """(node sets, node sets per node) of a sequential scheme."""
+    if spec.kind == "same":
+        return 1, 1
+    if spec.kind == "sampled_combinational":
+        return spec.m, spec.a * spec.m // n
+    a = spec.effective_a
+    return comb(n, a), comb(n - 1, a - 1)
+
+
+def pool_size(spec: SchemeSpec, n: int, l: int) -> int:
+    """The pool size u that generate(spec, n, l, seed) draws, for any seed."""
+    if spec.kind == "hybrid":
+        l1 = int(spec.lam * l)
+        return sum(pool_size(child, n, budget) for child, budget in zip(spec.parts, (l1, l - l1)))
+    if spec.kind == "random":
+        return round(Fraction(l) / spec.p)
+    count, quota = _layout(spec, n)
+    return l // quota * count
+
+
+def _groups_by_holders(holds: np.ndarray) -> dict[tuple[int, ...], list[int]]:
+    """Groups of a u x n holder table: each nonempty holder set maps to
+    its pool indices, ascending, with the sets in order of first index."""
+    keys = np.packbits(holds, axis=1, bitorder="little")
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    members = np.argsort(inverse.ravel(), kind="stable").tolist()
+    bounds = np.cumsum([0] + np.bincount(inverse.ravel()).tolist()).tolist()
+    rows = holds[first].tolist()
+    groups = {tuple(i for i, held in enumerate(rows[g], start=1) if held):
+              members[bounds[g]:bounds[g + 1]] for g in np.argsort(first).tolist()}
+    groups.pop((), None)
+    return groups
 
 
 def _generate_hybrid(spec, n, l, seed, strict) -> KeyStore:

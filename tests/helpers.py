@@ -1,14 +1,17 @@
 """Independent oracles used across the test suite.
 
 Everything here is deliberately naive and shares no code with the
-library: pure-Python elimination, pool scans over per-node storage
-locations, and brute-force graph/subset enumeration.
+library: pure-Python elimination, a per-index Feistel network, a
+per-value varint writer, pool scans over per-node storage locations, and
+brute-force graph/subset enumeration.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+import numpy as np
 
 
 def py_rank(dense) -> int:
@@ -26,6 +29,52 @@ def py_rank(dense) -> int:
                 rows[i] ^= rows[rank]
         rank += 1
     return rank
+
+
+def feistel_map(u: int, seed: int, node: int, x: int, inverse: bool = False) -> int:
+    """F(x, node) on 1..u (or F^-1) of PermutationFamily(u, n, seed), for
+    an int seed, one Python-int Feistel round and cycle-walking step at a
+    time: the per-index map that the library's numpy lanes must match."""
+    mask32 = 0xFFFFFFFF
+
+    def mix32(x: int, key: int) -> int:
+        x = (374761397 + key + x * 3266489917) & mask32
+        x = ((x << 17 | x >> 15) * 668265263) & mask32
+        x ^= x >> 15
+        x = (x * 2246822519) & mask32
+        x ^= x >> 13
+        x = (x * 3266489917) & mask32
+        return x ^ (x >> 16)
+
+    half = max(1, -(-(max(u - 1, 1)).bit_length() // 2))
+    half_mask = (1 << half) - 1
+    rng = np.random.default_rng([seed & (2**63 - 1), node])
+    keys = [int(k) for k in rng.integers(0, 1 << 32, size=4, dtype=np.uint64)]
+    x -= 1
+    while True:
+        left, right = x >> half, x & half_mask
+        for key in (reversed(keys) if inverse else keys):
+            if inverse:
+                left, right = right ^ (mix32(left, key) & half_mask), left
+            else:
+                left, right = right, left ^ (mix32(right, key) & half_mask)
+        x = (left << half) | right
+        if x < u:
+            return x + 1
+
+
+def write_varint(out: bytearray, value: int) -> None:
+    """Append one unsigned LEB128 varint, one byte at a time."""
+    if value < 0:
+        raise ValueError("varints are unsigned")
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        if value:
+            out.append(byte | 0x80)
+        else:
+            out.append(byte)
+            return
 
 
 def holders_by_index(ks) -> dict[int, set[int]]:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import struct
 
@@ -7,6 +8,8 @@ import pytest
 from netpad import amplify, keystore_io
 from netpad.gf2 import BitString
 from netpad.predistribution import SchemeSpec, generate
+
+from helpers import write_varint
 
 SCHEMES = [
     ("pairwise", 4, 9),
@@ -116,13 +119,27 @@ def test_varint_decoder_matches_the_writer():
     values += np.random.default_rng(1).integers(0, 2**63, 200).tolist()
     out = bytearray(b"xy")
     for v in values:
-        keystore_io._write_varint(out, v)
+        write_varint(out, v)
     rd = keystore_io._Reader(bytes(out) + b"tail")
     rd.pos = 2
     split = 3
     spans = [rd.varint_span(split), rd.varint_span(len(values) - split)]
     assert rd.varints(spans).tolist() == values
     assert rd.read(4) == b"tail"
+
+
+def test_leb128_writer_matches_the_per_value_writer():
+    values = [0, 127, 128, 2**63 - 1] + np.random.default_rng(2).integers(0, 2**63, 5000).tolist()
+    out, ends = bytearray(), []
+    for v in values:
+        write_varint(out, v)
+        ends.append(len(out))
+    encoded, got_ends = keystore_io._leb128(np.array(values, dtype=np.int64))
+    assert encoded == bytes(out)
+    assert got_ends.tolist() == ends
+    assert keystore_io._leb128(np.zeros(0, dtype=np.int64))[0] == b""
+    with pytest.raises(ValueError, match="unsigned"):
+        keystore_io._leb128(np.array([3, -1]))
 
 
 def test_varint_tables_are_bounded():
@@ -194,6 +211,77 @@ def test_frozen_files_load_with_the_same_locations(tmp_path):
     assert (tmp_path / "again").read_bytes() == bytes.fromhex(FROZEN["random_view"])
 
 
+# sha256 of the bytes `save` writes and of the concatenated bytes of every
+# `save_node_view` (nodes 1..n in order), at seed 17, taken from the
+# per-value writers before the vectorized ones replaced them.
+FROZEN_DIGESTS = {
+    ("pairwise", 6, 300): (
+        "2ae50f3ada3b48fd38919e9a8be1c1fa12b4777cbc02bbc20b7b7e2c8d1b7b4d",
+        "1db1aaed1e124c856b5f24aacba0898f4d1de0e4a309af43e1f3119d66b5cb40"),
+    ("same", 6, 300): (
+        "415c142d49bb6e3ccaca8357640f9726fba2d408f3dc68fd495d271d40b86d84",
+        "600f76810fa19df9e579e305ad3c2a1ed00a7de29ca0557898c16fe35753b6d7"),
+    ("comb:a=3", 6, 300): (
+        "aae14b2f683743108704bf0e69765a299a71b8a4c678f88b75b698b05c51dd63",
+        "e1092ec30af54b7e5b4641196f031a092255a5646b8c8bd69fbd9e1f0eb261a8"),
+    ("sampled:a=3,m=4", 6, 300): (
+        "df59bf9cee5a79b98b19d08cdda6c9285ad0ddfa567fe0cede7e8d0c7c12950a",
+        "e1ff1690ff82684a0ca8756f494a0b03af1a207a3ec37e6d28228e5ece09eeec"),
+    ("random:p=1/2", 6, 300): (
+        "d3d39a5411e28ac904fdcdd8171fcdda7af7c4e828fcc1a45956d26a1e538bc0",
+        "9185d6f44bde47701d9992af83d05927d5b3ac3750e0ebe3dccf601f60dfb2aa"),
+    ("random:p=1/3", 6, 300): (
+        "f1b5ef6bc4f2e30a452cd6d16f32d4e37b737316a8c476964dcd6debdf3767e9",
+        "c06823da436bcfbdfee2795b080a3516e6942b5830b3b0198b9f2e72fe801763"),
+    ("hybrid:lambda=1/2,(random:p=1/2),(comb:a=3)", 6, 300): (
+        "700479047761a32d76f4c43bde05db2ab5b85b299f9e52b135b2d88eac104bab",
+        "b7a1a4672d39de0958e09683bab33c52995f400862d21e30c0ae8f18e428a42e"),
+    # u = 40000: group starts need 3-byte varints.
+    ("comb:a=3", 4, 30000): (
+        "4c66940d3bd9ed9ce551e1520f7f0ac5f571602b5d13fb67e2eb75b69d5dd682",
+        "244ef26eee0335a483eb256768dc9b89373c92a74beb64cfe762debfbd68cdaf"),
+}
+
+
+@pytest.mark.parametrize("text,n,l", FROZEN_DIGESTS)
+def test_writers_match_frozen_digests(text, n, l, tmp_path):
+    ks = generate(SchemeSpec.parse(text), n, l, seed=17)
+    path = tmp_path / "ks.npks"
+    keystore_io.save(ks, path)
+    full = hashlib.sha256(path.read_bytes()).hexdigest()
+    views = hashlib.sha256()
+    for node in range(1, n + 1):
+        keystore_io.save_node_view(ks, node, path)
+        views.update(path.read_bytes())
+    assert (full, views.hexdigest()) == FROZEN_DIGESTS[(text, n, l)]
+
+
+def _hybrid_file(tmp_path, text: str) -> bytearray:
+    ks = generate(SchemeSpec.parse(text), 4, 12, seed=9)
+    keystore_io.save(ks, tmp_path / "hybrid.npks")
+    return bytearray((tmp_path / "hybrid.npks").read_bytes())
+
+
+@pytest.mark.parametrize("text,field,value,message", [
+    # The 312-byte file whose l of 2,000,000 took 0.7 s and 316 MB to refuse.
+    ("hybrid:lambda=1/2,(pairwise),(comb:a=3)", "Q", 2_000_000, "pool bits"),
+    # u does not depend on n here; 2^31 nodes would not fit in memory.
+    ("hybrid:lambda=1,(random:p=1/2),(pairwise)", "I", 2**31, "fewer than"),
+])
+def test_hybrid_header_is_checked_before_regenerating(text, field, value, message,
+                                                      tmp_path, monkeypatch):
+    raw = _hybrid_file(tmp_path, text)
+    at = 7 if field == "I" else 11  # n u32 and l u64 follow magic, version, flags
+    raw[at:at + struct.calcsize(field)] = struct.pack("<" + field, value)
+    (tmp_path / "bad.npks").write_bytes(bytes(raw))
+
+    def regenerate(*args, **kwargs):
+        pytest.fail("load called generate before checking the header")
+    monkeypatch.setattr(keystore_io, "generate", regenerate)
+    with pytest.raises(ValueError, match=message):
+        keystore_io.load(tmp_path / "bad.npks")
+
+
 def _comb_files(tmp_path):
     """comb:a=3 n=4 l=12 (u=16): groups (1,2,3) (1,2,4) (1,3,4) (2,3,4) of
     four bits each, as a full store and as node 2's view."""
@@ -257,7 +345,8 @@ def test_view_loader_checks_the_held_table(case, tmp_path, monkeypatch):
         "slot 0": {**good, held[0]: 0},
         "slot beyond l": {**good, held[0]: 13},
     }[case]
-    monkeypatch.setattr(ks, "locations", lambda node: bad)
+    monkeypatch.setattr(ks, "slots", lambda node: (np.array(list(bad)),
+                                                   np.array(list(bad.values()))))
     keystore_io.save_node_view(ks, 2, tmp_path / "bad.npks")
     with pytest.raises(ValueError):
         keystore_io.load_node_view(tmp_path / "bad.npks")
@@ -270,13 +359,13 @@ FUZZ_XOR = (0x01, 0x80)
 
 @pytest.mark.parametrize("text,l", [
     ("pairwise", 6), ("comb:a=3", 12), ("sampled:a=3,m=4", 9), ("random:p=1/2", 10),
+    ("hybrid:lambda=1/2,(random:p=1/2),(comb:a=3)", 12),
 ])
 @pytest.mark.parametrize("as_view", [False, True], ids=["full", "view"])
 def test_mutated_files_raise_value_error_or_load(text, l, as_view, tmp_path):
     """Every truncation of a saved file raises ValueError, and every
     one-byte XOR either loads or raises ValueError: no other exception
-    reaches the CLI.  Hybrid stores are left out: their loader rebuilds
-    the whole store from the header."""
+    reaches the CLI."""
     ks = generate(SchemeSpec.parse(text), 4, l, seed=11)
     path = tmp_path / "ks.npks"
     if as_view:

@@ -2,6 +2,8 @@ import pytest
 
 from netpad.permutation import PermutationFamily, _seed_int
 
+from helpers import feistel_map
+
 
 @pytest.mark.parametrize("u", [1, 2, 7, 64, 1000, 1024])
 def test_permute_is_a_bijection(u):
@@ -9,6 +11,27 @@ def test_permute_is_a_bijection(u):
     for node in (1, 3):
         image = {fam.permute(k, node) for k in range(1, u + 1)}
         assert image == set(range(1, u + 1))
+
+
+@pytest.mark.parametrize("u", [1, 2, 7, 64, 1000, 1024])
+def test_lanes_match_the_per_index_map(u):
+    fam = PermutationFamily(u, 3, master_seed=11)
+    for node in (1, 2, 3):
+        forward = [feistel_map(u, 11, node, k) for k in range(1, u + 1)]
+        backward = [feistel_map(u, 11, node, s, inverse=True) for s in range(1, u + 1)]
+        assert fam.permute_all(node).tolist() == forward
+        assert fam.invert_all(node, u).tolist() == backward
+        assert fam.invert_all(node, u // 2).tolist() == backward[:u // 2]
+        assert [fam.permute(k, node) for k in (1, u)] == [forward[0], forward[-1]]
+        assert [fam.invert(s, node) for s in (1, u)] == [backward[0], backward[-1]]
+    for node in (0, 4):
+        with pytest.raises(ValueError, match="node"):
+            fam.permute_all(node)
+        with pytest.raises(ValueError, match="node"):
+            fam.invert_all(node, 1)
+    for l in (-1, u + 1):
+        with pytest.raises(ValueError, match="slot count"):
+            fam.invert_all(1, l)
 
 
 def test_invert_undoes_permute():

@@ -10,6 +10,7 @@ from netpad.predistribution import (
     KeyStore,
     SchemeSpec,
     generate,
+    pool_size,
     random_regular_groups,
 )
 
@@ -181,6 +182,18 @@ def test_random_scheme_locations_follow_permutation(tmp_path):
         for node in range(1, 5):
             scan = [k for k in range(ks.u) if perm.permute(k + 1, node) <= ks.l]
             assert store.node_bits(node) == scan
+
+
+@pytest.mark.parametrize("text,n,l", GRID + [
+    ("pairwise", 6, 4),  # quota 5 > l: no groups
+    ("random:p=2/3", 5, 7),
+    ("hybrid:lambda=1/3,(random:p=1/3),(sampled:a=3,m=4)", 4, 40),
+    ("hybrid:lambda=0,(random:p=1/2),(comb:a=3)", 4, 30),
+    ("hybrid:lambda=1,(random:p=1/2),(comb:a=3)", 4, 30),
+])
+def test_pool_size_matches_generate(text, n, l):
+    spec = SchemeSpec.parse(text)
+    assert pool_size(spec, n, l) == generate(spec, n, l, seed=4).u
 
 
 def test_random_scheme_determinism():
