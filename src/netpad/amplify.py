@@ -26,11 +26,11 @@ VERSION = 2  # version 1 keys came from another sampler
 HEADER_SIZE = 46  # magic, <HIIQ version/i/j/counter, 16-byte seed, <Q bit count
 
 
-class BudgetError(Exception):
+class BudgetError(ValueError):
     """Channel would exceed its per-node secret-bit budget (rate > 1)."""
 
 
-class ReplayError(Exception):
+class ReplayError(ValueError):
     """Message counter reuse on a channel."""
 
 
@@ -72,7 +72,7 @@ class CipherText:
         out += struct.pack("<HIIQ", VERSION, self.i, self.j, self.counter)
         out += self.sampling_seed
         out += struct.pack("<Q", len(self.body))
-        out += np.packbits(self.body.bits, bitorder="little").tobytes()
+        out += self.body.to_bytes()
         return bytes(out)
 
     @classmethod
@@ -94,9 +94,8 @@ class CipherText:
             raise ValueError(f"{len(body_raw) - n_bytes} bytes after the ciphertext body")
         if n_bits % 8 and body_raw[-1] >> (n_bits % 8):
             raise ValueError("nonzero padding bits after the ciphertext body")
-        bits = np.unpackbits(np.frombuffer(body_raw, dtype=np.uint8),
-                             bitorder="little", count=n_bits)
-        return cls(i=i, j=j, counter=counter, sampling_seed=seed, body=BitString(bits))
+        return cls(i=i, j=j, counter=counter, sampling_seed=seed,
+                   body=BitString.from_bytes(body_raw, n_bits))
 
 
 def seed_to_int(sampling_seed: bytes) -> int:

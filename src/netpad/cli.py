@@ -2,9 +2,12 @@
 checks, secrecy simulation, Monte Carlo experiments, one-time-pad file
 encryption and multipath planning.
 
-Exit codes: 0 achievable/ok, 1 not achievable / regression failure,
-2 undecided, 3 file or format error.  Every run echoes its resolved
-seed so outputs can be replayed bit-for-bit.
+Exit codes: 0 success; 1 and 2 only as verdicts (1: `check` not
+achievable, a rank-deficient `simulate`, an infeasible `multipath`, a
+failing `paper-tables` row; 2: `check` undecided); 3 for every other
+failure, usage errors and any ValueError or OSError, decided in one
+place, the `main` group.  Without --seed or NETPAD_SEED a command draws
+a fresh seed; every run echoes its seed, so outputs replay bit-for-bit.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import secrets
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -22,7 +26,7 @@ import numpy as np
 from . import adversary, amplify, keystore_io, multipath, rates
 from .gf2 import RNG_ALGORITHM, BitString
 from .permutation import _seed_int
-from .predistribution import SchemeSpec, generate
+from .predistribution import SchemeSpec, generate, parse_fraction
 from .secure_check import (
     RateProfile,
     Status,
@@ -33,7 +37,7 @@ from .secure_check import (
 
 EXIT_NOT_ACHIEVABLE = 1
 EXIT_UNDECIDED = 2
-EXIT_FORMAT = 3
+EXIT_ERROR = 3
 
 _STATUS_EXIT = {
     Status.ACHIEVABLE: 0,
@@ -42,35 +46,51 @@ _STATUS_EXIT = {
 }
 
 
-class FormatError(click.ClickException):
-    """A file is missing, truncated, or malformed."""
-
-    exit_code = EXIT_FORMAT
-
-
 def frac(x: Fraction) -> str:
     x = Fraction(x)
     return f"{x.numerator}/{x.denominator} (~{float(x):.4g})"
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("NETPAD_SEED", "0"))
-
-
 def _resolve_seed(seed) -> int:
-    return _seed_int(_default_seed() if seed is None else seed)
+    """--seed, else NETPAD_SEED, else a fresh seed: a fixed default would
+    make every default keystore public and reuse one pad across runs."""
+    if seed is None:
+        env = os.environ.get("NETPAD_SEED")
+        seed = secrets.randbits(63) if env is None else int(env)
+    return _seed_int(seed)
 
 
 def _parse_profile(text: str, n: int) -> RateProfile:
     if text.startswith("uniform:"):
-        return RateProfile.uniform(n, Fraction(text[len("uniform:"):]))
-    try:
-        return RateProfile.from_json(Path(text).read_text())
-    except (OSError, ValueError, KeyError) as exc:
-        raise FormatError(f"cannot read profile {text!r}: {exc}")
+        return RateProfile.uniform(n, parse_fraction(text[len("uniform:"):]))
+    return RateProfile.from_json(Path(text).read_text())
 
 
-@click.group()
+class _Netpad(click.Group):
+    """Decides every exit code that is not a verdict: a click error (usage
+    errors included), a ValueError or an OSError exits 3, whether it comes
+    from parsing the group's arguments or from invoking a command."""
+
+    def parse_args(self, ctx, args):
+        return self._exit_3(super().parse_args, ctx, args)
+
+    def invoke(self, ctx):
+        return self._exit_3(super().invoke, ctx)
+
+    @staticmethod
+    def _exit_3(call, *args):
+        try:
+            return call(*args)
+        except click.ClickException as exc:
+            exc.exit_code = EXIT_ERROR
+            raise
+        except (ValueError, OSError) as exc:
+            error = click.ClickException(str(exc))
+            error.exit_code = EXIT_ERROR
+            raise error from exc
+
+
+@click.group(cls=_Netpad)
 def main():
     """Information-theoretically secure network communication toolkit."""
 
@@ -80,10 +100,7 @@ def main():
 @click.option("--t", type=int, required=True, help="Max hacked nodes.")
 def capacity(n, t):
     """Network and channel capacity for an n-node network."""
-    try:
-        caps = rates.capacity(rates.NetworkParams(n, t))
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    caps = rates.capacity(rates.NetworkParams(n, t))
     click.echo(f"n={n} t={t}")
     click.echo(f"network capacity: {frac(caps.net)}")
     click.echo(f"channel capacity: {frac(caps.channel)}")
@@ -96,19 +113,16 @@ def capacity(n, t):
 @click.option("--sweep-a", is_flag=True, help="Sweep a=2..n for the combinational scheme.")
 def rates_cmd(scheme_text, n, t, sweep_a):
     """Maximum network/channel rates of a scheme."""
-    try:
-        params = rates.NetworkParams(n, t)
-        if sweep_a:
-            click.echo("a\tgamma\tnet\tchannel")
-            for a in range(2, n + 1):
-                g = rates.gamma(params, a)
-                r = rates.combinational_max_rates(params, a)
-                click.echo(f"{a}\t{frac(g)}\t{frac(r.net)}\t{frac(r.channel)}")
-            return
-        spec = SchemeSpec.parse(scheme_text)
-        r = rates.scheme_max_rates(spec, params)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    params = rates.NetworkParams(n, t)
+    if sweep_a:
+        click.echo("a\tgamma\tnet\tchannel")
+        for a in range(2, n + 1):
+            g = rates.gamma(params, a)
+            r = rates.combinational_max_rates(params, a)
+            click.echo(f"{a}\t{frac(g)}\t{frac(r.net)}\t{frac(r.channel)}")
+        return
+    spec = SchemeSpec.parse(scheme_text)
+    r = rates.scheme_max_rates(spec, params)
     click.echo(f"scheme={spec.canonical()} n={n} t={t}")
     click.echo(f"max network rate: {frac(r.net)}")
     click.echo(f"max channel rate: {frac(r.channel)}")
@@ -126,32 +140,26 @@ def rates_cmd(scheme_text, n, t, sweep_a):
 def keygen(scheme_text, n, l, seed, out, node, strict):
     """Generate a keystore file (magic NPKS)."""
     seed = _resolve_seed(seed)
-    try:
-        spec = SchemeSpec.parse(scheme_text)
-        ks = generate(spec, n, l, seed, strict=strict)
-        if node is None:
-            keystore_io.save(ks, out)
-        else:
-            keystore_io.save_node_view(ks, node, out)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    spec = SchemeSpec.parse(scheme_text)
+    ks = generate(spec, n, l, seed, strict=strict)
+    if node is None:
+        keystore_io.save(ks, out)
+    else:
+        keystore_io.save_node_view(ks, node, out)
     click.echo(f"wrote {out}: scheme={spec.canonical()} n={n} l={l} u={ks.u} "
                f"seed={seed} rng={RNG_ALGORITHM}")
 
 
 def _load_or_generate(store, scheme_text, n, l, seed):
     if store is not None:
-        try:
-            return keystore_io.load(store)
-        except (OSError, ValueError) as exc:
-            raise FormatError(f"cannot read keystore {store!r}: {exc}")
+        return keystore_io.load(store)
     if scheme_text is None or n is None or l is None:
         raise click.ClickException("need either --store or --scheme/--n/--l")
     return generate(SchemeSpec.parse(scheme_text), n, l, seed)
 
 
 @main.command()
-@click.option("--store", type=click.Path(exists=True), default=None)
+@click.option("--store", type=click.Path(), default=None)
 @click.option("--scheme", "scheme_text", default=None)
 @click.option("--n", type=int, default=None)
 @click.option("--l", type=int, default=1260)
@@ -165,19 +173,14 @@ def _load_or_generate(store, scheme_text, n, l, seed):
 def check(store, scheme_text, n, l, t, profile_text, method, seed, out):
     """Decide achievability of a rate profile (exit 0/1/2)."""
     seed = _resolve_seed(seed)
-    try:
-        ks = _load_or_generate(store, scheme_text, n, l, seed)
-        profile = _parse_profile(profile_text, ks.n)
-        if method == "exact":
-            verdict = check_exact(ks, profile, t)
-        elif method == "relaxed":
-            verdict = check_relaxed(ks.scheme, ks.n, t, profile)
-        else:
-            verdict = check_feasibility(ks, profile, t)
-    except click.ClickException:
-        raise
-    except (ValueError, OSError) as exc:
-        raise click.ClickException(str(exc))
+    ks = _load_or_generate(store, scheme_text, n, l, seed)
+    profile = _parse_profile(profile_text, ks.n)
+    if method == "exact":
+        verdict = check_exact(ks, profile, t)
+    elif method == "relaxed":
+        verdict = check_relaxed(ks.scheme, ks.n, t, profile)
+    else:
+        verdict = check_feasibility(ks, profile, t)
     doc = json.loads(verdict.to_json())
     doc["config"] = {"n": ks.n, "t": t, "scheme": ks.scheme.canonical(),
                      "l": ks.l, "seed": seed, "method": method,
@@ -190,7 +193,7 @@ def check(store, scheme_text, n, l, t, profile_text, method, seed, out):
 
 
 @main.command()
-@click.option("--store", type=click.Path(exists=True), default=None)
+@click.option("--store", type=click.Path(), default=None)
 @click.option("--scheme", "scheme_text", default=None)
 @click.option("--n", type=int, default=None)
 @click.option("--l", type=int, default=1260)
@@ -202,27 +205,22 @@ def simulate(store, scheme_text, n, l, t, profile_text, d, seed):
     """One end-to-end run: encrypt at the profile's rates with the last t
     nodes hacked, then report the rank-based secrecy witness."""
     seed = _resolve_seed(seed)
-    try:
-        ks = _load_or_generate(store, scheme_text, n, l, seed)
-        profile = _parse_profile(profile_text, ks.n)
-        hacked = tuple(range(ks.n - t + 1, ks.n + 1))
-        cts = []
-        rng = np.random.default_rng([seed, 1])
-        for (i, j), r in sorted(profile.rates.items()):
-            if r == 0 or i in hacked or j in hacked:
-                continue
-            m_bits = int(r * ks.l)
-            if m_bits == 0:
-                continue
-            state = amplify.ChannelCipherState(i, j, d=d)
-            msg = BitString.random(m_bits, rng)
-            cts.append(amplify.encrypt(ks, state, msg, seed=[seed, i, j]))
-        witness = adversary.build_security_matrix(
-            ks, adversary.Transcript(ciphertexts=tuple(cts), hacked=hacked, d=d))
-    except click.ClickException:
-        raise
-    except (ValueError, OSError) as exc:
-        raise click.ClickException(str(exc))
+    ks = _load_or_generate(store, scheme_text, n, l, seed)
+    profile = _parse_profile(profile_text, ks.n)
+    hacked = tuple(range(ks.n - t + 1, ks.n + 1))
+    cts = []
+    rng = np.random.default_rng([seed, 1])
+    for (i, j), r in sorted(profile.rates.items()):
+        if r == 0 or i in hacked or j in hacked:
+            continue
+        m_bits = int(r * ks.l)
+        if m_bits == 0:
+            continue
+        state = amplify.ChannelCipherState(i, j, d=d)
+        msg = BitString.random(m_bits, rng)
+        cts.append(amplify.encrypt(ks, state, msg, seed=[seed, i, j]))
+    witness = adversary.build_security_matrix(
+        ks, adversary.Transcript(ciphertexts=tuple(cts), hacked=hacked, d=d))
     click.echo(f"scheme={ks.scheme.canonical()} n={ks.n} t={t} l={ks.l} d={d} "
                f"seed={seed} rng={RNG_ALGORITHM}")
     click.echo(f"messages={len(cts)} key_rows={witness.a_matrix.n_rows} "
@@ -253,31 +251,26 @@ def experiment(name, r, ratio, mode, scheme_text, n, t, profile_text, l_values,
                d, trials, seed, out):
     """Monte Carlo experiments; results as CSV rows."""
     seed = _resolve_seed(seed)
-    try:
-        if name == "lemma-rank":
-            kind, _, param = mode.partition(":")
-            if kind == "bernoulli":
-                density_mode = ("bernoulli", float(param or 1))
-            elif kind == "fixed":
-                density_mode = ("fixed_weight", int(param or amplify.DEFAULT_WEIGHT))
-            else:
-                raise click.ClickException(f"unknown mode {mode!r}")
-            results = [adversary.lemma_rank_experiment(r, ratio, density_mode,
-                                                       trials, seed)]
+    if name == "lemma-rank":
+        kind, _, param = mode.partition(":")
+        if kind == "bernoulli":
+            density_mode = ("bernoulli", float(param or 1))
+        elif kind == "fixed":
+            density_mode = ("fixed_weight", int(param or amplify.DEFAULT_WEIGHT))
         else:
-            spec = SchemeSpec.parse(scheme_text)
-            profile = (_parse_profile(profile_text, n) if profile_text
-                       else RateProfile.uniform(n, Fraction(1, 18)))
-            if name == "cross-independence":
-                results = adversary.cross_independence_experiment(
-                    spec, n, t, profile, list(l_values), trials, seed, d=d)
-            else:
-                results = [adversary.full_rank_experiment(
-                    spec, n, t, profile, l, d, trials, seed) for l in l_values]
-    except click.ClickException:
-        raise
-    except (ValueError, OSError) as exc:
-        raise click.ClickException(str(exc))
+            raise click.BadParameter(f"unknown mode {mode!r}", param_hint="--mode")
+        results = [adversary.lemma_rank_experiment(r, ratio, density_mode,
+                                                   trials, seed)]
+    else:
+        spec = SchemeSpec.parse(scheme_text)
+        profile = (_parse_profile(profile_text, n) if profile_text
+                   else RateProfile.uniform(n, Fraction(1, 18)))
+        if name == "cross-independence":
+            results = adversary.cross_independence_experiment(
+                spec, n, t, profile, list(l_values), trials, seed, d=d)
+        else:
+            results = [adversary.full_rank_experiment(
+                spec, n, t, profile, l, d, trials, seed) for l in l_values]
     rows = [
         [res.name, json.dumps(res.params, sort_keys=True), res.trials,
          res.successes, f"{res.p_hat:.6f}", f"{res.ci_low:.6f}",
@@ -295,20 +288,11 @@ def experiment(name, r, ratio, mode, scheme_text, n, t, profile_text, l_values,
         click.echo(f"wrote {out}")
 
 
-def _bytes_to_bits(raw: bytes) -> BitString:
-    return BitString(np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
-                                   bitorder="little"))
-
-
-def _bits_to_bytes(bits: BitString) -> bytes:
-    return np.packbits(bits.bits, bitorder="little").tobytes()
-
-
 @main.command("encrypt")
-@click.option("--keystore", "store_path", type=click.Path(exists=True), required=True,
+@click.option("--keystore", "store_path", type=click.Path(), required=True,
               help="Node-view keystore of the sending node.")
 @click.option("--peer", type=int, required=True)
-@click.option("--in", "in_path", type=click.Path(exists=True), required=True)
+@click.option("--in", "in_path", type=click.Path(), required=True)
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--d", type=int, default=amplify.DEFAULT_WEIGHT)
 @click.option("--counter", type=int, default=1)
@@ -316,59 +300,45 @@ def _bits_to_bytes(bits: BitString) -> bytes:
 def encrypt_cmd(store_path, peer, in_path, out, d, counter, seed):
     """One-time-pad encrypt a file to a peer node (magic NPCT)."""
     seed = _resolve_seed(seed)
-    try:
-        view = keystore_io.load_node_view(store_path)
-        plaintext = _bytes_to_bits(Path(in_path).read_bytes())
-    except (ValueError, OSError) as exc:
-        raise FormatError(str(exc))
-    try:
-        state = amplify.ChannelCipherState(view.node, peer, d=d, counter=counter - 1)
-        ct = amplify.encrypt(view, state, plaintext, seed=seed)
-        Path(out).write_bytes(ct.to_bytes())
-    except (ValueError, OSError, amplify.BudgetError) as exc:
-        raise click.ClickException(str(exc))
+    view = keystore_io.load_node_view(store_path)
+    plaintext = BitString.from_bytes(Path(in_path).read_bytes())
+    state = amplify.ChannelCipherState(view.node, peer, d=d, counter=counter - 1)
+    ct = amplify.encrypt(view, state, plaintext, seed=seed)
+    Path(out).write_bytes(ct.to_bytes())
     click.echo(f"wrote {out}: channel {state.pair} counter={ct.counter} "
                f"bits={len(plaintext)} seed={seed}")
 
 
 @main.command("decrypt")
-@click.option("--keystore", "store_path", type=click.Path(exists=True), required=True)
-@click.option("--in", "in_path", type=click.Path(exists=True), required=True)
+@click.option("--keystore", "store_path", type=click.Path(), required=True)
+@click.option("--in", "in_path", type=click.Path(), required=True)
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--d", type=int, default=amplify.DEFAULT_WEIGHT)
 def decrypt_cmd(store_path, in_path, out, d):
     """Decrypt an NPCT ciphertext file."""
-    try:
-        view = keystore_io.load_node_view(store_path)
-        ct = amplify.CipherText.from_bytes(Path(in_path).read_bytes())
-    except (ValueError, OSError) as exc:
-        raise FormatError(str(exc))
-    try:
-        state = amplify.ChannelCipherState(ct.i, ct.j, d=d)
-        plaintext = amplify.decrypt(view, state, ct)
-        Path(out).write_bytes(_bits_to_bytes(plaintext))
-    except (ValueError, OSError, amplify.ReplayError) as exc:
-        raise click.ClickException(str(exc))
+    view = keystore_io.load_node_view(store_path)
+    ct = amplify.CipherText.from_bytes(Path(in_path).read_bytes())
+    state = amplify.ChannelCipherState(ct.i, ct.j, d=d)
+    plaintext = amplify.decrypt(view, state, ct)
+    Path(out).write_bytes(plaintext.to_bytes())
     click.echo(f"wrote {out}: {len(plaintext)} bits from channel ({ct.i},{ct.j})")
 
 
 @main.command("multipath")
-@click.option("--topology", "topo_path", type=click.Path(exists=True), required=True)
+@click.option("--topology", "topo_path", type=click.Path(), required=True)
 @click.option("--s", type=int, required=True)
 @click.option("--dst", type=int, required=True)
 @click.option("--t", type=int, required=True)
 @click.option("--message-bits", type=int, default=1)
 def multipath_cmd(topo_path, s, dst, t, message_bits):
     """Plan t+1 node-disjoint secret-sharing paths (JSON plan)."""
-    try:
-        topo = multipath.Topology.from_json(Path(topo_path).read_text())
-    except (ValueError, OSError, KeyError) as exc:
-        raise FormatError(str(exc))
-    try:
-        result = multipath.plan(topo, s, dst, t, message_bits)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
-    click.echo(result.to_json())
+    topo = multipath.Topology.from_json(Path(topo_path).read_text())
+    found = multipath.disjoint_paths(topo, s, dst, t + 1)
+    if not found.feasible:
+        click.echo(f"only {found.max_count} node-disjoint paths available "
+                   f"(need {t + 1}); separator {found.separator}")
+        sys.exit(EXIT_NOT_ACHIEVABLE)
+    click.echo(multipath.plan(topo, s, dst, t, message_bits).to_json())
 
 
 @main.command("paper-tables")
@@ -410,7 +380,7 @@ def paper_tables():
         res = rates.tradeoff_check(rates.NetworkParams(10, 0), r)
         row(f"tradeoff equality for {label} scheme (n=10)", res.slack, Fraction(0))
 
-    ks = generate(SchemeSpec.parse("comb:a=3"), 4, 1260, _default_seed())
+    ks = generate(SchemeSpec.parse("comb:a=3"), 4, 1260, 0)
     eps = Fraction(1, 2**20)
     cases = [
         ("four-node t=0 r12<2/3 boundary",

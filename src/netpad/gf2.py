@@ -74,6 +74,16 @@ class BitString:
     def from01(cls, text: str) -> "BitString":
         return cls(np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0"))
 
+    @classmethod
+    def from_bytes(cls, raw: bytes, length: int | None = None) -> "BitString":
+        """The first length bits of raw (all by default), read as to_bytes writes them."""
+        return cls(np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little",
+                                 count=length))
+
+    def to_bytes(self) -> bytes:
+        """The bits packed little-endian within bytes, the last byte zero-padded."""
+        return np.packbits(self._bits, bitorder="little").tobytes()
+
     @property
     def bits(self) -> np.ndarray:
         return self._bits

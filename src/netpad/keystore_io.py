@@ -4,7 +4,7 @@ Layout (little-endian):
   magic "NPKS", version u16, flags u8 (0 = full store, 1 = node view)
   [node id u32 when flags = 1]
   header: n u32, l u64, u u64, scheme canonical text (u16 len + utf8),
-          seed u64, RNG algorithm id (u16 len + utf8)
+          seed u64 (0 in a node view), RNG algorithm id (u16 len + utf8)
   group table: count u32; per group: node-set length u16, node ids u32,
           bit count u64, pool-index list as delta-encoded varints
   full store: pool bits packed little-endian within bytes
@@ -17,9 +17,12 @@ A full store records no storage locations: they follow from the scheme
 group node ids not strictly ascending in 1..n, a repeated node set, a
 pool index >= u or in two groups, a view node outside 1..n or missing
 from one of its groups, a held table other than the union of the view's
-groups, locations repeated or outside 1..l, and trailing bytes.  A hybrid
-store is rebuilt from its header, so its header must first agree with the
-file: u with the scheme's pool size, n with the nodes its groups name.
+groups, locations repeated or outside 1..l, and trailing bytes.  A full
+store's header must agree with its file (u with the scheme's pool size, n
+with the nodes its groups name) before a random store's groups are
+checked against its permutation or a hybrid store is rebuilt and
+compared.  A node view stores seed 0: the pool is drawn from the seed, so
+a view that carried it would give one hacked node every node's bits.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from .gf2 import RNG_ALGORITHM, BitString
-from .predistribution import KeyStore, SchemeSpec, generate, pool_size, select_bits
+from .predistribution import (KeyStore, SchemeSpec, generate, pool_size, random_groups,
+                              select_bits)
 
 MAGIC = b"NPKS"
 _ENDING_BYTES = bytes(range(0x80))  # a byte with its high bit clear ends a varint
@@ -136,10 +140,10 @@ def _write_text(out: bytearray, text: str) -> None:
     out += raw
 
 
-def _write_header(out: bytearray, ks: KeyStore) -> None:
+def _write_header(out: bytearray, ks: KeyStore, seed: int) -> None:
     out += struct.pack("<IQQ", ks.n, ks.l, ks.u)
     _write_text(out, ks.scheme.canonical())
-    out += struct.pack("<Q", ks.seed)
+    out += struct.pack("<Q", seed)
     _write_text(out, RNG_ALGORITHM)
 
 
@@ -197,20 +201,11 @@ def _read_groups(rd: _Reader, n: int, u: int):
     return groups, ordered
 
 
-def _pack_pool(bits: np.ndarray) -> bytes:
-    return np.packbits(bits, bitorder="little").tobytes()
-
-
-def _unpack_pool(raw: bytes, n_bits: int) -> BitString:
-    return BitString(np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
-                                   bitorder="little", count=n_bits))
-
-
 def save(ks: KeyStore, path) -> None:
     out = bytearray(MAGIC + struct.pack("<HB", VERSION, 0))
-    _write_header(out, ks)
+    _write_header(out, ks, ks.seed)
     _write_groups(out, ks.groups)
-    out += _pack_pool(ks.pool.bits)
+    out += ks.pool.to_bytes()
     Path(path).write_bytes(bytes(out))
 
 
@@ -223,7 +218,6 @@ class NodeView:
     n: int
     l: int
     scheme: SchemeSpec
-    seed: int
     u: int
     groups: dict[tuple[int, ...], list[int]]
     held: np.ndarray  # held pool indices, ascending
@@ -256,14 +250,14 @@ class NodeView:
 
 def save_node_view(ks: KeyStore, node: int, path) -> None:
     out = bytearray(MAGIC + struct.pack("<HBI", VERSION, 1, node))
-    _write_header(out, ks)
+    _write_header(out, ks, 0)
     _write_groups(out, {nodes: idx for nodes, idx in ks.groups.items() if node in nodes})
     held, slots = ks.slots(node)
     table = np.empty(2 * held.size, dtype=np.int64)  # pool index, location, ...
     table[0::2], table[1::2] = held, slots
     out += struct.pack("<Q", held.size)
     out += _leb128(table)[0]
-    out += _pack_pool(ks.pool.bits[held])
+    out += ks.pool[held].to_bytes()
     Path(path).write_bytes(bytes(out))
 
 
@@ -295,31 +289,35 @@ def load(path) -> KeyStore:
     _read_preamble(rd, 0)
     n, l, u, scheme, seed = _read_header(rd)
     groups, _ = _read_groups(rd, n, u)
-    pool = _unpack_pool(rd.read(-(-u // 8)), u)
+    # Checking a random store, or rebuilding a hybrid one, from its header
+    # costs O(u + n*l), so first check u against the header and n against
+    # the nodes the file lists (every node of a store with bits holds
+    # some): the cost is then bounded by the file.
+    if u and len(set().union(*groups)) != n:
+        raise ValueError(f"keystore lists bits for fewer than its {n} nodes")
+    if pool_size(scheme, n, l) != u:
+        raise ValueError(f"keystore has u={u} pool bits, its header "
+                         f"gives {pool_size(scheme, n, l)}")
+    pool = BitString.from_bytes(rd.read(-(-u // 8)), u)
     rd.finish()
     if scheme.kind == "hybrid":
         # A hybrid's storage locations depend on its parts; rebuild the
         # store deterministically from the header and check it matches.
-        # Rebuilding costs O(u + n*l), so first check u against the header
-        # and n against the nodes the file lists (every node of a store
-        # with bits holds some): the cost is then bounded by the file.
-        if pool_size(scheme, n, l) != u:
-            raise ValueError(f"hybrid keystore has u={u} pool bits, its header "
-                             f"gives {pool_size(scheme, n, l)}")
-        if u and len(set().union(*groups)) != n:
-            raise ValueError(f"hybrid keystore lists bits for fewer than its {n} nodes")
         rebuilt = generate(scheme, n, l, seed)
         if rebuilt.groups != groups or rebuilt.pool != pool:
             raise ValueError("hybrid keystore content does not match its header")
         return rebuilt
-    return KeyStore(n=n, l=l, scheme=scheme, seed=seed, pool=pool, groups=groups)
+    ks = KeyStore(n=n, l=l, scheme=scheme, seed=seed, pool=pool, groups=groups)
+    if scheme.kind == "random" and random_groups(ks.perm, l) != groups:
+        raise ValueError("random keystore's groups do not follow its permutation")
+    return ks
 
 
 def load_node_view(path) -> NodeView:
     rd = _Reader(Path(path).read_bytes())
     _read_preamble(rd, 1)
     (node,) = rd.unpack("I")
-    n, l, u, scheme, seed = _read_header(rd)
+    n, l, u, scheme, _ = _read_header(rd)
     if not 1 <= node <= n:
         raise ValueError(f"node view names node {node} outside 1..{n}")
     groups, indices = _read_groups(rd, n, u)
@@ -333,7 +331,7 @@ def load_node_view(path) -> NodeView:
     ordered = np.sort(slots)
     if slots.size and (ordered[0] < 1 or ordered[-1] > l or np.any(ordered[1:] == ordered[:-1])):
         raise ValueError(f"node view's storage locations are not distinct in 1..{l}")
-    bits = _unpack_pool(rd.read(-(-count // 8)), count).bits
+    bits = BitString.from_bytes(rd.read(-(-count // 8)), count).bits
     rd.finish()
-    return NodeView(node=node, n=n, l=l, scheme=scheme, seed=seed, u=u, groups=groups,
+    return NodeView(node=node, n=n, l=l, scheme=scheme, u=u, groups=groups,
                     held=held.astype(np.int64), held_slots=slots, held_bits=bits)

@@ -5,6 +5,7 @@ whose end-to-end rates are at their limit.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -34,8 +35,15 @@ class Topology:
 
     @classmethod
     def from_json(cls, text: str) -> "Topology":
+        """Reads what to_json writes; any other document raises ValueError."""
         doc = json.loads(text)
-        return cls(doc["n"], frozenset(tuple(e) for e in doc["edges"]))
+        try:
+            n, edges = doc["n"], [tuple(e) for e in doc["edges"]]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed topology: {exc!r}") from None
+        if any(type(v) is not int for v in (n, *itertools.chain(*edges))):
+            raise ValueError("topology node ids must be integers")
+        return cls(n, frozenset(edges))
 
     def to_json(self) -> str:
         return json.dumps(

@@ -54,16 +54,17 @@ class PermutationFamily:
             self._round_keys[node] = keys
         return keys
 
-    def _walk(self, x: np.ndarray, node: int, inverse: bool) -> np.ndarray:
-        """F(x, node), or F^-1(x, node), of each value of x in 1..u."""
-        keys = self._keys(node)[::-1] if inverse else self._keys(node)
+    def _walk(self, x: np.ndarray, keys: np.ndarray, inverse: bool) -> np.ndarray:
+        """F(x, node), or F^-1(x, node), of each value of x in 1..u, where
+        keys holds node's round keys, or one row of them per lane of x."""
+        keys = np.broadcast_to(keys[..., ::-1] if inverse else keys, (x.size, _ROUNDS))
         x = (x - 1).astype(np.uint64)
         todo = np.arange(x.size)
         while todo.size:
             lanes = x[todo]
             left = (lanes >> self._half_bits).astype(np.uint32)
             right = lanes.astype(np.uint32) & self._half_mask
-            for key in keys:
+            for key in keys[todo].T:
                 if inverse:
                     left, right = right ^ (_mix32(left, key) & self._half_mask), left
                 else:
@@ -74,13 +75,17 @@ class PermutationFamily:
 
     def permute_all(self, node: int) -> np.ndarray:
         """[F(1, node), ..., F(u, node)] as an int64 array."""
-        return self._walk(np.arange(1, self.u + 1), node, inverse=False)
+        return self._walk(np.arange(1, self.u + 1), self._keys(node), inverse=False)
 
-    def invert_all(self, node: int, l: int) -> np.ndarray:
-        """[F^-1(1, node), ..., F^-1(l, node)] as an int64 array, l <= u."""
+    def invert_all(self, node, l: int) -> np.ndarray:
+        """[F^-1(1, node), ..., F^-1(l, node)] as an int64 array, l <= u;
+        for an array of nodes, one such row per node, in one walk."""
         if not 0 <= l <= self.u:
             raise ValueError(f"slot count {l} outside 0..{self.u}")
-        return self._walk(np.arange(1, l + 1), node, inverse=True)
+        keys = np.stack([self._keys(i) for i in np.ravel(node).tolist()])
+        lanes = self._walk(np.tile(np.arange(1, l + 1), len(keys)), np.repeat(keys, l, axis=0),
+                           inverse=True)
+        return lanes.reshape(np.shape(node) + (l,))
 
     def _lane(self, k: int) -> np.ndarray:
         if not 1 <= k <= self.u:
@@ -88,10 +93,10 @@ class PermutationFamily:
         return np.array([k])
 
     def permute(self, k: int, i: int) -> int:
-        return int(self._walk(self._lane(k), i, inverse=False)[0])
+        return int(self._walk(self._lane(k), self._keys(i), inverse=False)[0])
 
     def invert(self, s: int, i: int) -> int:
-        return int(self._walk(self._lane(s), i, inverse=True)[0])
+        return int(self._walk(self._lane(s), self._keys(i), inverse=True)[0])
 
 
 def _seed_int(seed) -> int:

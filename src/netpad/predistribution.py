@@ -103,14 +103,14 @@ class SchemeSpec:
             a, _, m = text[8:].partition(",")
             return cls("sampled_combinational", a=int(_param(a, "a")), m=int(_param(m, "m")))
         if text.startswith("random:"):
-            return cls("random", p=_fraction(_param(text[7:], "p")))
+            return cls("random", p=parse_fraction(_param(text[7:], "p")))
         if text.startswith("hybrid:"):
             match = re.fullmatch(r"lambda=([^,]+),\((.*)\),\((.*)\)", text[7:])
             if not match:
                 raise ValueError(f"malformed hybrid scheme {text!r}")
             return cls(
                 "hybrid",
-                lam=_fraction(match.group(1)),
+                lam=parse_fraction(match.group(1)),
                 parts=(cls.parse(match.group(2)), cls.parse(match.group(3))),
             )
         raise ValueError(f"unrecognized scheme {text!r}")
@@ -123,7 +123,8 @@ def _param(text: str, name: str) -> str:
     return value
 
 
-def _fraction(text: str) -> Fraction:
+def parse_fraction(text: str) -> Fraction:
+    """Fraction(text), with a zero denominator a ValueError like any bad literal."""
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -250,14 +251,9 @@ def generate(spec: SchemeSpec, n: int, l: int, seed, strict: bool = False) -> Ke
     u = pool_size(spec, n, l)
     rng = np.random.default_rng([seed, 1])
     if spec.kind == "random":
-        # Bit k is held by node i iff F(k+1, i) <= l, so node i holds
-        # exactly the l bits F^-1(s, i) - 1 for s = 1..l.
         perm = PermutationFamily(u, n, [seed, 0])
-        holds = np.zeros((u, n), dtype=bool)
-        for i in range(1, n + 1):
-            holds[perm.invert_all(i, l) - 1, i - 1] = True
         return KeyStore(n=n, l=l, scheme=spec, seed=seed, pool=BitString.random(u, rng),
-                        groups=_groups_by_holders(holds), perm=perm)
+                        groups=random_groups(perm, l), perm=perm)
 
     _, quota = _layout(spec, n)
     group_size, remainder = divmod(l, quota)
@@ -300,9 +296,13 @@ def pool_size(spec: SchemeSpec, n: int, l: int) -> int:
     return l // quota * count
 
 
-def _groups_by_holders(holds: np.ndarray) -> dict[tuple[int, ...], list[int]]:
-    """Groups of a u x n holder table: each nonempty holder set maps to
-    its pool indices, ascending, with the sets in order of first index."""
+def random_groups(perm: PermutationFamily, l: int) -> dict[tuple[int, ...], list[int]]:
+    """The random scheme's groups: bit k is held by node i iff
+    F(k+1, i) <= l, so node i holds exactly the l bits F^-1(s, i) - 1 for
+    s = 1..l.  Each nonempty holder set maps to its pool indices,
+    ascending, with the sets in order of first index."""
+    holds = np.zeros((perm.u, perm.n), dtype=bool)
+    holds[perm.invert_all(np.arange(1, perm.n + 1), l) - 1, np.arange(perm.n)[:, None]] = True
     keys = np.packbits(holds, axis=1, bitorder="little")
     _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     members = np.argsort(inverse.ravel(), kind="stable").tolist()
@@ -354,7 +354,7 @@ def random_regular_groups(n: int, a: int, m: int, seed, max_retries: int = 5000)
         if len(set(chunks)) != m:
             continue
         return sorted(chunks)
-    raise RuntimeError(
+    raise ValueError(
         f"no regular group design found for n={n}, a={a}, m={m} "
         f"after {max_retries} retries"
     )

@@ -26,7 +26,7 @@ from math import comb
 
 import networkx as nx
 
-from .predistribution import KeyStore, SchemeSpec
+from .predistribution import KeyStore, SchemeSpec, parse_fraction
 from .rates import alpha
 
 DEFAULT_EPSILON = Fraction(1, 2**20)
@@ -66,9 +66,18 @@ class RateProfile:
 
     @classmethod
     def from_json(cls, text: str) -> "RateProfile":
+        """Reads what to_json writes; any other document raises ValueError."""
         doc = json.loads(text)
-        rates = {(e["i"], e["j"]): Fraction(e["r"]) for e in doc["rates"]}
-        return cls(doc["n"], rates)
+        try:
+            # Through str(), true and Infinity fail as bad literals and a
+            # float reads as the exact decimal it shows.
+            n, entries = doc["n"], doc["rates"]
+            rates = {(e["i"], e["j"]): parse_fraction(str(e["r"])) for e in entries}
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed rate profile: {exc!r}") from None
+        if any(type(v) is not int for v in (n, *itertools.chain(*rates))):
+            raise ValueError("rate profile node ids must be integers")
+        return cls(n, rates)
 
     def to_json(self) -> str:
         entries = [

@@ -1,11 +1,16 @@
 import csv
 import io
+import itertools
 import json
 import struct
 
+import pytest
 from click.testing import CliRunner
 
+from netpad import keystore_io
 from netpad.cli import main
+from netpad.multipath import Topology
+from netpad.secure_check import RateProfile
 
 
 def run(*args, **kw):
@@ -183,3 +188,150 @@ def test_seed_env_var(tmp_path, monkeypatch):
     res = run("keygen", "--scheme", "pairwise", "--n", "3", "--l", "6",
               "--out", str(tmp_path / "s.npks"))
     assert res.exit_code == 0 and "seed=99" in res.output
+
+
+def test_default_seed_is_fresh(tmp_path, monkeypatch):
+    # A fixed default seed would make every default keystore public.
+    monkeypatch.delenv("NETPAD_SEED", raising=False)
+    pools = []
+    for name in ("a.npks", "b.npks"):
+        res = run("keygen", "--scheme", "pairwise", "--n", "3", "--l", "64",
+                  "--out", str(tmp_path / name))
+        assert res.exit_code == 0 and "seed=" in res.output
+        pools.append(keystore_io.load(tmp_path / name).pool)
+    assert pools[0] != pools[1]
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """Input files for the exit-code table, by name."""
+    d = tmp_path_factory.mktemp("cli")
+    paths = {name: d / name for name in (
+        "full.npks", "n1.npks", "n2.npks", "msg.bin", "msg.npct", "topo.json",
+        "profile.json", "null_rate.json", "list.json", "int_edges.json",
+        "str_node.json", "bad.npks", "missing")}
+    run("keygen", "--scheme", "comb:a=3", "--n", "4", "--l", "1260", "--seed", "7",
+        "--out", str(paths["full.npks"]))
+    for node in (1, 2):
+        run("keygen", "--scheme", "comb:a=3", "--n", "4", "--l", "1260", "--seed", "7",
+            "--node", str(node), "--out", str(paths[f"n{node}.npks"]))
+    paths["msg.bin"].write_bytes(b"attack at dawn")
+    run("encrypt", "--keystore", str(paths["n1.npks"]), "--peer", "2", "--seed", "5",
+        "--in", str(paths["msg.bin"]), "--out", str(paths["msg.npct"]))
+    paths["bad.npks"].write_bytes(paths["full.npks"].read_bytes()[:40])
+    for name, doc in {
+        "topo.json": {"n": 5, "edges": [[1, 2], [2, 5], [1, 3], [3, 5], [1, 4], [4, 5]]},
+        "profile.json": {"n": 4, "rates": [{"i": 1, "j": 2, "r": "1/10"}]},
+        "null_rate.json": {"n": 4, "rates": [{"i": 1, "j": 2, "r": None}]},
+        "list.json": [4],
+        "int_edges.json": {"n": 5, "edges": [1, 2]},
+        "str_node.json": {"n": 5, "edges": [[1, "x"]]},
+    }.items():
+        paths[name].write_text(json.dumps(doc))
+    paths["no_dir"] = d / "no_dir" / "out"
+    return {name.replace(".", "_"): str(path) for name, path in paths.items()}
+
+
+STORE = "check --store {full_npks} --t 1 --profile"
+ENCRYPT = "encrypt --keystore {n1_npks} --peer 2 --in {msg_bin} --seed 5 --out"
+DECRYPT = "decrypt --keystore {n2_npks} --in {msg_npct} --out"
+MULTIPATH = "multipath --topology {topo_json} --s 1 --dst 5"
+SIMULATE = "simulate --scheme comb:a=3 --n 4 --l 120 --t 1 --d 8 --seed 2 --profile"
+
+
+@pytest.mark.parametrize("command,code", [
+    # Verdicts.
+    (f"{STORE} uniform:1/18", 0),
+    (f"{STORE} uniform:1/9", 1),
+    (f"{STORE} uniform:1/9 --method feasibility", 2),
+    (f"{STORE} {{profile_json}}", 0),
+    (f"{SIMULATE} uniform:1/18", 0),
+    (f"{SIMULATE} uniform:1/3", 1),  # 120 key rows on 40 unhacked bits
+    (f"{MULTIPATH} --t 2", 0),
+    (f"{MULTIPATH} --t 3", 1),  # three disjoint paths only
+    ("--help", 0),
+    ("check --help", 0),
+    # Bad arguments.
+    (f"check --store {{full_npks}} --t 5 --profile uniform:1/18", 3),
+    ("capacity --n 4 --t 5", 3),
+    ("capacity --n four --t 1", 3),
+    (f"{STORE} uniform:1/0", 3),
+    (f"{STORE} uniform:1/18 --method guess", 3),
+    ("keygen --scheme comb:a=9 --n 4 --l 12 --out {no_dir}", 3),
+    ("experiment lemma-rank --mode gauss --trials 1", 3),
+    ("keygen --scheme sampled:a=3,m=18 --n 6 --l 90 --seed 1 --out {no_dir}", 3),
+    (f"{ENCRYPT} {{missing}} --d 0", 3),
+    ("check --t 1 --profile uniform:1/18", 3),  # neither --store nor --scheme
+    ("frobnicate", 3),
+    ("--bogus capacity", 3),
+    ("", 3),  # prints the usage text
+    # Missing options.
+    ("check --store {full_npks} --profile uniform:1/18", 3),
+    ("encrypt --keystore {n1_npks} --in {msg_bin} --out {missing}", 3),
+    # Missing input files.
+    ("check --store {missing} --t 1 --profile uniform:1/18", 3),
+    (f"{STORE} {{missing}}", 3),
+    ("encrypt --keystore {missing} --peer 2 --in {msg_bin} --out {no_dir}", 3),
+    ("encrypt --keystore {n1_npks} --peer 2 --in {missing} --out {no_dir}", 3),
+    ("decrypt --keystore {missing} --in {msg_npct} --out {no_dir}", 3),
+    ("decrypt --keystore {n2_npks} --in {missing} --out {no_dir}", 3),
+    ("multipath --topology {missing} --s 1 --dst 5 --t 1", 3),
+    # Malformed inputs.
+    (f"{STORE} {{null_rate_json}}", 3),
+    (f"{STORE} {{list_json}}", 3),
+    ("multipath --topology {int_edges_json} --s 1 --dst 5 --t 1", 3),
+    ("multipath --topology {str_node_json} --s 1 --dst 5 --t 1", 3),
+    ("check --store {bad_npks} --t 1 --profile uniform:1/18", 3),
+    ("decrypt --keystore {n2_npks} --in {msg_bin} --out {no_dir}", 3),
+    ("encrypt --keystore {full_npks} --peer 2 --in {msg_bin} --out {no_dir}", 3),
+    # Unwritable outputs.
+    ("keygen --scheme pairwise --n 4 --l 12 --out {no_dir}", 3),
+    (f"{STORE} uniform:1/18 --out {{no_dir}}", 3),
+    (f"{ENCRYPT} {{no_dir}}", 3),
+    (f"{DECRYPT} {{no_dir}}", 3),
+    ("experiment lemma-rank --r 20 --trials 1 --out {no_dir}", 3),
+])
+def test_exit_codes(command, code, files):
+    """0, 1 and 2 only as a command's verdict; every other failure exits
+    3 with a message, never a traceback."""
+    res = run(*(arg.format(**files) for arg in command.split()))
+    assert res.exit_code == code, res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.output
+    if code == 3:
+        assert "Error: " in res.output or "Usage: " in res.output
+
+
+def _mutations(doc):
+    """doc with one key dropped, or one value replaced by another JSON
+    type, for every key and value at any depth."""
+    items = list(doc.items()) if isinstance(doc, dict) else list(enumerate(doc))
+    for key, value in items:
+        if isinstance(doc, dict):
+            yield {k: v for k, v in doc.items() if k != key}
+        for new in (None, True, 1.5, "x", [], {}, float("inf")):
+            yield _replace(doc, key, new)
+        if isinstance(value, (dict, list)):
+            for mutated in _mutations(value):
+                yield _replace(doc, key, mutated)
+
+
+def _replace(doc, key, value):
+    out = dict(doc) if isinstance(doc, dict) else list(doc)
+    out[key] = value
+    return out
+
+
+@pytest.mark.parametrize("reader,doc", [
+    (RateProfile.from_json, {"n": 4, "rates": [{"i": 1, "j": 2, "r": "1/9"},
+                                               {"i": 3, "j": 4, "r": 0}]}),
+    (Topology.from_json, {"n": 5, "edges": [[1, 2], [2, 5]]}),
+])
+def test_mutated_json_raises_value_error_or_loads(reader, doc):
+    reader(json.dumps(doc))
+    mutations = list(itertools.chain(_mutations(doc), (None, True, 1.5, "x", [], {})))
+    assert len(mutations) > 40
+    for mutated in mutations:
+        try:
+            reader(json.dumps(mutated))
+        except ValueError:
+            pass

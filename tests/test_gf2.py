@@ -344,3 +344,11 @@ def test_cross_independent_validation():
         cross_independent([])
     with pytest.raises(ValueError):
         cross_independent([BitMatrix.zeros(0, 3)])
+
+
+def test_bitstring_bytes_roundtrip():
+    bits = BitString.from01("1011000011")
+    raw = bits.to_bytes()
+    assert raw == bytes([0b00001101, 0b00000011])  # little-endian within bytes
+    assert BitString.from_bytes(raw, 10) == bits
+    assert len(BitString.from_bytes(raw)) == 16

@@ -169,7 +169,8 @@ def test_huge_group_count_raises_value_error(tmp_path):
 # NPKS version 1 bytes frozen from an earlier build (seed 5, n=4): the
 # comb:a=3 l=6 full store and node 2's view, and node 2's view of the
 # random:p=1/2 l=4 store.  Storage locations are not stored in a full
-# store, so these pin that the slot rule still gives the old ones.
+# store, so these pin that the slot rule still gives the old ones.  The
+# views were written when a view still carried the store's seed.
 FROZEN = {
     "comb_full": (
         "4e504b5301000004000000060000000000000008000000000000000800636f6d623a613d33"
@@ -208,38 +209,58 @@ def test_frozen_files_load_with_the_same_locations(tmp_path):
     keystore_io.save(comb, tmp_path / "again")
     assert (tmp_path / "again").read_bytes() == bytes.fromhex(FROZEN["comb_full"])
     keystore_io.save_node_view(rand, 2, tmp_path / "again")
-    assert (tmp_path / "again").read_bytes() == bytes.fromhex(FROZEN["random_view"])
+    assert (tmp_path / "again").read_bytes() == _seedless(bytes.fromhex(FROZEN["random_view"]))
+
+
+def _seedless(view: bytes) -> bytes:
+    """A node view's bytes with its seed field zeroed: it follows the
+    preamble (11 bytes), n, l, u (20 bytes) and the scheme text."""
+    (text_len,) = struct.unpack_from("<H", view, 31)
+    return _edit(view, 33 + text_len, bytes(8))
+
+
+def test_node_view_does_not_carry_the_seed(tmp_path):
+    # A view that stored the seed would let one hacked node regenerate
+    # the whole pool, every other channel's bits included.
+    ks = generate(SchemeSpec.parse("comb:a=3"), 5, 600, seed=123456789)
+    keystore_io.save_node_view(ks, 5, tmp_path / "v.npks")
+    raw = (tmp_path / "v.npks").read_bytes()
+    assert raw == _seedless(raw)
+    view = keystore_io.load_node_view(tmp_path / "v.npks")
+    assert not hasattr(view, "seed")
+    assert generate(view.scheme, view.n, view.l, 0).pool != ks.pool
 
 
 # sha256 of the bytes `save` writes and of the concatenated bytes of every
 # `save_node_view` (nodes 1..n in order), at seed 17, taken from the
-# per-value writers before the vectorized ones replaced them.
+# per-value writers before the vectorized ones replaced them; the view
+# digests are of those bytes with each view's seed field zeroed.
 FROZEN_DIGESTS = {
     ("pairwise", 6, 300): (
         "2ae50f3ada3b48fd38919e9a8be1c1fa12b4777cbc02bbc20b7b7e2c8d1b7b4d",
-        "1db1aaed1e124c856b5f24aacba0898f4d1de0e4a309af43e1f3119d66b5cb40"),
+        "4f9bd05ba79161ff86858071bfeeeec2cdc7bd6a5f6353596b61f2f293944ba3"),
     ("same", 6, 300): (
         "415c142d49bb6e3ccaca8357640f9726fba2d408f3dc68fd495d271d40b86d84",
-        "600f76810fa19df9e579e305ad3c2a1ed00a7de29ca0557898c16fe35753b6d7"),
+        "a9c8c5488a127a8d18331ea415fec5bf3990cc41d5deb1e419f691b896b65374"),
     ("comb:a=3", 6, 300): (
         "aae14b2f683743108704bf0e69765a299a71b8a4c678f88b75b698b05c51dd63",
-        "e1092ec30af54b7e5b4641196f031a092255a5646b8c8bd69fbd9e1f0eb261a8"),
+        "ed95f9553b401932746e5310e91557bfb806e4b16bb94148a55b9c060466b5e6"),
     ("sampled:a=3,m=4", 6, 300): (
         "df59bf9cee5a79b98b19d08cdda6c9285ad0ddfa567fe0cede7e8d0c7c12950a",
-        "e1ff1690ff82684a0ca8756f494a0b03af1a207a3ec37e6d28228e5ece09eeec"),
+        "4a51818567d41b04c12e02182a129de2fac8184c28ce2663f28f6ca566f379ef"),
     ("random:p=1/2", 6, 300): (
         "d3d39a5411e28ac904fdcdd8171fcdda7af7c4e828fcc1a45956d26a1e538bc0",
-        "9185d6f44bde47701d9992af83d05927d5b3ac3750e0ebe3dccf601f60dfb2aa"),
+        "c848dca49b641c5967905e5ccda58013d43550071c5dd6b957c3cc5985ddd229"),
     ("random:p=1/3", 6, 300): (
         "f1b5ef6bc4f2e30a452cd6d16f32d4e37b737316a8c476964dcd6debdf3767e9",
-        "c06823da436bcfbdfee2795b080a3516e6942b5830b3b0198b9f2e72fe801763"),
+        "9b220b77eb3d9f4de32b3c44d85aa9800589f7167f135b1a6766485cab3f3c26"),
     ("hybrid:lambda=1/2,(random:p=1/2),(comb:a=3)", 6, 300): (
         "700479047761a32d76f4c43bde05db2ab5b85b299f9e52b135b2d88eac104bab",
-        "b7a1a4672d39de0958e09683bab33c52995f400862d21e30c0ae8f18e428a42e"),
+        "67a0608f4a51d4456fa99ee54b15db2a1f742bfedcc342059c380709489d9db7"),
     # u = 40000: group starts need 3-byte varints.
     ("comb:a=3", 4, 30000): (
         "4c66940d3bd9ed9ce551e1520f7f0ac5f571602b5d13fb67e2eb75b69d5dd682",
-        "244ef26eee0335a483eb256768dc9b89373c92a74beb64cfe762debfbd68cdaf"),
+        "eeb465b654d1a61893a261d7ce20566acbd2accfee0f75783f962186efd94662"),
 }
 
 
@@ -280,6 +301,17 @@ def test_hybrid_header_is_checked_before_regenerating(text, field, value, messag
     monkeypatch.setattr(keystore_io, "generate", regenerate)
     with pytest.raises(ValueError, match=message):
         keystore_io.load(tmp_path / "bad.npks")
+
+
+def test_random_store_groups_must_follow_the_permutation(tmp_path):
+    # Moving one bit between two groups keeps the table well formed, but
+    # node_bits would then disagree with the slots F gives.
+    ks = generate(SchemeSpec.parse("random:p=1/2"), 4, 10, seed=11)
+    (a, idx_a), (b, idx_b) = list(ks.groups.items())[:2]
+    ks.groups[a], ks.groups[b] = idx_a[1:], sorted(idx_b + idx_a[:1])
+    keystore_io.save(ks, tmp_path / "moved.npks")
+    with pytest.raises(ValueError, match="permutation"):
+        keystore_io.load(tmp_path / "moved.npks")
 
 
 def _comb_files(tmp_path):

@@ -81,3 +81,13 @@ def test_seed_int_accepts_ints_and_sequences():
     assert _seed_int(5) == 5
     assert _seed_int([1, 2]) == _seed_int([1, 2])
     assert _seed_int([1, 2]) != _seed_int([1, 3])
+
+
+def test_invert_all_over_many_nodes_is_one_row_per_node():
+    fam = PermutationFamily(100, 4, master_seed=3)
+    rows = fam.invert_all([1, 2, 4], 30)
+    assert rows.shape == (3, 30)
+    assert [r.tolist() for r in rows] == [fam.invert_all(i, 30).tolist() for i in (1, 2, 4)]
+    assert fam.invert_all([1, 2], 0).shape == (2, 0)
+    with pytest.raises(ValueError, match="node"):
+        fam.invert_all([1, 5], 0)
