@@ -8,12 +8,15 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from .gf2 import BitString
 from .permutation import _seed_int
+
+if TYPE_CHECKING:  # imported on first use: only this module needs networkx
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -50,9 +53,16 @@ class Topology:
             {"n": self.n, "edges": [list(e) for e in sorted(self.edges)]}, indent=2
         )
 
-    def graph(self) -> nx.Graph:
+    def nodes(self, *terminals: int) -> list[int]:
+        """The nodes named by an edge, plus *terminals*, ascending: a graph
+        over these costs what the file holds, not what its n says."""
+        return sorted({*terminals, *itertools.chain(*self.edges)})
+
+    def graph(self, *terminals: int) -> nx.Graph:
+        import networkx as nx
+
         g = nx.Graph()
-        g.add_nodes_from(range(1, self.n + 1))
+        g.add_nodes_from(self.nodes(*terminals))
         g.add_edges_from(sorted(self.edges))
         return g
 
@@ -67,9 +77,11 @@ class PathSearchResult:
 
 def _split_digraph(topo: Topology, s: int, dst: int) -> nx.DiGraph:
     # Unit node capacities via node splitting; endpoints unbounded.
+    import networkx as nx
+
     g = nx.DiGraph()
     big = topo.n + 1
-    for v in range(1, topo.n + 1):
+    for v in topo.nodes(s, dst):
         g.add_edge(("in", v), ("out", v), capacity=big if v in (s, dst) else 1)
     for u, v in sorted(topo.edges):
         g.add_edge(("out", u), ("in", v), capacity=1)
@@ -89,6 +101,8 @@ def disjoint_paths(topo: Topology, s: int, dst: int, count: int) -> PathSearchRe
             raise ValueError(f"node {v} outside 1..{topo.n}")
     if count < 1:
         raise ValueError("need a positive path count")
+
+    import networkx as nx
 
     g = _split_digraph(topo, s, dst)
     flow_value, flow = nx.maximum_flow(g, ("in", s), ("out", dst))
@@ -120,7 +134,7 @@ def disjoint_paths(topo: Topology, s: int, dst: int, count: int) -> PathSearchRe
     if (min(s, dst), max(s, dst)) in topo.edges:
         # Menger needs non-adjacent terminals; certify on the graph minus
         # the direct edge (which always carries one disjoint path).
-        reduced = topo.graph()
+        reduced = topo.graph(s, dst)
         reduced.remove_edge(s, dst)
         if nx.has_path(reduced, s, dst):
             cut = nx.minimum_node_cut(reduced, s, dst)
@@ -128,7 +142,7 @@ def disjoint_paths(topo: Topology, s: int, dst: int, count: int) -> PathSearchRe
             cut = set()
         separator = tuple(sorted(cut))
     else:
-        graph = topo.graph()
+        graph = topo.graph(s, dst)
         if nx.has_path(graph, s, dst):
             separator = tuple(sorted(nx.minimum_node_cut(graph, s, dst)))
         else:

@@ -1,7 +1,7 @@
 """Achievability checkers for a set of channel rates.
 
 Three routes:
-  * check_exact      — iff-criterion, one minimum cut per hacked set:
+  * check_exact      — iff-criterion, one max-flow per hacked set:
                        every channel subset with positive rate sum must
                        stay strictly below its shared unhacked-bit rate.
   * check_relaxed    — per-subset-size criterion with closed forms for
@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb
-
-import networkx as nx
 
 from .predistribution import KeyStore, SchemeSpec, parse_fraction
 from .rates import alpha
@@ -143,41 +141,108 @@ def _hacked_sets(n: int, t: int):
         yield from itertools.combinations(range(1, n + 1), size)
 
 
-def _lex_min_violation(ks: KeyStore, pairs, hacked, below=None):
-    """The lexicographically smallest channel tuple violating the criterion
-    under *hacked*, or None if there is none below the tuple *below*.
+def _covering_groups(ks: KeyStore, channels) -> dict:
+    """Channel -> the group tuples holding both its endpoints, in the
+    order of ks.groups: the channel x group incidence of one check."""
+    covers: dict = {e: [] for e in channels}
+    for nodes in ks.groups:
+        for e in itertools.combinations(nodes, 2):
+            if e in covers:
+                covers[e].append(nodes)
+    return covers
 
-    Channel e weighs K*D*l*r_e + 1 and each unhacked group G costs K*D*|G|
-    (D: lcm of the rate denominators, K = len(pairs) + 1).  A channel set
-    P with the groups that hold both endpoints of one of its channels then
-    weighs K*D*(l*r(P) - f_h(P)) + |P|, positive iff P is nonempty and
-    l*r(P) >= f_h(P), and one minimum s-t cut finds a heaviest P.  Then
-    channels are fixed in sorted order: one inside the last violating set
-    found joins for free, any other costs one cut that forces it in.
+
+def _heaviest_closure(weight, covers, cost):
+    """Dinic's max-flow (1970) over source -> channel -> group -> sink.
+
+    weight[k] caps channel k's source edge (None: unbounded, the channel
+    is forced), covers[k] lists its groups, each an unbounded edge, and
+    cost maps a group to its sink capacity.  Returns the flow value and
+    the channels the last BFS reaches from the source: the channels of
+    a heaviest closure, weighing sum(weight) - flow (Picard, 1976).
+    """
+    unbounded = sum(cost.values()) + 1  # above every finite cut
+    node = {g: 2 + len(weight) + k for k, g in enumerate(cost)}
+    head = [[] for _ in range(2 + len(weight) + len(cost))]
+    to, cap = [], []
+
+    def edge(u, v, c):  # arc i and its residual twin i ^ 1
+        head[u].append(len(to))
+        head[v].append(len(to) + 1)
+        to.extend((v, u))
+        cap.extend((c, 0))
+
+    for k, (w, groups) in enumerate(zip(weight, covers)):
+        edge(0, 2 + k, unbounded if w is None else w)
+        for g in groups:
+            edge(2 + k, node[g], unbounded)
+    for g, c in cost.items():
+        edge(node[g], 1, c)
+    flow = 0
+    while True:
+        level = [-1] * len(head)
+        level[0], queue = 0, [0]
+        for u in queue:
+            for i in head[u]:
+                if cap[i] and level[to[i]] < 0:
+                    level[to[i]] = level[u] + 1
+                    queue.append(to[i])
+        if level[1] < 0:
+            return flow, [k for k in range(len(weight)) if level[2 + k] >= 0]
+        # Blocking flow: advance along the levels, retreat from dead ends.
+        nxt, path, u = [0] * len(head), [], 0
+        while True:
+            if u == 1:
+                push = min(cap[i] for i in path)
+                for i in path:
+                    cap[i] -= push
+                    cap[i ^ 1] += push
+                flow, path, u = flow + push, [], 0
+            arcs = head[u]
+            while nxt[u] < len(arcs):
+                i = arcs[nxt[u]]
+                if cap[i] and level[to[i]] == level[u] + 1:
+                    path.append(i)
+                    u = to[i]
+                    break
+                nxt[u] += 1
+            else:  # no admissible arc left at u
+                if u == 0:
+                    break
+                u = to[path.pop() ^ 1]
+                nxt[u] += 1
+
+
+def _lex_min_violation(l: int, pairs, covers, sizes, below=None):
+    """The lexicographically smallest channel tuple violating the criterion
+    under one hacked set, or None if there is none below the tuple *below*.
+
+    *pairs* are the unhacked channels with their rates, *covers* maps each
+    to its unhacked groups and *sizes* maps a group to |G|.  Channel e
+    weighs K*D*l*r_e + 1 and each group G costs K*D*|G| (D: lcm of the
+    rate denominators, K = len(pairs) + 1).  A channel set P with the
+    groups that hold both endpoints of one of its channels then weighs
+    K*D*(l*r(P) - f_h(P)) + |P|, positive iff P is nonempty and
+    l*r(P) >= f_h(P), and one max-flow finds a heaviest P.  Then channels
+    are fixed in sorted order: one inside the last violating set found
+    joins for free, any other costs one flow that forces it in.
     """
     scale = (len(pairs) + 1) * math.lcm(*[r.denominator for _, r in pairs])
-    weight = {e: int(scale * ks.l * r) + 1 for e, r in pairs}
-    # Tagged, since a two-node group's tuple is also its channel's name.
-    cost = {("group", nodes): scale * len(idx)
-            for nodes, idx in ks.groups.items() if set(hacked).isdisjoint(nodes)}
-    covers = {e: [g for g in cost if e[0] in g[1] and e[1] in g[1]] for e in weight}
+    weight = {e: int(scale * l * r) + 1 for e, r in pairs}
+    cost = {g: scale * sizes[g] for e in weight for g in covers[e]}
 
     def gain(channels) -> int:
         groups = {g for e in channels for g in covers[e]}
         return sum(map(weight.get, channels)) - sum(map(cost.get, groups))
 
     def heaviest(forced, excluded):
-        graph = nx.DiGraph()
-        graph.add_node("t")
-        for e in weight.keys() - excluded:
-            # A forced channel's source edge has no capacity: infinite.
-            graph.add_edge("s", e, **({} if e in forced else {"capacity": weight[e]}))
-            for g in covers[e]:
-                graph.add_edge(e, g)
-                graph.add_edge(g, "t", capacity=cost[g])
-        total = sum(weight[e] for e in weight.keys() - excluded)
-        cut, (source_side, _) = nx.minimum_cut(graph, "s", "t")
-        return source_side if total > cut else None
+        live = [e for e in weight if e not in excluded]
+        flow, reached = _heaviest_closure(
+            [None if e in forced else weight[e] for e in live],
+            [covers[e] for e in live],
+            {g: cost[g] for e in live for g in covers[e]})
+        total = sum(weight[e] for e in live)
+        return {live[k] for k in reached} if total > flow else None
 
     found = heaviest(set(), set())
     if found is None:
@@ -199,14 +264,16 @@ def _lex_min_violation(ks: KeyStore, pairs, hacked, below=None):
 
 
 def check_exact(ks: KeyStore, profile: RateProfile, t: int) -> SecurityVerdict:
-    """Iff-criterion, decided by one minimum cut per hacked set.
+    """Iff-criterion, decided by one max-flow per hacked set.
 
     Under a hacked set h, f_h(P) = |union of u_ij over P, minus u_h| is a
     weighted coverage function over the groups, so finding a channel set
-    P with l*r(P) >= f_h(P) is a max-weight closure problem (Picard, 1976).
-    Strict inequality at the boundary: privacy amplification is always
-    applied, so a rate sum equal to the bound is already insecure.  The
-    witness is the lexicographically smallest (channels, hacked) pair.
+    P with l*r(P) >= f_h(P) is a max-weight closure problem (Picard, 1976),
+    solved by a built-in exact-integer Dinic max-flow over the channel x
+    group incidence, which is built once per call.  Strict inequality at
+    the boundary: privacy amplification is always applied, so a rate sum
+    equal to the bound is already insecure.  The witness is the
+    lexicographically smallest (channels, hacked) pair.
     """
     if profile.n != ks.n:
         raise ValueError(f"profile is for n={profile.n}, keystore has n={ks.n}")
@@ -214,12 +281,16 @@ def check_exact(ks: KeyStore, profile: RateProfile, t: int) -> SecurityVerdict:
         raise ValueError(f"t={t} must satisfy 0 <= t <= n-2 = {ks.n - 2}")
 
     positive = sorted((p, r) for p, r in profile.rates.items() if r > 0)
+    covering = _covering_groups(ks, [p for p, _ in positive])
+    sizes = {nodes: len(idx) for nodes, idx in ks.groups.items()}
     best = None  # (channels, hacked); hacked sets run in lex order
     for hacked in sorted(_hacked_sets(ks.n, t)):
-        pairs = [(p, r) for p, r in positive if set(p).isdisjoint(hacked)]
+        hset = set(hacked)
+        pairs = [(p, r) for p, r in positive if hset.isdisjoint(p)]
         if not pairs:
             continue
-        channels = _lex_min_violation(ks, pairs, hacked, best and best[0])
+        covers = {e: [g for g in covering[e] if hset.isdisjoint(g)] for e, _ in pairs}
+        channels = _lex_min_violation(ks.l, pairs, covers, sizes, best and best[0])
         if channels is not None:
             best = (channels, hacked)
 
@@ -325,37 +396,40 @@ def check_feasibility(ks: KeyStore, profile: RateProfile, t: int,
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
 
+    # share_G = |G| / |nodes of G|, kept as an integer over one denominator.
+    den = math.lcm(*map(len, ks.groups))
+    scaled = {nodes: len(idx) * (den // len(nodes)) for nodes, idx in ks.groups.items()}
+    share = {nodes: Fraction(s, den) for nodes, s in scaled.items()}
+    boost = (1 + epsilon) * den
+    positive = [(p, r) for p, r in profile.rates.items() if r > 0]
+    covering = _covering_groups(ks, [p for p, _ in positive])
     assignments = []
     for hacked in _hacked_sets(ks.n, t):
         hset = set(hacked)
-        surviving = {nodes: len(idx) for nodes, idx in ks.groups.items()
-                     if not hset.intersection(nodes)}
         values: dict = {}
-        per_group_sum: dict[tuple[int, ...], Fraction] = {}
-        for (i, j), r in profile.rates.items():
-            if r == 0 or i in hset or j in hset:
+        per_group_q: dict[tuple[int, ...], Fraction] = {}
+        for (i, j), r in positive:
+            if i in hset or j in hset:
                 continue
-            shares = {nodes: Fraction(size, len(nodes))
-                      for nodes, size in surviving.items()
-                      if i in nodes and j in nodes}
-            denom = sum(shares.values(), Fraction(0))
-            if denom == 0:
+            groups = [g for g in covering[(i, j)] if hset.isdisjoint(g)]
+            if not groups:
                 return SecurityVerdict(status=Status.UNDECIDED, method="feasibility",
                                        witness=Witness(hacked=hacked,
                                                        channels=((i, j),),
                                                        rate_sum=r, bound=Fraction(0)))
-            for nodes, share in shares.items():
-                x = share / denom * (1 + epsilon) * r
-                values[(nodes, (i, j))] = x
-                per_group_sum[nodes] = per_group_sum.get(nodes, Fraction(0)) + x
-        for nodes, total in per_group_sum.items():
-            cap = Fraction(surviving[nodes], ks.l)
-            if total > cap:
+            q = boost * r / sum(scaled[g] for g in groups)
+            for g in groups:
+                values[(g, (i, j))] = share[g] * q
+                per_group_q[g] = per_group_q[g] + q if g in per_group_q else q
+        for g, q_sum in per_group_q.items():
+            # sum_x > |G|/l  iff  sum_q > |nodes|/l, since x = share_G * q.
+            if q_sum > Fraction(len(g), ks.l):
+                total, cap = share[g] * q_sum, Fraction(len(ks.groups[g]), ks.l)
                 return SecurityVerdict(
                     status=Status.UNDECIDED, method="feasibility",
                     witness=Witness(
                         hacked=hacked,
-                        channels=tuple(sorted(p for g, p in values if g == nodes)),
+                        channels=tuple(sorted(p for h, p in values if h == g)),
                         rate_sum=total, bound=cap,
                     ),
                 )

@@ -1,9 +1,17 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+import netpad
+from netpad.cli import main
 from netpad.gf2 import BitString
 from netpad.multipath import (
     Topology,
@@ -198,3 +206,44 @@ def test_plan_reports_separator_when_infeasible():
     with pytest.raises(ValueError) as err:
         plan(topo, 1, 4, 1, message_bits=4)
     assert "separator" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# cost follows the file, and networkx loads only for multipath
+
+
+def test_graph_holds_only_named_nodes():
+    topo = Topology(10**9, frozenset({(1, 2)}))
+    assert topo.nodes() == [1, 2]
+    assert sorted(topo.graph(7, 1).nodes) == [1, 2, 7]
+    start = time.process_time()
+    res = disjoint_paths(topo, 1, 2, 2)
+    assert time.process_time() - start < 1
+    assert (res.feasible, res.max_count, res.separator) == (False, 1, ())
+
+
+def test_cli_multipath_on_a_huge_header_is_quick(tmp_path):
+    path = tmp_path / "topo.json"
+    path.write_text('{"n": 1000000000, "edges": [[1, 2]]}')
+    start = time.process_time()
+    result = CliRunner().invoke(main, ["multipath", "--topology", str(path),
+                                       "--s", "1", "--dst", "2", "--t", "1"])
+    assert time.process_time() - start < 1
+    assert result.exit_code == 1, result.output
+    assert "only 1 node-disjoint paths" in result.output
+
+
+def test_cli_import_leaves_networkx_unloaded(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(netpad.__file__).parents[1])}
+    probe = "import sys, netpad.cli; print('networkx' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+    path = tmp_path / "topo.json"
+    path.write_text(Topology(4, frozenset({(1, 2), (2, 4), (1, 3), (3, 4)})).to_json())
+    run = subprocess.run([sys.executable, "-m", "netpad.cli", "multipath", "--topology",
+                          str(path), "--s", "1", "--dst", "4", "--t", "1"],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["paths"] == [[1, 2, 4], [1, 3, 4]]

@@ -16,6 +16,7 @@ from netpad.secure_check import (
     lex_prefix_pairs,
     r_secrecy_w,
     r_secrecy_w_closed,
+    _heaviest_closure,
 )
 
 from helpers import achievable_oracle, pair_index_sets, union_size_oracle
@@ -194,6 +195,35 @@ def test_exact_beyond_enumeration_reach():
     assert w.rate_sum == Fraction(len(w.channels), 10)
     assert w.bound == Fraction(union_size_oracle(ks, w.channels, w.hacked), ks.l)
     assert w.rate_sum >= w.bound
+
+
+def test_heaviest_closure_matches_brute_force():
+    """Each channel subset P (forced channels in, excluded ones out) weighs
+    its channel weights minus the cost of every group one of them covers;
+    the flow must give the heaviest weight and reach a set that has it."""
+    rng = np.random.default_rng(808)
+    for _ in range(300):
+        channels, groups = int(rng.integers(1, 11)), int(rng.integers(0, 8))
+        weight = [int(w) for w in rng.integers(0, 30, channels)]
+        cost = {g: int(c) for g, c in enumerate(rng.integers(0, 40, groups))}
+        covers = [[g for g in cost if rng.random() < 0.4] for _ in range(channels)]
+        role = rng.choice(["free", "forced", "excluded"], channels, p=[0.6, 0.2, 0.2])
+        live = [k for k in range(channels) if role[k] != "excluded"]
+        forced = {k for k in live if role[k] == "forced"}
+
+        def value(subset):
+            covered = {g for k in subset for g in covers[k]}
+            return sum(weight[k] for k in subset) - sum(cost[g] for g in covered)
+
+        best = max(value({*forced, *extra})
+                   for size in range(len(live) + 1)
+                   for extra in itertools.combinations(sorted(set(live) - forced), size))
+        flow, reached = _heaviest_closure(
+            [None if k in forced else weight[k] for k in live],
+            [covers[k] for k in live], cost)
+        closure = {live[k] for k in reached}
+        assert sum(weight[k] for k in live) - flow == best
+        assert forced <= closure and value(closure) == best
 
 
 # ---------------------------------------------------------------------------
