@@ -2,7 +2,9 @@
 random matrix generation.
 
 Bits are addressed logically (bit 0 = first column); the packed uint64
-word layout is an implementation detail.  All values are immutable after
+word layout is an implementation detail.  Rank and left nullspace share
+one XOR-basis elimination over Python-int rows (`_eliminate`), with a
+tracking bit per row for the nullspace.  All values are immutable after
 construction and safe to share across threads.
 """
 
@@ -198,6 +200,8 @@ class BitMatrix:
         return BitString(_unpack_bits(self._words[i], self.n_cols))
 
     def get(self, i: int, j: int) -> int:
+        if not (0 <= i < self.n_rows and 0 <= j < self.n_cols):
+            raise IndexError(f"entry ({i}, {j}) outside a {self.n_rows}x{self.n_cols} matrix")
         w, b = divmod(j, _WORD)
         return int((self._words[i, w] >> np.uint64(b)) & np.uint64(1))
 
@@ -224,8 +228,8 @@ class BitMatrix:
     # -- linear algebra -------------------------------------------------
 
     def rank(self) -> int:
-        """GF(2) row rank via elimination on a private copy."""
-        return _eliminate(self._words.copy(), self.n_cols)
+        """GF(2) row rank of the first *n_cols* columns."""
+        return self.n_rows - len(_eliminate(self._words, self.n_cols))
 
     def mul(self, v: BitString) -> BitString:
         """Matrix-vector product over GF(2)."""
@@ -241,42 +245,37 @@ class BitMatrix:
 
     def left_nullspace_masks(self) -> list[int]:
         """Basis of {c : c.M = 0}, each vector as a row-index bitmask."""
-        n_words = self._words.shape[1]
-        words = np.concatenate(
-            [self._words, BitMatrix.identity(max(self.n_rows, 1))._words[: self.n_rows]],
-            axis=1,
-        )
-        r = _eliminate(words, self.n_cols)
-        masks = []
-        track_words = words[:, n_words:]
-        for i in range(r, self.n_rows):
-            mask = 0
-            for w in range(track_words.shape[1]):
-                mask |= int(track_words[i, w]) << (w * _WORD)
-            masks.append(mask)
-        return masks
+        return _eliminate(self._words, self.n_cols, track=True)
 
 
-def _eliminate(words: np.ndarray, n_cols: int) -> int:
-    """Row-reduce packed rows in place on their first *n_cols* columns
-    and return the rank; rows from the rank on are zero in those columns."""
+def _eliminate(words: np.ndarray, n_cols: int, track: bool = False) -> list[int]:
+    """Insert the rows in order into an XOR basis on their first *n_cols*
+    columns; return what is left of each row that depends on earlier ones.
+
+    Each row is one Python int, masked once; the basis is a list indexed
+    by leading column (``bit_length``), and a row is XORed with the basis
+    row there until that slot is free or its columns are zero.  With
+    *track*, columns shift left by n_rows and row i carries the tracking
+    bit 1 << i, so a dependent row is left as a mask of rows XORing to 0.
+    """
     n_rows = words.shape[0]
-    r = 0
-    for col in range(n_cols):
-        if r == n_rows:
-            break
-        w, b = divmod(col, _WORD)
-        hits = np.nonzero(words[r:, w] & np.uint64(1 << b))[0]
-        if hits.size == 0:
-            continue
-        pivot = r + int(hits[0])
-        if pivot != r:
-            words[[r, pivot]] = words[[pivot, r]]
-        rest = hits[1:] + r
-        if rest.size:
-            words[rest] ^= words[r]
-        r += 1
-    return r
+    keep = (1 << n_cols) - 1
+    shift = n_rows if track else 0
+    basis = [0] * (n_cols + shift + 1)
+    dependent = []
+    for i, packed in enumerate(np.ascontiguousarray(words).view(np.uint8)):
+        row = (int.from_bytes(packed, "little") & keep) << shift | int(track) << i
+        lead = row.bit_length()
+        while lead > shift:
+            pivot = basis[lead]
+            if not pivot:
+                basis[lead] = row
+                break
+            row ^= pivot
+            lead = row.bit_length()
+        else:
+            dependent.append(row)
+    return dependent
 
 
 def random_bernoulli_matrix(

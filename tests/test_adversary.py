@@ -20,7 +20,7 @@ from netpad.predistribution import SchemeSpec, generate
 from netpad.rates import NetworkParams, capacity
 from netpad.secure_check import RateProfile
 
-from helpers import holders_by_index
+from helpers import holders_by_index, py_rank
 
 
 def make_transcript(ks, channels, m_bits, d, hacked=(), seed=0):
@@ -64,6 +64,24 @@ def test_oversized_message_breaks_rank():
     survivors = len(ks.unhacked_common_indices([(1, 2)], (4,)))
     tr = make_transcript(ks, [(1, 2)], m_bits=survivors + 1, d=2, hacked=(4,))
     assert not build_security_matrix(ks, tr).full_rank
+
+
+def test_security_matrix_rank_matches_the_elimination_oracle():
+    # comb:a=3 n=5 with node 5 hacked leaves 4 groups of 50 unhacked bits:
+    # 200 columns (not a multiple of 64) and 150 rows over 5 channels.
+    ks = generate(SchemeSpec.parse("comb:a=3"), 5, 300, seed=11)
+    tr = make_transcript(ks, [(1, 2), (1, 3), (2, 4), (3, 4), (1, 4)], m_bits=30,
+                         d=16, hacked=(5,), seed=3)
+    w = build_security_matrix(ks, tr)
+    assert w.a_matrix.shape == (150, 200)
+    assert w.rank == py_rank(w.a_matrix.to_dense())
+    assert w.full_rank == (w.rank == 150)
+
+    repeated = Transcript(tr.ciphertexts + tr.ciphertexts[2:3], hacked=(5,), d=16)
+    w = build_security_matrix(ks, repeated)
+    assert w.a_matrix.shape == (180, 200)
+    assert not w.full_rank
+    assert w.rank == py_rank(w.a_matrix.to_dense()) <= 150
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,14 @@ def test_from_dense_to_dense_roundtrip():
     assert m.get(2, 129) == dense[2, 129]
 
 
+def test_get_rejects_entries_outside_the_matrix():
+    m = BitMatrix.from_dense(np.ones((2, 5), dtype=np.uint8))
+    assert m.get(1, 4) == 1
+    for i, j in [(0, 5), (0, -1), (2, 0), (-1, 0), (0, 64)]:
+        with pytest.raises(IndexError):
+            m.get(i, j)
+
+
 def test_identity_and_vstack():
     eye = BitMatrix.identity(5)
     assert eye.rank() == 5
@@ -133,6 +141,63 @@ def test_rank_invariant_under_elementary_ops():
     added = dense.copy()
     added[3] ^= dense[7]
     assert BitMatrix.from_dense(added).rank() == base
+
+
+def test_rank_ignores_bits_past_the_last_column():
+    rng = np.random.default_rng(13)
+    for rows, cols in [(40, 70), (90, 100), (10, 5), (70, 130)]:
+        dense = (rng.random((rows, cols)) < 0.3).astype(np.uint8)
+        dense[1] = dense[0]
+        clean = BitMatrix.from_dense(dense)
+        noise = np.zeros_like(clean._words)
+        noise[:, -1] = rng.integers(0, 2**63, size=rows, dtype=np.uint64) << np.uint64(1)
+        noise[:, -1] &= ~np.uint64((1 << cols % 64) - 1)
+        assert noise.any()
+        padded = BitMatrix(rows, cols, clean._words | noise)
+        assert padded.rank() == clean.rank() == py_rank(dense)
+        assert padded.left_nullspace_masks() == clean.left_nullspace_masks()
+
+
+# ---------------------------------------------------------------------------
+# left nullspace against the elimination oracle
+
+
+def check_left_nullspace(dense) -> None:
+    """The masks are nonzero, independent, as many as n_rows - rank, and
+    each selects rows that XOR to zero."""
+    n_rows = dense.shape[0]
+    masks = BitMatrix.from_dense(dense).left_nullspace_masks()
+    assert len(masks) == n_rows - py_rank(dense)
+    for mask in masks:
+        assert 0 < mask < 1 << n_rows
+        chosen = [i for i in range(n_rows) if mask >> i & 1]
+        assert not np.bitwise_xor.reduce(dense[chosen], axis=0).any()
+    as_rows = [[mask >> i & 1 for i in range(n_rows)] for mask in masks]
+    assert py_rank(as_rows) == len(masks)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_left_nullspace_masks_random(seed):
+    rng = np.random.default_rng(seed)
+    rows, cols = int(rng.integers(1, 80)), int(rng.integers(1, 150))
+    check_left_nullspace((rng.random((rows, cols)) < rng.uniform(0.05, 0.7)).astype(np.uint8))
+
+
+def test_left_nullspace_masks_of_dependent_rows():
+    rng = np.random.default_rng(4)
+    dense = rng.integers(0, 2, size=(12, 70), dtype=np.uint8)
+    dense[2] = 0
+    dense[5] = dense[9]
+    dense[11] = dense[0] ^ dense[7]
+    check_left_nullspace(dense)
+    assert len(BitMatrix.from_dense(dense).left_nullspace_masks()) == 3
+
+
+def test_left_nullspace_masks_edge_shapes():
+    assert BitMatrix.zeros(0, 10).left_nullspace_masks() == []
+    assert BitMatrix.zeros(4, 0).left_nullspace_masks() == [1, 2, 4, 8]
+    assert BitMatrix.zeros(4, 0).rank() == 0
+    check_left_nullspace(np.zeros((3, 0), dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------
