@@ -20,6 +20,7 @@ from .amplify import DEFAULT_WEIGHT, CipherText, sampling_matrix, seed_to_int
 from .gf2 import BitMatrix
 from .permutation import _seed_int
 from .predistribution import KeyStore, SchemeSpec, generate
+from .rates import NetworkParams
 from .secure_check import RateProfile, Status, check_exact
 
 MI_ORACLE_MAX_POOL = 20
@@ -250,8 +251,10 @@ def full_rank_experiment(spec: SchemeSpec, n: int, t: int, profile: RateProfile,
                          l: int, d: int, trials: int, seed) -> ExperimentResult:
     """Empirical probability of a full-rank secrecy witness for fresh
     keystores and fresh sampling, with the last t nodes hacked."""
+    hacked = NetworkParams(n, t).last_t_nodes
+    if trials < 1:
+        raise ValueError("need at least one trial")
     seed = _seed_int(seed)
-    hacked = tuple(range(n - t + 1, n + 1))
     successes = 0
     for trial in range(trials):
         ks = generate(spec, n, l, [seed, trial])
@@ -292,8 +295,10 @@ def cross_independence_experiment(spec: SchemeSpec, n: int, t: int,
                                   seed, d: int = DEFAULT_WEIGHT) -> list[ExperimentResult]:
     """Empirical probability that the per-channel key blocks are linearly
     cross-independent, swept over pool budgets l."""
+    hacked = NetworkParams(n, t).last_t_nodes
+    if trials < 1:
+        raise ValueError("need at least one trial")
     seed = _seed_int(seed)
-    hacked = tuple(range(n - t + 1, n + 1))
     results = []
     for l in l_values:
         ks0 = generate(spec, n, l, [seed, l, 0])

@@ -207,7 +207,7 @@ def simulate(store, scheme_text, n, l, t, profile_text, d, seed):
     seed = _resolve_seed(seed)
     ks = _load_or_generate(store, scheme_text, n, l, seed)
     profile = _parse_profile(profile_text, ks.n)
-    hacked = tuple(range(ks.n - t + 1, ks.n + 1))
+    hacked = rates.NetworkParams(ks.n, t).last_t_nodes
     cts = []
     rng = np.random.default_rng([seed, 1])
     for (i, j), r in sorted(profile.rates.items()):

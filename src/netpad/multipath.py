@@ -1,6 +1,8 @@
 """Fallback delivery over a restricted physical graph: t+1 node-disjoint
 paths plus an additive (t+1)-packet secret-sharing code, for channels
-whose end-to-end rates are at their limit.
+whose end-to-end rates are at their limit.  The paths, or a Menger
+separator when there are too few, come from one run of the package's
+max-flow routine (`maxflow.max_flow`) on a node-split graph.
 """
 
 from __future__ import annotations
@@ -8,15 +10,12 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .gf2 import BitString
+from .maxflow import max_flow
 from .permutation import _seed_int
-
-if TYPE_CHECKING:  # imported on first use: only this module needs networkx
-    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -58,14 +57,6 @@ class Topology:
         over these costs what the file holds, not what its n says."""
         return sorted({*terminals, *itertools.chain(*self.edges)})
 
-    def graph(self, *terminals: int) -> nx.Graph:
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_nodes_from(self.nodes(*terminals))
-        g.add_edges_from(sorted(self.edges))
-        return g
-
 
 @dataclass(frozen=True)
 class PathSearchResult:
@@ -75,25 +66,16 @@ class PathSearchResult:
     separator: tuple[int, ...]  # a Menger certificate when infeasible
 
 
-def _split_digraph(topo: Topology, s: int, dst: int) -> nx.DiGraph:
-    # Unit node capacities via node splitting; endpoints unbounded.
-    import networkx as nx
-
-    g = nx.DiGraph()
-    big = topo.n + 1
-    for v in topo.nodes(s, dst):
-        g.add_edge(("in", v), ("out", v), capacity=big if v in (s, dst) else 1)
-    for u, v in sorted(topo.edges):
-        g.add_edge(("out", u), ("in", v), capacity=1)
-        g.add_edge(("out", v), ("in", u), capacity=1)
-    return g
-
-
 def disjoint_paths(topo: Topology, s: int, dst: int, count: int) -> PathSearchResult:
-    """Find *count* internally-node-disjoint s-dst paths by unit-capacity
-    max-flow, or report the best achievable count with a separating node
-    set as witness.  The returned path list is sorted, so the selection
-    is deterministic for a fixed topology."""
+    """Find *count* internally-node-disjoint s-dst paths, or report the
+    best achievable count with a minimum separating node set as witness.
+
+    One `maxflow.max_flow` runs on the named nodes, each but s and dst
+    split into in_v -> out_v of capacity 1, with an arc out_u -> in_v per
+    edge direction except the direct s-dst edge, a path of its own.  Edge
+    arcs hold more than any node cut, so the nodes split by the minimum
+    cut closest to s are a minimum separator (Menger).  The paths are
+    sorted, so the selection is deterministic for a fixed topology."""
     if s == dst:
         raise ValueError("source and destination must differ")
     for v in (s, dst):
@@ -102,53 +84,43 @@ def disjoint_paths(topo: Topology, s: int, dst: int, count: int) -> PathSearchRe
     if count < 1:
         raise ValueError("need a positive path count")
 
-    import networkx as nx
+    nodes = topo.nodes(s, dst)
+    index = {v: k for k, v in enumerate(nodes)}  # in_v = 2k, out_v = 2k + 1
+    direct = (min(s, dst), max(s, dst))
+    hops = [(u, v) for e in sorted(topo.edges - {direct}) for u, v in (e, e[::-1])]
+    arcs = [(2 * index[u] + 1, 2 * index[v], len(nodes)) for u, v in hops]
+    arcs += [(2 * k, 2 * k + 1, 1) for k, v in enumerate(nodes) if v not in (s, dst)]
+    value, flow, reached = max_flow(2 * len(nodes), arcs, 2 * index[s] + 1,
+                                    2 * index[dst])
 
-    g = _split_digraph(topo, s, dst)
-    flow_value, flow = nx.maximum_flow(g, ("in", s), ("out", dst))
-
-    paths = []
-    # Walk flow units out of s; each saturated out-edge starts one path.
-    # The max-flow may contain circulation cycles, so erase any loops the
-    # walk picks up (the excised flow is cycle flow, not path flow).
-    succ = {u: {v: f for v, f in d.items() if f > 0} for u, d in flow.items()}
-    for _ in range(flow_value):
-        path = [s]
-        node = ("out", s)
-        while node != ("out", dst):
-            nxt = min(v for v, f in succ[node].items() if f > 0)
-            succ[node][nxt] -= 1
-            node = nxt
-            if node[0] == "out":
-                v = node[1]
-                if v in path:
-                    del path[path.index(v) + 1:]
-                else:
-                    path.append(v)
+    # Walk flow units out of s, to the smallest next node first.  The flow
+    # may contain circulation cycles, so erase any loops the walk picks up
+    # (the excised flow is cycle flow, not path flow).
+    succ = {v: {} for v in nodes}
+    for (u, v), f in zip(hops, flow):
+        if f:
+            succ[u][v] = f
+    paths = [(s, dst)] if direct in topo.edges else []
+    for _ in range(value):
+        path, u = [s], s
+        while u != dst:
+            v = min(w for w, f in succ[u].items() if f > 0)
+            succ[u][v] -= 1
+            u = v
+            if u in path:
+                del path[path.index(u) + 1:]
+            else:
+                path.append(u)
         paths.append(tuple(path))
     paths.sort()
 
-    if flow_value >= count:
+    if len(paths) >= count:
         return PathSearchResult(feasible=True, paths=tuple(paths[:count]),
-                                max_count=flow_value, separator=())
-    if (min(s, dst), max(s, dst)) in topo.edges:
-        # Menger needs non-adjacent terminals; certify on the graph minus
-        # the direct edge (which always carries one disjoint path).
-        reduced = topo.graph(s, dst)
-        reduced.remove_edge(s, dst)
-        if nx.has_path(reduced, s, dst):
-            cut = nx.minimum_node_cut(reduced, s, dst)
-        else:
-            cut = set()
-        separator = tuple(sorted(cut))
-    else:
-        graph = topo.graph(s, dst)
-        if nx.has_path(graph, s, dst):
-            separator = tuple(sorted(nx.minimum_node_cut(graph, s, dst)))
-        else:
-            separator = ()
+                                max_count=len(paths), separator=())
+    separator = tuple(v for k, v in enumerate(nodes)
+                      if reached[2 * k] and not reached[2 * k + 1])
     return PathSearchResult(feasible=False, paths=tuple(paths),
-                            max_count=flow_value, separator=separator)
+                            max_count=len(paths), separator=separator)
 
 
 @dataclass(frozen=True)
@@ -210,6 +182,8 @@ def plan(topo: Topology, s: int, dst: int, t: int, message_bits: int,
     paths; every hop is itself a one-time-pad channel, so each hop costs
     the full share length.  Channels already at their rate limit can be
     excluded up front."""
+    if message_bits < 1:
+        raise ValueError(f"message_bits={message_bits} must be positive")
     blocked = {tuple(sorted(c)) for c in blocked_channels}
     usable = Topology(topo.n, frozenset(e for e in topo.edges if e not in blocked))
     found = disjoint_paths(usable, s, dst, t + 1)

@@ -26,6 +26,11 @@ class NetworkParams:
                 f"hacked-node bound t={self.t} must satisfy 0 <= t <= n-2 = {self.n - 2}"
             )
 
+    @property
+    def last_t_nodes(self) -> tuple[int, ...]:
+        """Nodes n-t+1..n: the hacked set of `simulate` and the experiments."""
+        return tuple(range(self.n - self.t + 1, self.n + 1))
+
 
 @dataclass(frozen=True)
 class MaxRates:

@@ -1,9 +1,9 @@
 """Achievability checkers for a set of channel rates.
 
 Three routes:
-  * check_exact      — iff-criterion, one max-flow per hacked set:
-                       every channel subset with positive rate sum must
-                       stay strictly below its shared unhacked-bit rate.
+  * check_exact      — iff-criterion, one `maxflow.max_flow` per hacked
+                       set: every channel subset with positive rate sum
+                       must stay strictly below its shared unhacked-bit rate.
   * check_relaxed    — per-subset-size criterion with closed forms for
                        symmetric schemes; a pass is sufficient, a fail is
                        advisory only.
@@ -24,8 +24,9 @@ from enum import Enum
 from fractions import Fraction
 from math import comb
 
+from .maxflow import max_flow
 from .predistribution import KeyStore, SchemeSpec, parse_fraction
-from .rates import alpha
+from .rates import NetworkParams, alpha
 
 DEFAULT_EPSILON = Fraction(1, 2**20)
 
@@ -153,64 +154,23 @@ def _covering_groups(ks: KeyStore, channels) -> dict:
 
 
 def _heaviest_closure(weight, covers, cost):
-    """Dinic's max-flow (1970) over source -> channel -> group -> sink.
+    """Max-flow over source -> channel -> group -> sink.
 
-    weight[k] caps channel k's source edge (None: unbounded, the channel
-    is forced), covers[k] lists its groups, each an unbounded edge, and
+    weight[k] caps channel k's source arc (None: unbounded, the channel
+    is forced), covers[k] lists its groups, each an unbounded arc, and
     cost maps a group to its sink capacity.  Returns the flow value and
     the channels the last BFS reaches from the source: the channels of
     a heaviest closure, weighing sum(weight) - flow (Picard, 1976).
     """
     unbounded = sum(cost.values()) + 1  # above every finite cut
     node = {g: 2 + len(weight) + k for k, g in enumerate(cost)}
-    head = [[] for _ in range(2 + len(weight) + len(cost))]
-    to, cap = [], []
-
-    def edge(u, v, c):  # arc i and its residual twin i ^ 1
-        head[u].append(len(to))
-        head[v].append(len(to) + 1)
-        to.extend((v, u))
-        cap.extend((c, 0))
-
+    arcs = []
     for k, (w, groups) in enumerate(zip(weight, covers)):
-        edge(0, 2 + k, unbounded if w is None else w)
-        for g in groups:
-            edge(2 + k, node[g], unbounded)
-    for g, c in cost.items():
-        edge(node[g], 1, c)
-    flow = 0
-    while True:
-        level = [-1] * len(head)
-        level[0], queue = 0, [0]
-        for u in queue:
-            for i in head[u]:
-                if cap[i] and level[to[i]] < 0:
-                    level[to[i]] = level[u] + 1
-                    queue.append(to[i])
-        if level[1] < 0:
-            return flow, [k for k in range(len(weight)) if level[2 + k] >= 0]
-        # Blocking flow: advance along the levels, retreat from dead ends.
-        nxt, path, u = [0] * len(head), [], 0
-        while True:
-            if u == 1:
-                push = min(cap[i] for i in path)
-                for i in path:
-                    cap[i] -= push
-                    cap[i ^ 1] += push
-                flow, path, u = flow + push, [], 0
-            arcs = head[u]
-            while nxt[u] < len(arcs):
-                i = arcs[nxt[u]]
-                if cap[i] and level[to[i]] == level[u] + 1:
-                    path.append(i)
-                    u = to[i]
-                    break
-                nxt[u] += 1
-            else:  # no admissible arc left at u
-                if u == 0:
-                    break
-                u = to[path.pop() ^ 1]
-                nxt[u] += 1
+        arcs.append((0, 2 + k, unbounded if w is None else w))
+        arcs.extend((2 + k, node[g], unbounded) for g in groups)
+    arcs.extend((node[g], 1, c) for g, c in cost.items())
+    flow, _, reached = max_flow(2 + len(weight) + len(cost), arcs, 0, 1)
+    return flow, [k for k in range(len(weight)) if reached[2 + k]]
 
 
 def _lex_min_violation(l: int, pairs, covers, sizes, below=None):
@@ -269,16 +229,15 @@ def check_exact(ks: KeyStore, profile: RateProfile, t: int) -> SecurityVerdict:
     Under a hacked set h, f_h(P) = |union of u_ij over P, minus u_h| is a
     weighted coverage function over the groups, so finding a channel set
     P with l*r(P) >= f_h(P) is a max-weight closure problem (Picard, 1976),
-    solved by a built-in exact-integer Dinic max-flow over the channel x
-    group incidence, which is built once per call.  Strict inequality at
-    the boundary: privacy amplification is always applied, so a rate sum
-    equal to the bound is already insecure.  The witness is the
-    lexicographically smallest (channels, hacked) pair.
+    solved by `maxflow.max_flow` over the channel x group incidence, which
+    is built once per call.  Strict inequality at the boundary: privacy
+    amplification is always applied, so a rate sum equal to the bound is
+    already insecure.  The witness is the lexicographically smallest
+    (channels, hacked) pair.
     """
     if profile.n != ks.n:
         raise ValueError(f"profile is for n={profile.n}, keystore has n={ks.n}")
-    if not 0 <= t <= ks.n - 2:
-        raise ValueError(f"t={t} must satisfy 0 <= t <= n-2 = {ks.n - 2}")
+    NetworkParams(ks.n, t)
 
     positive = sorted((p, r) for p, r in profile.rates.items() if r > 0)
     covering = _covering_groups(ks, [p for p, _ in positive])
@@ -321,9 +280,8 @@ def r_secrecy_w(ks: KeyStore, t: int, w: int) -> Fraction:
     realized on the keystore via the lexicographic-prefix argument."""
     if not ks.scheme.is_symmetric():
         raise ValueError("r_secrecy_w needs a symmetric scheme")
-    ns = ks.n - t
-    prefix = lex_prefix_pairs(ns, w)
-    hacked = tuple(range(ns + 1, ks.n + 1))
+    hacked = NetworkParams(ks.n, t).last_t_nodes
+    prefix = lex_prefix_pairs(ks.n - t, w)
     return Fraction(ks.unhacked_union_size(prefix, hacked), ks.l)
 
 
@@ -356,6 +314,7 @@ def check_relaxed(spec: SchemeSpec, n: int, t: int,
     must sum below the minimum shared rate over all size-w subsets."""
     if profile.n != n:
         raise ValueError(f"profile is for n={profile.n}, expected {n}")
+    NetworkParams(n, t)
     spec.validate(n)
     if not spec.is_symmetric():
         raise ValueError("check_relaxed needs a symmetric scheme spec")
@@ -390,6 +349,7 @@ def check_feasibility(ks: KeyStore, profile: RateProfile, t: int,
     """
     if profile.n != ks.n:
         raise ValueError(f"profile is for n={profile.n}, keystore has n={ks.n}")
+    NetworkParams(ks.n, t)
     if not ks.groups:
         raise ValueError("feasibility check needs a group-structured keystore")
     epsilon = Fraction(epsilon)

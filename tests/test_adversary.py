@@ -246,6 +246,15 @@ def test_full_rank_experiment_small():
     assert res.ci_low > 0.7
 
 
+@pytest.mark.parametrize("t,trials", [(-1, 5), (3, 5), (1, 0)])
+def test_experiments_reject_bad_t_and_trials(t, trials):
+    spec, profile = SchemeSpec.parse("comb:a=3"), RateProfile.uniform(4, Fraction(1, 18))
+    with pytest.raises(ValueError):
+        full_rank_experiment(spec, 4, t, profile, l=120, d=8, trials=trials, seed=0)
+    with pytest.raises(ValueError):
+        cross_independence_experiment(spec, 4, t, profile, [120], trials, seed=0, d=8)
+
+
 def test_cross_independence_experiment_guards_the_region():
     with pytest.raises(ValueError):
         cross_independence_experiment(

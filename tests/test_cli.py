@@ -236,6 +236,7 @@ STORE = "check --store {full_npks} --t 1 --profile"
 ENCRYPT = "encrypt --keystore {n1_npks} --peer 2 --in {msg_bin} --seed 5 --out"
 DECRYPT = "decrypt --keystore {n2_npks} --in {msg_npct} --out"
 MULTIPATH = "multipath --topology {topo_json} --s 1 --dst 5"
+CHECK_T = "check --scheme comb:a=3 --n 4 --l 1260 --seed 1 --t"
 SIMULATE = "simulate --scheme comb:a=3 --n 4 --l 120 --t 1 --d 8 --seed 2 --profile"
 
 
@@ -290,6 +291,15 @@ SIMULATE = "simulate --scheme comb:a=3 --n 4 --l 120 --t 1 --d 8 --seed 2 --prof
     (f"{ENCRYPT} {{no_dir}}", 3),
     (f"{DECRYPT} {{no_dir}}", 3),
     ("experiment lemma-rank --r 20 --trials 1 --out {no_dir}", 3),
+    # Out-of-range values that would make a verdict vacuous or nonsensical.
+    (f"{CHECK_T} -1 --profile uniform:1 --method feasibility", 3),  # no hacked set
+    (f"{CHECK_T} 3 --profile uniform:1 --method relaxed", 3),  # no unhacked channel
+    (f"{CHECK_T} 3 --profile uniform:1 --method feasibility", 3),
+    ("simulate --scheme comb:a=3 --n 4 --l 120 --t -1 --d 8 --seed 2 "
+     "--profile uniform:1/18", 3),
+    ("experiment full-rank --trials 0", 3),
+    ("experiment cross-independence --trials 0", 3),
+    (f"{MULTIPATH} --t 1 --message-bits -8", 3),
 ])
 def test_exit_codes(command, code, files):
     """0, 1 and 2 only as a command's verdict; every other failure exits

@@ -31,6 +31,19 @@ def random_topology(rng, n):
     return Topology(n, edges)
 
 
+def reachable(edges, removed, s, dst):
+    seen, stack = {s}, [s]
+    while stack:
+        u = stack.pop()
+        for edge in edges:
+            if u in edge and not removed.intersection(edge):
+                v = edge[0] + edge[1] - u
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+    return dst in seen
+
+
 # ---------------------------------------------------------------------------
 # topology
 
@@ -109,11 +122,17 @@ def test_max_count_matches_menger_oracle(seed):
         nodes = rng.choice(np.arange(1, n + 1), size=2, replace=False)
         s, dst = int(nodes[0]), int(nodes[1])
         res = disjoint_paths(topo, s, dst, n)
+        assert not res.feasible  # n paths never fit in n nodes
         assert res.max_count == menger_max_paths(topo, s, dst)
         assert paths_are_disjoint(res.paths, s, dst)
         for path in res.paths:
             for u, v in zip(path, path[1:]):
                 assert (min(u, v), max(u, v)) in topo.edges
+        # The separator is a Menger certificate: without its nodes and the
+        # direct edge dst is unreachable, and it has one node per path.
+        direct = (min(s, dst), max(s, dst))
+        assert not reachable(topo.edges - {direct}, set(res.separator), s, dst)
+        assert len(res.separator) == res.max_count - (direct in topo.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -209,13 +228,13 @@ def test_plan_reports_separator_when_infeasible():
 
 
 # ---------------------------------------------------------------------------
-# cost follows the file, and networkx loads only for multipath
+# cost follows the file, and multipath needs no graph library
 
 
 def test_graph_holds_only_named_nodes():
     topo = Topology(10**9, frozenset({(1, 2)}))
     assert topo.nodes() == [1, 2]
-    assert sorted(topo.graph(7, 1).nodes) == [1, 2, 7]
+    assert topo.nodes(7, 1) == [1, 2, 7]
     start = time.process_time()
     res = disjoint_paths(topo, 1, 2, 2)
     assert time.process_time() - start < 1
@@ -233,16 +252,13 @@ def test_cli_multipath_on_a_huge_header_is_quick(tmp_path):
     assert "only 1 node-disjoint paths" in result.output
 
 
-def test_cli_import_leaves_networkx_unloaded(tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(Path(netpad.__file__).parents[1])}
-    probe = "import sys, netpad.cli; print('networkx' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
-
+def test_cli_multipath_runs_with_networkx_blocked(tmp_path):
     path = tmp_path / "topo.json"
     path.write_text(Topology(4, frozenset({(1, 2), (2, 4), (1, 3), (3, 4)})).to_json())
-    run = subprocess.run([sys.executable, "-m", "netpad.cli", "multipath", "--topology",
+    env = {**os.environ, "PYTHONPATH": str(Path(netpad.__file__).parents[1])}
+    probe = ("import runpy, sys; sys.modules['networkx'] = None; "
+             "runpy.run_module('netpad.cli', run_name='__main__')")
+    run = subprocess.run([sys.executable, "-c", probe, "multipath", "--topology",
                           str(path), "--s", "1", "--dst", "4", "--t", "1"],
                          env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr

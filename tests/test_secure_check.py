@@ -49,6 +49,21 @@ def test_profile_validation():
         RateProfile(4, {(1, 2): Fraction(3, 2)})
 
 
+@pytest.mark.parametrize("t", [-1, 3])
+def test_every_checker_rejects_t_outside_0_to_n_minus_2(four_node, t):
+    # t = -1 leaves no hacked set to check and t = n-1 no unhacked
+    # channel, so a pass would certify nothing.
+    profile = RateProfile.uniform(4, 1)
+    with pytest.raises(ValueError, match="0 <= t <= n-2"):
+        check_exact(four_node, profile, t)
+    with pytest.raises(ValueError, match="0 <= t <= n-2"):
+        check_feasibility(four_node, profile, t)
+    with pytest.raises(ValueError, match="0 <= t <= n-2"):
+        check_relaxed(four_node.scheme, 4, t, profile)
+    with pytest.raises(ValueError, match="0 <= t <= n-2"):
+        r_secrecy_w(four_node, t, 1)
+
+
 def test_profile_json_roundtrip():
     p = RateProfile(5, {(1, 2): Fraction(1, 3), (4, 5): Fraction(2, 7)})
     q = RateProfile.from_json(p.to_json())
