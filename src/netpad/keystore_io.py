@@ -1,32 +1,42 @@
 """Binary keystore persistence.
 
-Layout (little-endian):
+Layout (little-endian), NPKS version 2:
   magic "NPKS", version u16, flags u8 (0 = full store, 1 = node view)
   [node id u32 when flags = 1]
   header: n u32, l u64, u u64, scheme canonical text (u16 len + utf8),
           seed u64 (0 in a node view), RNG algorithm id (u16 len + utf8)
   group table: count u32; per group: node-set length u16, node ids u32,
-          bit count u64, pool-index list as delta-encoded varints
+          bit count u64; then every group's pool indices (ascending within
+          a group, groups in record order) as one u32 table
   full store: pool bits packed little-endian within bytes
-  node view: held-bit table (count u64; per bit in ascending pool-index
-          order: pool index varint, storage location varint), then the
-          held bit values packed little-endian in the same order
+  node view: the storage slot (u32) of each held bit in ascending
+          pool-index order, then the held bit values packed the same way
+  seal: 32-byte blake2b digest of everything before it
 
-A full store records no storage locations: they follow from the scheme
-(``KeyStore.locations``).  The loaders raise ValueError (CLI exit 3) on
+A view's held pool indices are not stored: they are the sorted union of
+its groups.  A full store records no storage locations: they follow from
+the scheme (``KeyStore.locations``).  The writers refuse u > 2^32 and
+l >= 2^32, which the u32 tables cannot hold.
+
+The loaders read the magic and version first, so that a file of another
+version (1 had variable-length tables and no seal) is named as such,
+then check the seal before any other field.  The digest detects
+corruption and truncation; it is not a MAC, since anyone who can write
+the file can re-seal it.  Then they raise ValueError (CLI exit 3) on
 group node ids not strictly ascending in 1..n, a repeated node set, a
-pool index >= u or in two groups, a view node outside 1..n or missing
-from one of its groups, a held table other than the union of the view's
-groups, locations repeated or outside 1..l, and trailing bytes.  A full
-store's header must agree with its file (u with the scheme's pool size, n
-with the nodes its groups name) before a random store's groups are
-checked against its permutation or a hybrid store is rebuilt and
-compared.  A node view stores seed 0: the pool is drawn from the seed, so
-a view that carried it would give one hacked node every node's bits.
+pool index >= u, repeated in a group or in two groups, a view node
+outside 1..n or missing from one of its groups, slots repeated or
+outside 1..l, and trailing bytes.  A full store's header must agree with
+its file (u with the scheme's pool size, n with the nodes its groups
+name) before a random store's groups are checked against its permutation
+or a hybrid store is rebuilt and compared.  A node view stores seed 0:
+the pool is drawn from the seed, so a view that carried it would give
+one hacked node every node's bits.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import struct
 from dataclasses import dataclass
@@ -40,43 +50,26 @@ from .predistribution import (KeyStore, SchemeSpec, generate, pool_size, random_
                               select_bits)
 
 MAGIC = b"NPKS"
-_ENDING_BYTES = bytes(range(0x80))  # a byte with its high bit clear ends a varint
-VERSION = 1
+VERSION = 2
+SEAL_BYTES = 32
 
 
-def _leb128(values: np.ndarray) -> tuple[bytes, np.ndarray]:
-    """The unsigned LEB128 encodings of values (non-negative int64),
-    concatenated in one vectorized pass, and the end offset of each."""
-    if np.any(values < 0):
-        raise ValueError("varints are unsigned")
-    rest = values.astype(np.uint64)
-    sizes = np.ones(rest.size, dtype=np.int64)
-    high = rest >> np.uint64(7)
-    while high.any():
-        sizes += high != 0
-        high >>= np.uint64(7)
-    ends, total = np.cumsum(sizes), int(sizes.sum())
-    # Byte j of every value at once; a value with fewer bytes writes its
-    # byte j to a spare slot past the end.
-    out = np.empty(total + 1, dtype=np.uint8)
-    at = ends - sizes
-    for j in range(int(sizes.max(initial=1))):
-        byte = (rest & np.uint64(0x7F)).astype(np.uint8)
-        byte[sizes > j + 1] |= 0x80
-        out[np.where(sizes > j, at, total)] = byte
-        at += 1
-        rest >>= np.uint64(7)
-    return out[:total].tobytes(), ends
+def _seal(data) -> bytes:
+    return hashlib.blake2b(data, digest_size=SEAL_BYTES).digest()
+
+
+def _u32(values) -> bytes:
+    """values (ints) as a little-endian u32 table."""
+    table = np.asarray(values, dtype=np.int64)
+    if table.size and (table.min() < 0 or table.max() >= 2**32):
+        raise ValueError("NPKS tables hold values in 0..2^32-1")
+    return table.astype("<u4").tobytes()
 
 
 class _Reader:
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
-        # Offsets of the bytes that can end a varint (high bit clear),
-        # found once per file, and a cursor: (offset, ends before it).
-        self._ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) < 0x80)
-        self._cursor = (0, 0)
 
     def read(self, n: int) -> bytes:
         if self.pos + n > len(self.data):
@@ -88,41 +81,15 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack("<" + fmt, self.read(struct.calcsize("<" + fmt)))
 
-    def varint_span(self, count: int) -> tuple[int, int]:
-        """Move past *count* LEB128 varints and return the byte span they
-        fill, at most 9*count bytes (a varint holds at most 63 bits).  The
-        cursor moves over the bytes since the last span (a group header)
-        and then count varint ends."""
+    def u32(self, count: int) -> np.ndarray:
+        """The next count u32 values, read in place."""
         remaining = len(self.data) - self.pos
-        if count > remaining:
-            raise ValueError(f"table of {count} varints overruns the "
+        if 4 * count > remaining:
+            raise ValueError(f"table of {count} entries overruns the "
                              f"{remaining} bytes left in the keystore file")
-        start = self.pos
-        if count:
-            offset, before = self._cursor
-            gap = self.data[offset:start]
-            last = before + len(gap) - len(gap.translate(None, _ENDING_BYTES)) + count - 1
-            if last >= self._ends.size or self._ends[last] - start >= 9 * count:
-                raise ValueError("truncated keystore file or a varint longer than 9 bytes")
-            self.pos = int(self._ends[last]) + 1
-            self._cursor = (self.pos, last + 1)
-        return start, self.pos
-
-    def varints(self, spans) -> np.ndarray:
-        """Decode the varints that fill the given byte spans, all in one
-        vectorized pass."""
-        raw = np.frombuffer(self.data, dtype=np.uint8)
-        stream = np.concatenate([raw[a:b] for a, b in spans] or [raw[:0]])
-        ends = np.flatnonzero(stream < 0x80)
-        starts = np.zeros_like(ends)
-        starts[1:] = ends[:-1] + 1
-        if np.any(ends - starts >= 9):
-            raise ValueError("keystore varint longer than 9 bytes")
-        if not ends.size:
-            return np.zeros(0, dtype=np.uint64)
-        shifts = 7 * (np.arange(stream.size) - np.repeat(starts, ends - starts + 1))
-        payload = (stream & 0x7F).astype(np.uint64) << shifts.astype(np.uint64)
-        return np.bitwise_or.reduceat(payload, starts)
+        table = np.frombuffer(self.data, dtype="<u4", count=count, offset=self.pos)
+        self.pos += 4 * count
+        return table
 
     def text(self) -> str:
         (length,) = self.unpack("H")
@@ -141,6 +108,8 @@ def _write_text(out: bytearray, text: str) -> None:
 
 
 def _write_header(out: bytearray, ks: KeyStore, seed: int) -> None:
+    if ks.u > 2**32 or ks.l >= 2**32:
+        raise ValueError(f"NPKS holds u <= 2^32 and l < 2^32, not u={ks.u}, l={ks.l}")
     out += struct.pack("<IQQ", ks.n, ks.l, ks.u)
     _write_text(out, ks.scheme.canonical())
     out += struct.pack("<Q", seed)
@@ -148,46 +117,32 @@ def _write_header(out: bytearray, ks: KeyStore, seed: int) -> None:
 
 
 def _write_groups(out: bytearray, groups) -> None:
-    """The group table, with every group's delta varints encoded in one pass."""
-    sizes = [len(indices) for indices in groups.values()]
-    bounds = np.cumsum([0] + sizes)
-    flat = np.fromiter(itertools.chain.from_iterable(groups.values()), dtype=np.int64,
-                       count=bounds[-1])
-    # Each group's deltas restart from 0.
-    firsts = bounds[:-1][np.array(sizes, dtype=bool)]
-    deltas = np.diff(flat, prepend=0)
-    deltas[firsts] = flat[firsts]
-    encoded, ends = _leb128(deltas)
-    cuts = np.concatenate(([0], ends))[bounds].tolist()
     out += struct.pack("<I", len(groups))
-    for g, (nodes, size) in enumerate(zip(groups, sizes)):
-        out += struct.pack(f"<H{len(nodes)}IQ", len(nodes), *nodes, size)
-        out += encoded[cuts[g]:cuts[g + 1]]
+    for nodes, indices in groups.items():
+        out += struct.pack(f"<H{len(nodes)}IQ", len(nodes), *nodes, len(indices))
+    out += _u32(np.fromiter(itertools.chain.from_iterable(groups.values()), dtype=np.int64,
+                            count=sum(map(len, groups.values()))))
+
+
+def _write_sealed(out: bytearray, path) -> None:
+    out += _seal(out)
+    Path(path).write_bytes(out)
 
 
 def _read_groups(rd: _Reader, n: int, u: int):
     """The group table as a dict, and all its pool indices in ascending order."""
     (count,) = rd.unpack("I")
-    node_sets, spans, sizes = [], [], []
+    node_sets, sizes = [], []
     for _ in range(count):
         (set_len,) = rd.unpack("H")
         nodes = rd.unpack(f"{set_len}I")
         if not nodes or nodes != tuple(sorted(set(nodes))) or nodes[0] < 1 or nodes[-1] > n:
             raise ValueError(f"group {nodes} is not an ascending set of nodes in 1..{n}")
         node_sets.append(nodes)
-        (bit_count,) = rd.unpack("Q")
-        spans.append(rd.varint_span(bit_count))
-        sizes.append(bit_count)
+        sizes.append(rd.unpack("Q")[0])
     if len(set(node_sets)) != count:
         raise ValueError("a node set appears twice in the group table")
-    # Each group's deltas restart from 0: a running sum over the whole
-    # table, less its value before the group, gives the group's indices.
-    sums = np.concatenate((np.zeros(1, dtype=np.uint64),
-                           np.cumsum(rd.varints(spans), dtype=np.uint64)))
-    bounds = np.cumsum([0] + sizes)
-    flat = sums[1:] - np.repeat(sums[bounds[:-1]], sizes)
-    # Within a group the indices rise strictly; a delta that wraps past
-    # 2^64 shows up as a fall.
+    flat = rd.u32(sum(sizes))
     group_of = np.repeat(np.arange(count), sizes)
     if not np.all((flat[1:] > flat[:-1]) | (group_of[1:] != group_of[:-1])):
         raise ValueError("a group's pool indices are not strictly ascending")
@@ -197,7 +152,8 @@ def _read_groups(rd: _Reader, n: int, u: int):
     if np.any(ordered[1:] == ordered[:-1]):
         raise ValueError("a pool index lies in two groups")
     listed = flat.tolist()
-    groups = {nodes: listed[a:b] for nodes, a, b in zip(node_sets, bounds[:-1], bounds[1:])}
+    bounds = itertools.accumulate(sizes, initial=0)
+    groups = {nodes: listed[a:a + size] for nodes, a, size in zip(node_sets, bounds, sizes)}
     return groups, ordered
 
 
@@ -206,7 +162,7 @@ def save(ks: KeyStore, path) -> None:
     _write_header(out, ks, ks.seed)
     _write_groups(out, ks.groups)
     out += ks.pool.to_bytes()
-    Path(path).write_bytes(bytes(out))
+    _write_sealed(out, path)
 
 
 @dataclass(eq=False)
@@ -253,23 +209,26 @@ def save_node_view(ks: KeyStore, node: int, path) -> None:
     _write_header(out, ks, 0)
     _write_groups(out, {nodes: idx for nodes, idx in ks.groups.items() if node in nodes})
     held, slots = ks.slots(node)
-    table = np.empty(2 * held.size, dtype=np.int64)  # pool index, location, ...
-    table[0::2], table[1::2] = held, slots
-    out += struct.pack("<Q", held.size)
-    out += _leb128(table)[0]
+    out += _u32(slots)
     out += ks.pool[held].to_bytes()
-    Path(path).write_bytes(bytes(out))
+    _write_sealed(out, path)
 
 
-def _read_preamble(rd: _Reader, flags: int) -> None:
+def _open(path, flags: int) -> _Reader:
+    """A reader past the preamble of a sealed file of the given kind."""
+    data = Path(path).read_bytes()
+    rd = _Reader(data[:-SEAL_BYTES])
     if rd.read(4) != MAGIC:
         raise ValueError("not a keystore file (bad magic)")
-    version, got = rd.unpack("HB")
+    (version,) = rd.unpack("H")
     if version != VERSION:
         raise ValueError(f"unsupported keystore version {version}")
-    if got != flags:
+    if _seal(rd.data) != data[-SEAL_BYTES:]:
+        raise ValueError("keystore checksum does not match: the file is corrupt or truncated")
+    if rd.unpack("B")[0] != flags:
         raise ValueError("file is a full keystore, use load" if flags
                          else "file is a node view, use load_node_view")
+    return rd
 
 
 def _read_header(rd: _Reader):
@@ -285,8 +244,7 @@ def _read_header(rd: _Reader):
 
 
 def load(path) -> KeyStore:
-    rd = _Reader(Path(path).read_bytes())
-    _read_preamble(rd, 0)
+    rd = _open(path, 0)
     n, l, u, scheme, seed = _read_header(rd)
     groups, _ = _read_groups(rd, n, u)
     # Checking a random store, or rebuilding a hybrid one, from its header
@@ -314,24 +272,19 @@ def load(path) -> KeyStore:
 
 
 def load_node_view(path) -> NodeView:
-    rd = _Reader(Path(path).read_bytes())
-    _read_preamble(rd, 1)
+    rd = _open(path, 1)
     (node,) = rd.unpack("I")
     n, l, u, scheme, _ = _read_header(rd)
     if not 1 <= node <= n:
         raise ValueError(f"node view names node {node} outside 1..{n}")
-    groups, indices = _read_groups(rd, n, u)
+    groups, held = _read_groups(rd, n, u)
     if any(node not in nodes for nodes in groups):
         raise ValueError(f"node view {node} lists a group it is not in")
-    (count,) = rd.unpack("Q")
-    table = rd.varints([rd.varint_span(2 * count)])  # pool index, location, ...
-    held, slots = table[0::2], table[1::2]
-    if not np.array_equal(held, indices):
-        raise ValueError("node view's held table is not the union of its groups")
+    slots = rd.u32(held.size)
     ordered = np.sort(slots)
     if slots.size and (ordered[0] < 1 or ordered[-1] > l or np.any(ordered[1:] == ordered[:-1])):
         raise ValueError(f"node view's storage locations are not distinct in 1..{l}")
-    bits = BitString.from_bytes(rd.read(-(-count // 8)), count).bits
+    bits = BitString.from_bytes(rd.read(-(-held.size // 8)), held.size).bits
     rd.finish()
     return NodeView(node=node, n=n, l=l, scheme=scheme, u=u, groups=groups,
                     held=held.astype(np.int64), held_slots=slots, held_bits=bits)

@@ -288,6 +288,7 @@ def r_secrecy_w(ks: KeyStore, t: int, w: int) -> Fraction:
 def r_secrecy_w_closed(spec: SchemeSpec, n: int, t: int, w: int) -> Fraction:
     """Closed-form r_secrecy(w) for symmetric schemes (exact for the
     combinational family, in expectation for the random scheme)."""
+    NetworkParams(n, t)
     spec.validate(n)
     if not spec.is_symmetric():
         raise ValueError("closed forms exist only for symmetric schemes")

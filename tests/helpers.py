@@ -1,13 +1,14 @@
 """Independent oracles used across the test suite.
 
 Everything here is deliberately naive and shares no code with the
-library: pure-Python elimination, a per-index Feistel network, a
-per-value varint writer, pool scans over per-node storage locations, and
-brute-force graph/subset enumeration.
+library: pure-Python elimination, a per-index Feistel network, the NPKS
+seal, pool scans over per-node storage locations, and brute-force
+graph/subset enumeration.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -63,18 +64,10 @@ def feistel_map(u: int, seed: int, node: int, x: int, inverse: bool = False) -> 
             return x + 1
 
 
-def write_varint(out: bytearray, value: int) -> None:
-    """Append one unsigned LEB128 varint, one byte at a time."""
-    if value < 0:
-        raise ValueError("varints are unsigned")
-    while True:
-        byte = value & 0x7F
-        value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
+def reseal(raw: bytes) -> bytes:
+    """An NPKS file's bytes with its trailing 32-byte blake2b seal
+    recomputed, so that an edited field reaches the loader's own check."""
+    return raw[:-32] + hashlib.blake2b(raw[:-32], digest_size=32).digest()
 
 
 def holders_by_index(ks) -> dict[int, set[int]]:

@@ -12,6 +12,8 @@ from netpad.cli import main
 from netpad.multipath import Topology
 from netpad.secure_check import RateProfile
 
+from helpers import reseal
+
 
 def run(*args, **kw):
     return CliRunner().invoke(main, list(args), **kw)
@@ -108,10 +110,11 @@ def test_encrypt_decrypt_file_roundtrip(tmp_path):
     view = bytearray((tmp_path / "n2.npks").read_bytes())
     at = view.index(struct.pack("<3IQ", 1, 2, 3, 420)) + 12
     view[at:at + 8] = struct.pack("<Q", 2**40)
-    (tmp_path / "huge.npks").write_bytes(bytes(view))
+    (tmp_path / "huge.npks").write_bytes(reseal(bytes(view)))
     res = run("decrypt", "--keystore", str(tmp_path / "huge.npks"),
               "--in", str(tmp_path / "msg.npct"), "--out", str(tmp_path / "bad.out"))
     assert res.exit_code == 3, res.output
+    assert "overruns" in res.output
     assert not (tmp_path / "bad.out").exists()
 
 

@@ -4,12 +4,14 @@ import struct
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from netpad import amplify, keystore_io
+from netpad.cli import main
 from netpad.gf2 import BitString
 from netpad.predistribution import SchemeSpec, generate
 
-from helpers import write_varint
+from helpers import reseal
 
 SCHEMES = [
     ("pairwise", 4, 9),
@@ -108,48 +110,10 @@ def test_hybrid_load_verifies_content(tmp_path):
     path = tmp_path / "hybrid.npks"
     keystore_io.save(ks, path)
     raw = bytearray(path.read_bytes())
-    raw[-1] ^= 0xFF  # corrupt the packed pool tail
-    (tmp_path / "bad.npks").write_bytes(bytes(raw))
-    with pytest.raises(ValueError):
+    raw[-33] ^= 0x01  # flip a bit of the packed pool tail, before the seal
+    (tmp_path / "bad.npks").write_bytes(reseal(bytes(raw)))
+    with pytest.raises(ValueError, match="does not match its header"):
         keystore_io.load(tmp_path / "bad.npks")
-
-
-def test_varint_decoder_matches_the_writer():
-    values = [0, 1, 127, 128, 300, 2**21, 2**56 - 1, 2**63 - 1]
-    values += np.random.default_rng(1).integers(0, 2**63, 200).tolist()
-    out = bytearray(b"xy")
-    for v in values:
-        write_varint(out, v)
-    rd = keystore_io._Reader(bytes(out) + b"tail")
-    rd.pos = 2
-    split = 3
-    spans = [rd.varint_span(split), rd.varint_span(len(values) - split)]
-    assert rd.varints(spans).tolist() == values
-    assert rd.read(4) == b"tail"
-
-
-def test_leb128_writer_matches_the_per_value_writer():
-    values = [0, 127, 128, 2**63 - 1] + np.random.default_rng(2).integers(0, 2**63, 5000).tolist()
-    out, ends = bytearray(), []
-    for v in values:
-        write_varint(out, v)
-        ends.append(len(out))
-    encoded, got_ends = keystore_io._leb128(np.array(values, dtype=np.int64))
-    assert encoded == bytes(out)
-    assert got_ends.tolist() == ends
-    assert keystore_io._leb128(np.zeros(0, dtype=np.int64))[0] == b""
-    with pytest.raises(ValueError, match="unsigned"):
-        keystore_io._leb128(np.array([3, -1]))
-
-
-def test_varint_tables_are_bounded():
-    with pytest.raises(ValueError, match="overruns"):
-        keystore_io._Reader(b"\x01\x02").varint_span(3)
-    with pytest.raises(ValueError, match="9 bytes"):
-        keystore_io._Reader(b"\x80" * 9 + b"\x01").varint_span(1)  # a 10-byte varint
-    rd = keystore_io._Reader(b"\x00" + b"\x80" * 9 + b"\x01")
-    with pytest.raises(ValueError, match="9 bytes"):
-        rd.varints([rd.varint_span(2)])
 
 
 def test_huge_group_count_raises_value_error(tmp_path):
@@ -161,17 +125,42 @@ def test_huge_group_count_raises_value_error(tmp_path):
     raw = bytearray(path.read_bytes())
     at = raw.index(struct.pack("<3IQ", 1, 2, 3, 420)) + 12
     raw[at:at + 8] = struct.pack("<Q", 2**40)
-    path.write_bytes(bytes(raw))
+    path.write_bytes(reseal(bytes(raw)))
     with pytest.raises(ValueError, match="overruns"):
         keystore_io.load_node_view(path)
 
 
-# NPKS version 1 bytes frozen from an earlier build (seed 5, n=4): the
-# comb:a=3 l=6 full store and node 2's view, and node 2's view of the
-# random:p=1/2 l=4 store.  Storage locations are not stored in a full
-# store, so these pin that the slot rule still gives the old ones.  The
-# views were written when a view still carried the store's seed.
+# NPKS version 2 bytes (seed 5, n=4): the comb:a=3 l=6 full store and
+# node 2's view, and node 2's view of the random:p=1/2 l=4 store.  Storage
+# locations are not stored in a full store, so these pin that the slot
+# rule still gives the slots that version 1 files gave.
 FROZEN = {
+    "comb_full": (
+        "4e504b5302000004000000060000000000000008000000000000000800636f6d623a613d33"
+        "05000000000000000b006e756d70792d706367363404000000030001000000020000000300"
+        "00000200000000000000030001000000020000000400000002000000000000000300010000"
+        "00030000000400000002000000000000000300020000000300000004000000020000000000"
+        "00000000000001000000020000000300000004000000050000000600000007000000975646"
+        "1b8fd1b90fac84c86bc40a59b6b923fd526d3a8d6673a9b1266befb93934"),
+    "comb_view": (
+        "4e504b530200010200000004000000060000000000000008000000000000000800636f6d62"
+        "3a613d3300000000000000000b006e756d70792d7063673634030000000300010000000200"
+        "00000300000002000000000000000300010000000200000004000000020000000000000003"
+        "00020000000300000004000000020000000000000000000000010000000200000003000000"
+        "06000000070000000100000002000000030000000400000005000000060000002755c55422"
+        "1c9ae1788f47bb5d80c7662e76f7de83208ade25ca4eb622dfdf909a"),
+    "random_view": (
+        "4e504b530200010200000004000000040000000000000008000000000000000c0072616e64"
+        "6f6d3a703d312f3200000000000000000b006e756d70792d70636736340400000003000100"
+        "00000200000004000000010000000000000003000200000003000000040000000100000000"
+        "00000001000200000001000000000000000200010000000200000001000000000000000000"
+        "000003000000040000000600000004000000010000000200000003000000056fad325a575a"
+        "c84de2a3880f4a384dddc79d63499bc258d967c2533589351e0a"),
+}
+
+# The same three files as version 1 wrote them (LEB128 tables, no seal;
+# the views still carried the store's seed).  Version 2 loaders refuse them.
+FROZEN_V1 = {
     "comb_full": (
         "4e504b5301000004000000060000000000000008000000000000000800636f6d623a613d33"
         "05000000000000000b006e756d70792d706367363404000000030001000000020000000300"
@@ -208,8 +197,24 @@ def test_frozen_files_load_with_the_same_locations(tmp_path):
     # The writers still produce these bytes.
     keystore_io.save(comb, tmp_path / "again")
     assert (tmp_path / "again").read_bytes() == bytes.fromhex(FROZEN["comb_full"])
+    keystore_io.save_node_view(comb, 2, tmp_path / "again")
+    assert (tmp_path / "again").read_bytes() == bytes.fromhex(FROZEN["comb_view"])
     keystore_io.save_node_view(rand, 2, tmp_path / "again")
-    assert (tmp_path / "again").read_bytes() == _seedless(bytes.fromhex(FROZEN["random_view"]))
+    assert (tmp_path / "again").read_bytes() == bytes.fromhex(FROZEN["random_view"])
+
+
+def test_version_1_files_are_refused(tmp_path):
+    for name, hexed in FROZEN_V1.items():
+        path = tmp_path / f"{name}.npks"
+        path.write_bytes(bytes.fromhex(hexed))
+        for loader in (keystore_io.load, keystore_io.load_node_view):
+            with pytest.raises(ValueError, match="unsupported keystore version 1"):
+                loader(path)
+    res = CliRunner().invoke(main, ["decrypt", "--keystore", str(tmp_path / "comb_view.npks"),
+                                    "--in", str(tmp_path / "missing.npct"),
+                                    "--out", str(tmp_path / "out.bin")])
+    assert res.exit_code == 3 and "unsupported keystore version 1" in res.output
+    assert not (tmp_path / "out.bin").exists()
 
 
 def _seedless(view: bytes) -> bytes:
@@ -232,35 +237,36 @@ def test_node_view_does_not_carry_the_seed(tmp_path):
 
 
 # sha256 of the bytes `save` writes and of the concatenated bytes of every
-# `save_node_view` (nodes 1..n in order), at seed 17, taken from the
-# per-value writers before the vectorized ones replaced them; the view
-# digests are of those bytes with each view's seed field zeroed.
+# `save_node_view` (nodes 1..n in order), at seed 17, in NPKS version 2.
+# The version 2 loaders read the same pools, groups and storage locations
+# from these files as the version 1 loaders read from the version 1 files
+# pinned here before.
 FROZEN_DIGESTS = {
     ("pairwise", 6, 300): (
-        "2ae50f3ada3b48fd38919e9a8be1c1fa12b4777cbc02bbc20b7b7e2c8d1b7b4d",
-        "4f9bd05ba79161ff86858071bfeeeec2cdc7bd6a5f6353596b61f2f293944ba3"),
+        "69f2999a1a1b8ea8f87ccfc8dea8c229caaa99a88f0b4a79edcd8f4e582a606b",
+        "592d9c8095c4e50eb809c3f15cf1e75c7cc502570b01d9ebc39a8941682363fc"),
     ("same", 6, 300): (
-        "415c142d49bb6e3ccaca8357640f9726fba2d408f3dc68fd495d271d40b86d84",
-        "a9c8c5488a127a8d18331ea415fec5bf3990cc41d5deb1e419f691b896b65374"),
+        "f6a938db8b32f96ba1ce28d18245ddbc9addf14f9e68ef247fa4994ba69d8377",
+        "659fb7cd43da02292f05c25821c77dcaf03172e634722db069ad6f56b7b4c924"),
     ("comb:a=3", 6, 300): (
-        "aae14b2f683743108704bf0e69765a299a71b8a4c678f88b75b698b05c51dd63",
-        "ed95f9553b401932746e5310e91557bfb806e4b16bb94148a55b9c060466b5e6"),
+        "ac8a777107a85af59896d8a7c4be18cd12d7b40b58b2b090c5e79efec5923945",
+        "1112121baebac3b9e11524889e34b60d89cba3fc4ea67a9a4bcd65f34b1e496a"),
     ("sampled:a=3,m=4", 6, 300): (
-        "df59bf9cee5a79b98b19d08cdda6c9285ad0ddfa567fe0cede7e8d0c7c12950a",
-        "4a51818567d41b04c12e02182a129de2fac8184c28ce2663f28f6ca566f379ef"),
+        "906e9a9b41b075a3f28e8dfa20a6a2de7bb8f645cecc79dc58f8bf6cbae1b53b",
+        "a474c25b9fd9b9ed2e89c2d787ff68e74dabe8bdb75735aa9732a0dea01c031a"),
     ("random:p=1/2", 6, 300): (
-        "d3d39a5411e28ac904fdcdd8171fcdda7af7c4e828fcc1a45956d26a1e538bc0",
-        "c848dca49b641c5967905e5ccda58013d43550071c5dd6b957c3cc5985ddd229"),
+        "f9b545be6ce40afbd7ecb8b1f1cdbf7725c658667edf30d94d15ecf86d679397",
+        "40895b7968d03847fa21ed24e756b1cc5f6cb1195bbdf9d5f3184bfba72913ee"),
     ("random:p=1/3", 6, 300): (
-        "f1b5ef6bc4f2e30a452cd6d16f32d4e37b737316a8c476964dcd6debdf3767e9",
-        "9b220b77eb3d9f4de32b3c44d85aa9800589f7167f135b1a6766485cab3f3c26"),
+        "53120c6e99e20572ab0ed83827100b59a45a48b2cc82bb2c66910f41cc84cfc0",
+        "874d0fdec70c42c7fa88aeb0ff0a30e8161c924e1e4f4696e87d235dc9c9a583"),
     ("hybrid:lambda=1/2,(random:p=1/2),(comb:a=3)", 6, 300): (
-        "700479047761a32d76f4c43bde05db2ab5b85b299f9e52b135b2d88eac104bab",
-        "67a0608f4a51d4456fa99ee54b15db2a1f742bfedcc342059c380709489d9db7"),
-    # u = 40000: group starts need 3-byte varints.
+        "6294082022ad4d85642dee7e48016832e791aa1a1225701879b15472d811a368",
+        "871fea4fa639500096a70667ee6e41eeceec095b2404ae617543764f1f1b1aa7"),
+    # u = 40000: pool indices past 2^16.
     ("comb:a=3", 4, 30000): (
-        "4c66940d3bd9ed9ce551e1520f7f0ac5f571602b5d13fb67e2eb75b69d5dd682",
-        "eeb465b654d1a61893a261d7ce20566acbd2accfee0f75783f962186efd94662"),
+        "aedeb80c32b41aa5c720fa41a7921f2a0e8f95707c1c70ba1a82bbcb25a0371b",
+        "f35bcb51463da227bf0eca26469e78bc41fa56b2d0fca8f35865c63d1e5fb795"),
 }
 
 
@@ -294,7 +300,7 @@ def test_hybrid_header_is_checked_before_regenerating(text, field, value, messag
     raw = _hybrid_file(tmp_path, text)
     at = 7 if field == "I" else 11  # n u32 and l u64 follow magic, version, flags
     raw[at:at + struct.calcsize(field)] = struct.pack("<" + field, value)
-    (tmp_path / "bad.npks").write_bytes(bytes(raw))
+    (tmp_path / "bad.npks").write_bytes(reseal(bytes(raw)))
 
     def regenerate(*args, **kwargs):
         pytest.fail("load called generate before checking the header")
@@ -339,54 +345,90 @@ def _edit(raw: bytes, at: int, new: bytes) -> bytes:
     "view node missing from a group",
 ])
 def test_loaders_reject_malformed_tables(case, tmp_path):
+    """Each edit is resealed, so it reaches the check it is written for."""
     _, full, view = _comb_files(tmp_path)
     first = _group_at(full, (1, 2, 3))
     second = _group_at(full, (1, 2, 4))
-    varints = first + 2 + 12 + 8  # group (1,2,3)'s indices: 0, +1, +1, +1
-    mutated, loader = {
-        "full trailing bytes": (full + b"junk", keystore_io.load),
-        "view trailing bytes": (view + b"junk", keystore_io.load_node_view),
-        "node id beyond n": (_edit(full, first + 10, struct.pack("<I", 9)), keystore_io.load),
-        "node ids not ascending": (_edit(full, first + 2, struct.pack("<I", 3)),
-                                   keystore_io.load),
-        "node set repeats": (_edit(full, second + 10, struct.pack("<I", 3)), keystore_io.load),
-        "index beyond u": (_edit(full, varints, bytes([100])), keystore_io.load),
-        "index in two groups": (_edit(full, second + 22, bytes([0])), keystore_io.load),
-        "index repeats in a group": (_edit(full, varints + 2, bytes([0])), keystore_io.load),
-        "view node beyond n": (_edit(view, 7, struct.pack("<I", 7)),
-                               keystore_io.load_node_view),
-        "view node missing from a group": (_edit(view, 7, struct.pack("<I", 1)),
-                                           keystore_io.load_node_view),
+    # The u32 index table follows the last group record (22 bytes each):
+    # (1,2,3) holds 0..3, then (1,2,4) 4..7.
+    indices = _group_at(full, (2, 3, 4)) + 22
+    u32 = lambda value: struct.pack("<I", value)
+    mutated, loader, message = {
+        "full trailing bytes": (full[:-32] + b"junk" + full[-32:], keystore_io.load,
+                                "4 bytes follow the end"),
+        "view trailing bytes": (view[:-32] + b"junk" + view[-32:], keystore_io.load_node_view,
+                                "4 bytes follow the end"),
+        "node id beyond n": (_edit(full, first + 10, u32(9)), keystore_io.load,
+                             "not an ascending set"),
+        "node ids not ascending": (_edit(full, first + 2, u32(3)), keystore_io.load,
+                                   "not an ascending set"),
+        "node set repeats": (_edit(full, second + 10, u32(3)), keystore_io.load,
+                             "appears twice"),
+        "index beyond u": (_edit(full, indices + 12, u32(100)), keystore_io.load,
+                           "pool index 100 outside 0..15"),
+        "index in two groups": (_edit(full, indices + 16, u32(0)), keystore_io.load,
+                                "in two groups"),
+        "index repeats in a group": (_edit(full, indices + 8, u32(1)), keystore_io.load,
+                                     "not strictly ascending"),
+        "view node beyond n": (_edit(view, 7, u32(7)), keystore_io.load_node_view,
+                               "node 7 outside 1..4"),
+        "view node missing from a group": (_edit(view, 7, u32(1)), keystore_io.load_node_view,
+                                           "lists a group it is not in"),
     }[case]
     path = tmp_path / "bad.npks"
-    path.write_bytes(mutated)
-    with pytest.raises(ValueError):
+    path.write_bytes(reseal(mutated))
+    with pytest.raises(ValueError, match=message):
         loader(path)
 
 
 @pytest.mark.parametrize("case", ["missing index", "foreign index", "repeated slot",
                                   "slot 0", "slot beyond l"])
 def test_view_loader_checks_the_held_table(case, tmp_path, monkeypatch):
+    # A view stores no held indices, only one slot per bit of its groups,
+    # so a slot table of another length misaligns the rest of the file.
     ks, _, _ = _comb_files(tmp_path)
     good = ks.locations(2)
     held = list(good)
-    bad = {
-        "missing index": {k: good[k] for k in held[:-1]},
-        "foreign index": {**good, 8: 12},  # bit 8 is in group (1,3,4)
-        "repeated slot": {k: 1 for k in held},
-        "slot 0": {**good, held[0]: 0},
-        "slot beyond l": {**good, held[0]: 13},
+    bad, message = {
+        "missing index": ({k: good[k] for k in held[:-1]}, "overruns"),
+        "foreign index": ({**good, 8: 12}, "follow the end"),  # bit 8 is in group (1,3,4)
+        "repeated slot": ({k: 1 for k in held}, "not distinct"),
+        "slot 0": ({**good, held[0]: 0}, "not distinct"),
+        "slot beyond l": ({**good, held[0]: 13}, "not distinct"),
     }[case]
     monkeypatch.setattr(ks, "slots", lambda node: (np.array(list(bad)),
                                                    np.array(list(bad.values()))))
     keystore_io.save_node_view(ks, 2, tmp_path / "bad.npks")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=message):
         keystore_io.load_node_view(tmp_path / "bad.npks")
 
 
+def test_writers_refuse_values_past_u32(tmp_path, monkeypatch):
+    ks, _, _ = _comb_files(tmp_path)
+    held, slots = ks.slots(2)
+    slots[-1] = 2**32
+    monkeypatch.setattr(ks, "slots", lambda node: (held, slots))
+    with pytest.raises(ValueError, match="0..2\\^32-1"):
+        keystore_io.save_node_view(ks, 2, tmp_path / "bad.npks")
+    ks.l = 2**32
+    for write in (keystore_io.save, lambda ks, path: keystore_io.save_node_view(ks, 1, path)):
+        with pytest.raises(ValueError, match="l < 2\\^32"):
+            write(ks, tmp_path / "bad.npks")
+
+
+def test_unsealed_edit_fails_the_checksum(tmp_path):
+    _, full, view = _comb_files(tmp_path)
+    for raw, loader in ((full, keystore_io.load), (view, keystore_io.load_node_view)):
+        # The byte before the seal holds pool (or view) bit values.
+        (tmp_path / "bad.npks").write_bytes(_edit(raw, len(raw) - 33, bytes([raw[-33] ^ 1])))
+        with pytest.raises(ValueError, match="checksum does not match"):
+            loader(tmp_path / "bad.npks")
+
+
 # 0x01 makes small changes that keep most of the structure (node 3 -> 2,
-# index 4 -> 5); 0x80 flips varint continuation bits and high count bits.
-FUZZ_XOR = (0x01, 0x80)
+# index 4 -> 5), 0x80 flips high bits of counts and table entries, 0xFF
+# flips a whole byte.
+FUZZ_XOR = (0x01, 0x80, 0xFF)
 
 
 @pytest.mark.parametrize("text,l", [
@@ -395,9 +437,9 @@ FUZZ_XOR = (0x01, 0x80)
 ])
 @pytest.mark.parametrize("as_view", [False, True], ids=["full", "view"])
 def test_mutated_files_raise_value_error_or_load(text, l, as_view, tmp_path):
-    """Every truncation of a saved file raises ValueError, and every
-    one-byte XOR either loads or raises ValueError: no other exception
-    reaches the CLI."""
+    """Every truncation of a saved file, and every one-byte XOR of it,
+    raises ValueError: the seal covers every byte, pool and bit values
+    included, and no other exception reaches the CLI."""
     ks = generate(SchemeSpec.parse(text), 4, l, seed=11)
     path = tmp_path / "ks.npks"
     if as_view:
@@ -407,16 +449,15 @@ def test_mutated_files_raise_value_error_or_load(text, l, as_view, tmp_path):
         keystore_io.save(ks, path)
         loader = keystore_io.load
     raw = path.read_bytes()
+    loader(path)
     for cut in range(len(raw)):
         path.write_bytes(raw[:cut])
         with pytest.raises(ValueError):
             loader(path)
     for at, x in itertools.product(range(len(raw)), FUZZ_XOR):
         path.write_bytes(_edit(raw, at, bytes([raw[at] ^ x])))
-        try:
+        with pytest.raises(ValueError):
             loader(path)
-        except ValueError:
-            pass
 
 
 def test_node_view_bit_values_match_the_store(tmp_path):

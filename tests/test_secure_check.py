@@ -302,6 +302,13 @@ def test_r_secrecy_rejects_asymmetric():
         r_secrecy_w_closed(ks.scheme, 4, 1, 1)
 
 
+@pytest.mark.parametrize("t", [-1, 3])
+def test_closed_form_rejects_t_outside_0_to_n_minus_2(t):
+    # t = -1 gave 3/2 for random:p=1/2 n=4 w=2, above any rate.
+    with pytest.raises(ValueError, match="0 <= t <= n-2"):
+        r_secrecy_w_closed(SchemeSpec.parse("random:p=1/2"), 4, t, 2)
+
+
 def test_lex_prefix_pairs():
     assert lex_prefix_pairs(4, 3) == [(1, 2), (1, 3), (1, 4)]
     with pytest.raises(ValueError):
