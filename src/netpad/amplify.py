@@ -1,5 +1,6 @@
 """Communication phase: derive secret-key bits as XOR of d sampled common
-bits, apply the one-time pad, and account for consumed channel budget.
+bits, apply the one-time pad, and cap the key bits a channel consumes at
+|u_ij|, the secret bits its two endpoints share.
 
 Sampling seeds are public and travel in the ciphertext header: secrecy
 rests on the pool bits, not on the sampler.  Both endpoints and the
@@ -27,7 +28,8 @@ HEADER_SIZE = 46  # magic, <HIIQ version/i/j/counter, 16-byte seed, <Q bit count
 
 
 class BudgetError(ValueError):
-    """Channel would exceed its per-node secret-bit budget (rate > 1)."""
+    """Channel would use more key bits than the |u_ij| secret bits its
+    endpoints share."""
 
 
 class ReplayError(ValueError):
@@ -112,6 +114,24 @@ def sampling_matrix(n_key_bits: int, n_common: int, d: int,
                                       seed_to_int(sampling_seed))
 
 
+def _shared_bits(ks, state: ChannelCipherState) -> list[int]:
+    """u_ij, the pool indices both endpoints hold; at least d of them."""
+    common = ks.common_bits(state.i, state.j)
+    if not common:
+        raise ValueError(f"nodes {state.i} and {state.j} share no secret bits")
+    if state.d > len(common):
+        raise ValueError(
+            f"sampling weight d={state.d} exceeds |u_ij|={len(common)}"
+        )
+    return common
+
+
+def _key(ks, common: list[int], d: int, n_bits: int, sampling_seed: bytes) -> BitString:
+    idx = sample_indices(n_bits, len(common), d, seed_to_int(sampling_seed))
+    pool = ks.bit_values(common).bits
+    return BitString(np.bitwise_xor.reduce(pool[idx], axis=1))
+
+
 def derive_key(ks, state: ChannelCipherState, n_bits: int,
                sampling_seed: bytes) -> BitString:
     """Secret key = M . u_ij with M the fixed-weight-d sampling matrix,
@@ -121,16 +141,7 @@ def derive_key(ks, state: ChannelCipherState, n_bits: int,
     Deterministic: both endpoints derive identical keys from the same
     keystore views and header.
     """
-    common = ks.common_bits(state.i, state.j)
-    if not common:
-        raise ValueError(f"nodes {state.i} and {state.j} share no secret bits")
-    if state.d > len(common):
-        raise ValueError(
-            f"sampling weight d={state.d} exceeds |u_ij|={len(common)}"
-        )
-    idx = sample_indices(n_bits, len(common), state.d, seed_to_int(sampling_seed))
-    pool = ks.bit_values(common).bits
-    return BitString(np.bitwise_xor.reduce(pool[idx], axis=1))
+    return _key(ks, _shared_bits(ks, state), state.d, n_bits, sampling_seed)
 
 
 def _derive_sampling_seed(seed, counter: int) -> bytes:
@@ -139,14 +150,18 @@ def _derive_sampling_seed(seed, counter: int) -> bytes:
 
 
 def encrypt(ks, state: ChannelCipherState, plaintext: BitString, seed) -> CipherText:
-    if state.consumed + len(plaintext) > ks.l:
+    """One-time pad plaintext with a fresh key; the channel's key bits over
+    all its messages may not exceed |u_ij|, the secret bits its endpoints
+    share."""
+    common = _shared_bits(ks, state)
+    if state.consumed + len(plaintext) > len(common):
         raise BudgetError(
             f"channel {state.pair} would consume {state.consumed + len(plaintext)} "
-            f"of {ks.l} budget bits (rate bound r_ij <= 1)"
+            f"of its |u_ij|={len(common)} shared secret bits"
         )
     counter = state.counter + 1
     sampling_seed = _derive_sampling_seed(seed, counter)
-    key = derive_key(ks, state, len(plaintext), sampling_seed)
+    key = _key(ks, common, state.d, len(plaintext), sampling_seed)
     state.counter = counter
     state.consumed += len(plaintext)
     return CipherText(i=state.i, j=state.j, counter=counter,

@@ -2,10 +2,10 @@
 random matrix generation.
 
 Bits are addressed logically (bit 0 = first column); the packed uint64
-word layout is an implementation detail.  Rank and left nullspace share
-one XOR-basis elimination over Python-int rows (`_eliminate`), with a
-tracking bit per row for the nullspace.  All values are immutable after
-construction and safe to share across threads.
+word layout is an implementation detail.  Rank, left nullspace and
+cross-independence share one XOR-basis elimination over Python-int rows
+(`_eliminate`), with a tracking bit per row for the nullspace.  All
+values are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -19,10 +19,6 @@ import numpy as np
 # The identifier is persisted next to seeds in every output so runs can
 # be replayed bit-for-bit.
 RNG_ALGORITHM = "numpy-pcg64"
-
-# Above this many total rows, cross_independent falls back to the
-# sufficient full-row-rank check instead of exact enumeration.
-CROSS_INDEPENDENT_EXACT_LIMIT = 24
 
 _WORD = 64
 
@@ -229,7 +225,7 @@ class BitMatrix:
 
     def rank(self) -> int:
         """GF(2) row rank of the first *n_cols* columns."""
-        return self.n_rows - len(_eliminate(self._words, self.n_cols))
+        return self.n_rows - len(_eliminate(self._row_ints(), self.n_cols))
 
     def mul(self, v: BitString) -> BitString:
         """Matrix-vector product over GF(2)."""
@@ -245,26 +241,31 @@ class BitMatrix:
 
     def left_nullspace_masks(self) -> list[int]:
         """Basis of {c : c.M = 0}, each vector as a row-index bitmask."""
-        return _eliminate(self._words, self.n_cols, track=True)
+        return _eliminate(self._row_ints(), self.n_cols, track=True)
+
+    def _row_ints(self) -> list[int]:
+        """Each row as one Python int, column c at bit c."""
+        return [int.from_bytes(packed, "little")
+                for packed in np.ascontiguousarray(self._words).view(np.uint8)]
 
 
-def _eliminate(words: np.ndarray, n_cols: int, track: bool = False) -> list[int]:
-    """Insert the rows in order into an XOR basis on their first *n_cols*
-    columns; return what is left of each row that depends on earlier ones.
+def _eliminate(rows: list[int], n_cols: int, track: bool = False) -> list[int]:
+    """Insert the rows (Python ints, column c at bit c) in order into an XOR
+    basis on their first *n_cols* columns; return what is left of each row
+    that depends on earlier ones.
 
-    Each row is one Python int, masked once; the basis is a list indexed
-    by leading column (``bit_length``), and a row is XORed with the basis
-    row there until that slot is free or its columns are zero.  With
-    *track*, columns shift left by n_rows and row i carries the tracking
-    bit 1 << i, so a dependent row is left as a mask of rows XORing to 0.
+    Each row is masked once; the basis is a list indexed by leading column
+    (``bit_length``), and a row is XORed with the basis row there until
+    that slot is free or its columns are zero.  With *track*, columns
+    shift left by n_rows and row i carries the tracking bit 1 << i, so a
+    dependent row is left as a mask of rows XORing to 0.
     """
-    n_rows = words.shape[0]
     keep = (1 << n_cols) - 1
-    shift = n_rows if track else 0
+    shift = len(rows) if track else 0
     basis = [0] * (n_cols + shift + 1)
     dependent = []
-    for i, packed in enumerate(np.ascontiguousarray(words).view(np.uint8)):
-        row = (int.from_bytes(packed, "little") & keep) << shift | int(track) << i
+    for i, row in enumerate(rows):
+        row = (row & keep) << shift | int(track) << i
         lead = row.bit_length()
         while lead > shift:
             pivot = basis[lead]
@@ -290,17 +291,18 @@ def random_bernoulli_matrix(
 
 
 def sample_indices(n_rows: int, n_cols: int, d: int, seed) -> np.ndarray:
-    """Row r is a uniform d-subset of range(n_cols), ascending.
+    """Row r is a uniform d-subset of range(n_cols), ascending, as int64.
 
-    O(n_rows*d) time and memory; the result is a pure function of the
-    arguments.  Each row starts as d uniform draws, and the draws that
-    repeat an earlier value are redrawn until the row is distinct.  That
-    procedure commutes with any relabelling of the columns, so every
-    d-subset is equally likely.  Sampling the d indices directly instead of
-    ordering all n_cols columns follows Bentley & Floyd, "A sample of
-    brilliance" (CACM 30(9), 1987).  When 2d >= n_cols redraws would be
-    frequent, so the d smallest of n_cols uniform keys are taken instead,
-    which costs O(n_rows*n_cols) = O(n_rows*d).
+    O(n_rows*d) time; the result is a pure function of the arguments.  Each
+    row starts as d uniform draws, and the draws that repeat an earlier value
+    are redrawn until the row is distinct.  That procedure commutes with any
+    relabelling of the columns, so every d-subset is equally likely (Bentley
+    & Floyd, "A sample of brilliance", CACM 30(9), 1987).  The draws are
+    uint32 for n_cols <= 2^32, where numpy gives the same stream as int64
+    draws, and are sorted and redrawn in place: peak memory is the result
+    plus that uint32 copy, 1.5x the result.  When 2d >= n_cols redraws would
+    be frequent, so the d smallest of n_cols uniform keys are taken instead,
+    at O(n_rows*n_cols) = O(n_rows*d) time and 8*n_rows*n_cols bytes.
     """
     if d < 0:
         raise ValueError("row weight must be non-negative")
@@ -314,18 +316,17 @@ def sample_indices(n_rows: int, n_cols: int, d: int, seed) -> np.ndarray:
         idx = np.argpartition(keys, d - 1, axis=1)[:, :d].astype(np.int64)
         idx.sort(axis=1)
         return idx
-    idx = rng.integers(0, n_cols, size=(n_rows, d), dtype=np.int64)
+    idx = rng.integers(0, n_cols, size=(n_rows, d),
+                       dtype=np.uint32 if n_cols <= 1 << 32 else np.int64)
     idx.sort(axis=1)
-    rows = np.arange(n_rows)
+    rows, sub = np.arange(n_rows), idx
     while True:
-        sub = idx[rows]
-        repeat = np.zeros(sub.shape, dtype=bool)
-        repeat[:, 1:] = sub[:, 1:] == sub[:, :-1]
-        hit = repeat.any(axis=1)
+        eq = sub[:, 1:] == sub[:, :-1]
+        hit = eq.any(axis=1)
         if not hit.any():
-            return idx
-        rows, sub, repeat = rows[hit], sub[hit], repeat[hit]
-        sub[repeat] = rng.integers(0, n_cols, size=int(repeat.sum()), dtype=np.int64)
+            return idx.astype(np.int64, copy=False)
+        rows, sub, eq = rows[hit], sub[hit], eq[hit]
+        sub[:, 1:][eq] = rng.integers(0, n_cols, size=int(eq.sum()), dtype=idx.dtype)
         sub.sort(axis=1)
         idx[rows] = sub
 
@@ -340,47 +341,33 @@ def random_fixed_weight_matrix(
                                     np.repeat(np.arange(n_rows), weight_d), idx.ravel())
 
 
-def cross_independent(
-    blocks: Sequence[BitMatrix], exact_limit: int = CROSS_INDEPENDENT_EXACT_LIMIT
-) -> bool:
+def cross_independent(blocks: Sequence[BitMatrix]) -> bool:
     """True iff no row selection taking at least one row from every block
     XORs to zero.
 
-    Exact for total rows <= *exact_limit* (enumeration over the left
-    nullspace of the stacked blocks, equivalent to the full subset scan).
-    Beyond the limit, falls back to the sufficient condition that the
-    stacked blocks have full row rank.
+    Exact, by inclusion-exclusion over the set S of blocks a selection
+    avoids.  The zero-sum selections form the left nullspace of the stacked
+    blocks; with basis masks m_1..m_k, those that avoid S form a space whose
+    dimension is the nullity of the masks cut to S's rows.  So the sum over
+    S of (-1)^|S| * 2^nullity counts the ones that touch every block: 2^b
+    eliminations of k masks for b blocks, after one rank call that settles
+    a stack of full row rank.
     """
     if not blocks:
         raise ValueError("cross_independent needs at least one block")
     if any(b.n_rows == 0 for b in blocks):
         raise ValueError("every block must have at least one row")
-    n_cols = blocks[0].n_cols
-    if any(b.n_cols != n_cols for b in blocks):
+    if any(b.n_cols != blocks[0].n_cols for b in blocks):
         raise ValueError("blocks must share a column count")
-
     stacked = BitMatrix.vstack(blocks)
-    if stacked.n_rows > exact_limit:
-        return stacked.rank() == stacked.n_rows
-
-    basis = stacked.left_nullspace_masks()
-    if not basis:
+    if stacked.rank() == stacked.n_rows:
         return True
-
-    # Every zero-sum row selection is a nonzero element of the left
-    # nullspace; enumerate them all and test block coverage.
-    combos = np.zeros(1, dtype=np.uint64)
-    for mask in basis:
-        combos = np.concatenate([combos, combos ^ np.uint64(mask)])
-    combos = combos[1:]
-
-    block_masks = []
-    offset = 0
-    for b in blocks:
-        block_masks.append(np.uint64(((1 << b.n_rows) - 1) << offset))
-        offset += b.n_rows
-
-    touches_all = np.ones(combos.size, dtype=bool)
-    for bm in block_masks:
-        touches_all &= (combos & bm) != 0
-    return not bool(touches_all.any())
+    masks = stacked.left_nullspace_masks()
+    spans = np.cumsum([0] + [b.n_rows for b in blocks]).tolist()
+    spans = [(1 << end) - (1 << start) for start, end in zip(spans, spans[1:])]
+    touching = 0
+    for avoided in range(1 << len(blocks)):
+        rows = sum(span for k, span in enumerate(spans) if avoided >> k & 1)
+        nullity = len(_eliminate([m & rows for m in masks], stacked.n_rows))
+        touching += (-1) ** avoided.bit_count() * 2 ** nullity
+    return touching == 0

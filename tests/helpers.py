@@ -2,8 +2,8 @@
 
 Everything here is deliberately naive and shares no code with the
 library: pure-Python elimination, a per-index Feistel network, the NPKS
-seal, pool scans over per-node storage locations, and brute-force
-graph/subset enumeration.
+seal, pool scans over per-node storage locations, brute-force
+graph/subset enumeration, and the key sampler's earlier int64 loop.
 """
 
 from __future__ import annotations
@@ -30,6 +30,34 @@ def py_rank(dense) -> int:
                 rows[i] ^= rows[rank]
         rank += 1
     return rank
+
+
+def reference_sample_indices(n_rows: int, n_cols: int, d: int, seed) -> np.ndarray:
+    """The key sampler as first written: int64 draws, and every round
+    re-gathers its rows and marks repeats in a fresh array.  The library's
+    gf2.sample_indices must return exactly these rows for every input."""
+    rng = np.random.default_rng(seed)
+    if d == 0 or n_rows == 0:
+        return np.zeros((n_rows, d), dtype=np.int64)
+    if 2 * d >= n_cols:
+        keys = rng.random((n_rows, n_cols))
+        idx = np.argpartition(keys, d - 1, axis=1)[:, :d].astype(np.int64)
+        idx.sort(axis=1)
+        return idx
+    idx = rng.integers(0, n_cols, size=(n_rows, d), dtype=np.int64)
+    idx.sort(axis=1)
+    rows = np.arange(n_rows)
+    while True:
+        sub = idx[rows]
+        repeat = np.zeros(sub.shape, dtype=bool)
+        repeat[:, 1:] = sub[:, 1:] == sub[:, :-1]
+        hit = repeat.any(axis=1)
+        if not hit.any():
+            return idx
+        rows, sub, repeat = rows[hit], sub[hit], repeat[hit]
+        sub[repeat] = rng.integers(0, n_cols, size=int(repeat.sum()), dtype=np.int64)
+        sub.sort(axis=1)
+        idx[rows] = sub
 
 
 def feistel_map(u: int, seed: int, node: int, x: int, inverse: bool = False) -> int:

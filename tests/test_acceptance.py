@@ -209,12 +209,19 @@ def test_criterion_05_rank_witness_validity(capsys):
                         continue
                     d = min(2, *sizes)
                     for m_bits in (1, 2, 3):
+                        # Built directly, as encrypt would send them first:
+                        # m_bits may exceed |u_ij|, which encrypt refuses,
+                        # and those are the rank-deficient instances.
                         cts = []
                         for ch in channels:
                             state = amplify.ChannelCipherState(*ch, d=d)
-                            cts.append(amplify.encrypt(
-                                ks, state, BitString.random(m_bits, rng),
-                                seed=[int(rng.integers(1 << 30)), *ch]))
+                            msg = BitString.random(m_bits, rng)
+                            sampling_seed = amplify._derive_sampling_seed(
+                                [int(rng.integers(1 << 30)), *ch], 1)
+                            key = amplify.derive_key(ks, state, m_bits, sampling_seed)
+                            cts.append(amplify.CipherText(
+                                i=state.i, j=state.j, counter=1,
+                                sampling_seed=sampling_seed, body=msg ^ key))
                         tr = Transcript(ciphertexts=tuple(cts), hacked=hacked, d=d)
                         mi = max(exact_mi_oracle(ks, tr, (ct.i, ct.j))
                                  for ct in cts)

@@ -23,14 +23,22 @@ from netpad.secure_check import RateProfile
 from helpers import holders_by_index, py_rank
 
 
+def first_ciphertext(ks, channel, d, plaintext, seed):
+    """What encrypt sends first on channel with this seed, built directly,
+    so that it may carry more key bits than the |u_ij| encrypt allows: the
+    rank-deficient transcripts the oracle comparisons need."""
+    state = amplify.ChannelCipherState(*channel, d=d)
+    sampling_seed = amplify._derive_sampling_seed(seed, 1)
+    key = amplify.derive_key(ks, state, len(plaintext), sampling_seed)
+    return amplify.CipherText(i=state.i, j=state.j, counter=1,
+                              sampling_seed=sampling_seed, body=plaintext ^ key)
+
+
 def make_transcript(ks, channels, m_bits, d, hacked=(), seed=0):
     rng = np.random.default_rng(seed)
-    cts = []
-    for ch in channels:
-        state = amplify.ChannelCipherState(*ch, d=d)
-        cts.append(amplify.encrypt(ks, state, BitString.random(m_bits, rng),
-                                   seed=[seed, *ch]))
-    return Transcript(ciphertexts=tuple(cts), hacked=tuple(hacked), d=d)
+    cts = tuple(first_ciphertext(ks, ch, d, BitString.random(m_bits, rng), [seed, *ch])
+                for ch in channels)
+    return Transcript(ciphertexts=cts, hacked=tuple(hacked), d=d)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,10 @@ from netpad.gf2 import BitString
 from netpad.predistribution import SchemeSpec, generate
 
 
+FROZEN_CT = ("4e50435402000100000002000000010000000000000007a76cabc62071cbb4e18cc469fe1a12"
+             "40000000000000009965b860a8ee03f5")
+
+
 @pytest.fixture
 def ks():
     return generate(SchemeSpec.parse("comb:a=3"), 4, 600, seed=11)
@@ -105,10 +109,20 @@ def test_zero_length_message(ks):
 
 
 def test_budget_enforced(ks):
+    # The cap is |u_12| = 400 shared bits, not the l = 600 bits a node holds.
+    shared = len(ks.common_bits(1, 2))
+    assert shared < ks.l
     tx, _ = fresh_states()
-    encrypt(ks, tx, BitString.zeros(ks.l), seed=1)  # consumes everything
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match=r"601 of its \|u_ij\|=400"):
+        encrypt(ks, tx, BitString.zeros(ks.l + 1), seed=1)
+    with pytest.raises(BudgetError, match=r"600 of its \|u_ij\|=400"):
+        encrypt(ks, tx, BitString.zeros(ks.l), seed=1)
+    assert (tx.consumed, tx.counter) == (0, 0)  # a refusal consumes nothing
+    encrypt(ks, tx, BitString.zeros(shared - 1), seed=1)
+    encrypt(ks, tx, BitString.zeros(1), seed=1)  # consumes everything
+    with pytest.raises(BudgetError, match=r"401 of its \|u_ij\|=400"):
         encrypt(ks, tx, BitString.zeros(1), seed=1)
+    encrypt(ks, tx, BitString.zeros(0), seed=1)
 
 
 def test_replay_rejected(ks):
@@ -163,6 +177,15 @@ def test_large_message_roundtrip():
     ct = encrypt(ks, tx, msg, seed=6)
     assert ct.body != msg
     assert decrypt(ks, rx, CipherText.from_bytes(ct.to_bytes())) == msg
+
+
+def test_ciphertext_bytes_are_frozen(ks):
+    # Recorded with the reference sampler loop: |u_12| = 400, d = 128, so
+    # the key comes from the redraw path.  Stored NPCT files and seeded
+    # replays decrypt only while these bytes stay the same.
+    msg = BitString.random(64, np.random.default_rng(5))
+    ct = encrypt(ks, ChannelCipherState(1, 2), msg, seed=21)
+    assert ct.to_bytes().hex() == FROZEN_CT
 
 
 def test_state_normalizes_endpoints():

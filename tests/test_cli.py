@@ -314,6 +314,24 @@ def test_exit_codes(command, code, files):
         assert "Error: " in res.output or "Usage: " in res.output
 
 
+def test_encrypt_refuses_more_key_bits_than_the_channel_shares(files, tmp_path):
+    # Channel (1, 2) of this store shares |u_12| = 840 bits, fewer than the
+    # l = 1260 each node holds; 1000 key bits would not all be secret.
+    out = tmp_path / "out.npct"
+
+    def encrypt(n_bytes):
+        msg = tmp_path / "msg.bin"
+        msg.write_bytes(bytes(range(n_bytes)))
+        return run("encrypt", "--keystore", files["n1_npks"], "--peer", "2",
+                   "--in", str(msg), "--out", str(out))
+
+    res = encrypt(125)
+    assert res.exit_code == 3, res.output
+    assert "would consume 1000 of its |u_ij|=840" in res.output
+    assert not out.exists()
+    assert encrypt(105).exit_code == 0 and out.exists()  # exactly 840 bits
+
+
 def _mutations(doc):
     """doc with one key dropped, or one value replaced by another JSON
     type, for every key and value at any depth."""

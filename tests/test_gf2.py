@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import tracemalloc
 
@@ -15,7 +16,7 @@ from netpad.gf2 import (
     sample_indices,
 )
 
-from helpers import py_rank
+from helpers import py_rank, reference_sample_indices
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +314,52 @@ def test_sample_indices_memory_is_linear_in_rows_times_d():
     assert peak < 32e6  # a dense 6300 x 84000 array needs 529 MB of uint8
 
 
+def test_sample_indices_peak_memory_at_messaging_size():
+    # One messaging key: 640 rows of d = 128 over |u_ij| = 8400.  The
+    # first call imports numpy.random (about 0.75 MB), so it runs untraced.
+    sample_indices(2, 10, 1, seed=0)
+    tracemalloc.start()
+    try:
+        idx = sample_indices(640, 8400, 128, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * idx.nbytes  # the int64 result and a uint32 working copy
+
+
+# sha256 of sample_indices(*shape, seed).tobytes(), recorded from the
+# reference loop: the ciphertexts and the auditor's rows rest on this
+# stream, so any rewrite of the sampler must keep it bit for bit.
+SAMPLER_DIGESTS = {
+    (640, 8400, 128): "44a2abd60d9f647a4bc72ec1fbbaafcef72b2cacee07390c98b4228ac01a8bef",
+    (70, 500, 128): "1bbd3bd217cfae64d24c826fcb7266e214c81cc6b038e65bd0244c754ec07962",
+    (1800, 2000, 128): "63ad61d484347e0a4af0e5f23b870b0a63f23a4aa9074a17a2de141a6dcfbc00",
+    (200, 1000, 3): "2e6a60abc48cf785188beb18b3d9263182301140707c8bec5a2e8af9c1b63479",
+    (20, 200, 150): "e694590809f767fd676b418831d11f21a111f748db51159143d5d90955ac0dea",
+}
+
+
+@pytest.mark.parametrize("shape", list(SAMPLER_DIGESTS))  # messaging, audit,
+def test_sample_indices_stream_is_frozen(shape):  # criterion 6, small d, 2d >= n
+    idx = sample_indices(*shape, seed=12)
+    assert hashlib.sha256(idx.tobytes()).hexdigest() == SAMPLER_DIGESTS[shape]
+
+
+@pytest.mark.parametrize("n_cols", [3, 7, 40, 500, 8400, 2**31 - 1, 2**31, 2**31 + 1,
+                                    2**32 - 1, 2**32, 2**32 + 1, 2**40])
+def test_sample_indices_matches_the_reference_loop(n_cols):
+    # Small column counts redraw often; the large ones cross the 32-bit
+    # draw boundary with few rows, so nothing large is allocated.
+    rng = np.random.default_rng(n_cols % 997)
+    for _ in range(25):
+        d = int(rng.integers(0, min(n_cols, 130) + 1))
+        n_rows = int(rng.integers(0, 60 if n_cols < 10**4 else 6))
+        seed = int(rng.integers(2**63))
+        idx = sample_indices(n_rows, n_cols, d, seed)
+        assert idx.dtype == np.int64
+        assert np.array_equal(idx, reference_sample_indices(n_rows, n_cols, d, seed))
+
+
 def test_fixed_weight_matrix_holds_the_sampled_indices():
     m = random_fixed_weight_matrix(30, 500, 40, seed=8)
     idx = sample_indices(30, 500, 40, seed=8)
@@ -339,21 +386,16 @@ def test_from_positions_matches_dense():
 
 
 def brute_force_cross_independent(blocks) -> bool:
-    dense_rows = [row for b in blocks for row in b.to_dense()]
-    sizes = [b.n_rows for b in blocks]
-    offsets = np.cumsum([0] + sizes)
-    total = sum(sizes)
-    for mask in range(1, 1 << total):
-        if any(not (mask >> offsets[bi]) & ((1 << sizes[bi]) - 1)
-               for bi in range(len(blocks))):
-            continue
-        acc = np.zeros(blocks[0].n_cols, dtype=np.uint8)
-        for pos in range(total):
-            if mask >> pos & 1:
-                acc ^= dense_rows[pos]
-        if not acc.any():
-            return False
-    return True
+    """Scan every row subset: the XOR of each one, built from the subset
+    without its top row, and the blocks its rows fall in."""
+    rows = [int("".join(map(str, row[::-1])) or "0", 2) for b in blocks for row in b.to_dense()]
+    owner = [k for k, b in enumerate(blocks) for _ in range(b.n_rows)]
+    xor, seen = [0], [0]
+    for row, k in zip(rows, owner):
+        xor += [x ^ row for x in xor]
+        seen += [s | 1 << k for s in seen]
+    everyone = (1 << len(blocks)) - 1
+    return not any(x == 0 and s == everyone for x, s in zip(xor[1:], seen[1:]))
 
 
 @pytest.mark.parametrize("seed", range(15))
@@ -396,12 +438,56 @@ def test_cross_independent_ignores_within_block_dependency():
 
 
 def test_cross_independent_fallback_uses_rank():
+    # A stack of full row rank has no zero-sum selection at all, so one
+    # rank call decides it, at any size.
     rng = np.random.default_rng(3)
     dense = rng.integers(0, 2, size=(30, 200), dtype=np.uint8)
     blocks = [BitMatrix.from_dense(dense[:15]), BitMatrix.from_dense(dense[15:])]
-    # 30 rows exceeds the exact-enumeration limit; full rank decides.
-    stacked_rank = BitMatrix.from_dense(dense).rank()
-    assert cross_independent(blocks) == (stacked_rank == 30)
+    assert BitMatrix.from_dense(dense).rank() == 30
+    assert cross_independent(blocks)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cross_independent_matches_brute_force_up_to_16_rows(seed):
+    rng = np.random.default_rng([seed, 16])
+    verdicts = set()
+    for _ in range(40):
+        n_blocks = int(rng.integers(1, 5))
+        sizes = rng.integers(1, 5, size=n_blocks)
+        cols = int(rng.integers(2, 12))
+        blocks = [BitMatrix.from_dense(rng.integers(0, 2, size=(int(k), cols), dtype=np.uint8))
+                  for k in sizes]
+        verdict = cross_independent(blocks)
+        assert verdict == brute_force_cross_independent(blocks)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_cross_independent_is_exact_past_full_rank():
+    # Blocks of 13 and 14 rows; block A repeats one of its own rows, so the
+    # stack has rank 26 of 27 and its only zero-sum selection stays inside
+    # A: cross-independent, though a full-rank test would say otherwise.
+    rng = np.random.default_rng(27)
+    a = rng.integers(0, 2, size=(13, 60), dtype=np.uint8)
+    a[12] = a[3]
+    b = rng.integers(0, 2, size=(14, 60), dtype=np.uint8)
+    assert BitMatrix.from_dense(np.vstack([a, b])).rank() == 26
+    assert cross_independent([BitMatrix.from_dense(a), BitMatrix.from_dense(b)])
+    b[0] = a[5]  # now a selection across both blocks XORs to zero
+    assert not cross_independent([BitMatrix.from_dense(a), BitMatrix.from_dense(b)])
+
+
+@pytest.mark.parametrize("rows", [24, 200])
+def test_cross_independent_of_zero_rows_is_small(rows):
+    # The nullspace has dimension rows; an enumeration of it needed 2^rows.
+    blocks = [BitMatrix.zeros(rows // 2, 50), BitMatrix.zeros(rows - rows // 2, 50)]
+    tracemalloc.start()
+    try:
+        assert not cross_independent(blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_cross_independent_validation():
