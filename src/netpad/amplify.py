@@ -8,6 +8,9 @@ auditor draw the d positions of every key bit from one sampler,
 ``gf2.sample_indices``, in O(m*d) time and memory for m key bits: the
 endpoints XOR the pool bits at those positions, and an auditor rebuilds
 the same rows as a sampling matrix, bit-for-bit.
+
+The endpoints read the values of u_ij by one group mask
+(``common_values``), with no Python list of pool indices.
 """
 
 from __future__ import annotations
@@ -114,10 +117,10 @@ def sampling_matrix(n_key_bits: int, n_common: int, d: int,
                                       seed_to_int(sampling_seed))
 
 
-def _shared_bits(ks, state: ChannelCipherState) -> list[int]:
-    """u_ij, the pool indices both endpoints hold; at least d of them."""
-    common = ks.common_bits(state.i, state.j)
-    if not common:
+def _shared_bits(ks, state: ChannelCipherState) -> np.ndarray:
+    """The values of u_ij, the pool bits both endpoints hold; at least d."""
+    common = ks.common_values(state.i, state.j)
+    if not common.size:
         raise ValueError(f"nodes {state.i} and {state.j} share no secret bits")
     if state.d > len(common):
         raise ValueError(
@@ -126,10 +129,9 @@ def _shared_bits(ks, state: ChannelCipherState) -> list[int]:
     return common
 
 
-def _key(ks, common: list[int], d: int, n_bits: int, sampling_seed: bytes) -> BitString:
+def _key(common: np.ndarray, d: int, n_bits: int, sampling_seed: bytes) -> BitString:
     idx = sample_indices(n_bits, len(common), d, seed_to_int(sampling_seed))
-    pool = ks.bit_values(common).bits
-    return BitString(np.bitwise_xor.reduce(pool[idx], axis=1))
+    return BitString(np.bitwise_xor.reduce(common[idx], axis=1))
 
 
 def derive_key(ks, state: ChannelCipherState, n_bits: int,
@@ -141,7 +143,7 @@ def derive_key(ks, state: ChannelCipherState, n_bits: int,
     Deterministic: both endpoints derive identical keys from the same
     keystore views and header.
     """
-    return _key(ks, _shared_bits(ks, state), state.d, n_bits, sampling_seed)
+    return _key(_shared_bits(ks, state), state.d, n_bits, sampling_seed)
 
 
 def _derive_sampling_seed(seed, counter: int) -> bytes:
@@ -161,7 +163,7 @@ def encrypt(ks, state: ChannelCipherState, plaintext: BitString, seed) -> Cipher
         )
     counter = state.counter + 1
     sampling_seed = _derive_sampling_seed(seed, counter)
-    key = _key(ks, common, state.d, len(plaintext), sampling_seed)
+    key = _key(common, state.d, len(plaintext), sampling_seed)
     state.counter = counter
     state.consumed += len(plaintext)
     return CipherText(i=state.i, j=state.j, counter=counter,

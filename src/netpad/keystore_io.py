@@ -14,9 +14,13 @@ Layout (little-endian), NPKS version 2:
   seal: 32-byte blake2b digest of everything before it
 
 A view's held pool indices are not stored: they are the sorted union of
-its groups.  A full store records no storage locations: they follow from
-the scheme (``KeyStore.locations``).  The writers refuse u > 2^32 and
-l >= 2^32, which the u32 tables cannot hold.
+its groups.  The loaders read the group table into a GroupIndex, which
+keeps beside each ascending pool index the record number of its group,
+so that a query selects bits by one mask over the node sets.  A view
+builds its ``groups`` dict only when something reads it.  A full store
+records no storage locations: they follow from the scheme
+(``KeyStore.locations``).  The writers refuse u > 2^32 and l >= 2^32,
+which the u32 tables cannot hold.
 
 The loaders read the magic and version first, so that a file of another
 version (1 had variable-length tables and no seal) is named as such,
@@ -40,18 +44,20 @@ import hashlib
 import itertools
 import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .gf2 import RNG_ALGORITHM, BitString
-from .predistribution import (KeyStore, SchemeSpec, generate, pool_size, random_groups,
-                              select_bits)
+from .predistribution import (GroupIndex, KeyStore, SchemeSpec, generate, pool_index_array,
+                              pool_size, random_groups)
 
 MAGIC = b"NPKS"
 VERSION = 2
 SEAL_BYTES = 32
+
+_struct = lru_cache(maxsize=64)(struct.Struct)
 
 
 def _seal(data) -> bytes:
@@ -79,7 +85,12 @@ class _Reader:
         return chunk
 
     def unpack(self, fmt: str):
-        return struct.unpack("<" + fmt, self.read(struct.calcsize("<" + fmt)))
+        """The next values, read in place with a compiled little-endian struct."""
+        st = _struct("<" + fmt)
+        if self.pos + st.size > len(self.data):
+            raise ValueError("truncated keystore file")
+        self.pos += st.size
+        return st.unpack_from(self.data, self.pos - st.size)
 
     def u32(self, count: int) -> np.ndarray:
         """The next count u32 values, read in place."""
@@ -129,8 +140,9 @@ def _write_sealed(out: bytearray, path) -> None:
     Path(path).write_bytes(out)
 
 
-def _read_groups(rd: _Reader, n: int, u: int):
-    """The group table as a dict, and all its pool indices in ascending order."""
+def _read_groups(rd: _Reader, n: int, u: int) -> GroupIndex:
+    """The group table as a GroupIndex: its flat u32 table sorted, with
+    each index's group id carried along by the same permutation."""
     (count,) = rd.unpack("I")
     node_sets, sizes = [], []
     for _ in range(count):
@@ -146,15 +158,13 @@ def _read_groups(rd: _Reader, n: int, u: int):
     group_of = np.repeat(np.arange(count), sizes)
     if not np.all((flat[1:] > flat[:-1]) | (group_of[1:] != group_of[:-1])):
         raise ValueError("a group's pool indices are not strictly ascending")
-    ordered = np.sort(flat)
+    order = np.argsort(flat)
+    ordered = flat[order]
     if ordered.size and ordered[-1] >= u:
         raise ValueError(f"pool index {int(ordered[-1])} outside 0..{u - 1}")
     if np.any(ordered[1:] == ordered[:-1]):
         raise ValueError("a pool index lies in two groups")
-    listed = flat.tolist()
-    bounds = itertools.accumulate(sizes, initial=0)
-    groups = {nodes: listed[a:a + size] for nodes, a, size in zip(node_sets, bounds, sizes)}
-    return groups, ordered
+    return GroupIndex(node_sets, ordered.astype(np.int64), group_of[order])
 
 
 def save(ks: KeyStore, path) -> None:
@@ -167,18 +177,24 @@ def save(ks: KeyStore, path) -> None:
 
 @dataclass(eq=False)
 class NodeView:
-    """What a deployed node carries: its group memberships and, for each
-    held pool index, its storage location and bit value."""
+    """What a deployed node carries: its group memberships, as a GroupIndex
+    over its ascending held pool indices, and each held index's storage
+    location and bit value.  ``groups``, the dict a KeyStore holds, is
+    built from the index only when something reads it."""
 
     node: int
     n: int
     l: int
     scheme: SchemeSpec
     u: int
-    groups: dict[tuple[int, ...], list[int]]
-    held: np.ndarray  # held pool indices, ascending
+    index: GroupIndex
     held_slots: np.ndarray  # storage location of each held index
     held_bits: np.ndarray  # bit value of each held index
+    held = property(lambda self: self.index.indices)  # held pool indices, ascending
+
+    @cached_property
+    def groups(self) -> dict[tuple[int, ...], list[int]]:
+        return self.index.groups()
 
     @cached_property
     def locations(self) -> dict[int, int]:
@@ -190,18 +206,26 @@ class NodeView:
         """Pool index -> bit value."""
         return dict(zip(self.held.tolist(), self.held_bits.tolist()))
 
-    def common_bits(self, i: int, j: int) -> list[int]:
+    def _common(self, i: int, j: int) -> np.ndarray:
         if self.node not in (i, j):
             raise ValueError(f"node view {self.node} is not an endpoint of ({i},{j})")
-        return select_bits(self.groups, lambda nodes: i in nodes and j in nodes)
+        return self.index.select(lambda nodes: i in nodes and j in nodes)
+
+    def common_bits(self, i: int, j: int) -> list[int]:
+        return self.held[self._common(i, j)].tolist()
+
+    def common_values(self, i: int, j: int) -> np.ndarray:
+        """The bit values of common_bits(i, j), read by one group mask."""
+        return self.held_bits[self._common(i, j)]
 
     def bit_values(self, indices) -> BitString:
-        idx = np.asarray(indices, dtype=np.int64)
-        known = np.isin(idx, self.held)
+        idx = pool_index_array(indices, self.u)
+        at = np.minimum(np.searchsorted(self.held, idx), self.held.size - 1)
+        known = self.held[at] == idx if self.held.size else np.zeros(idx.shape, dtype=bool)
         if not known.all():
             raise ValueError(f"node {self.node} does not hold pool index "
                              f"{int(idx[~known][0])}")
-        return BitString(self.held_bits[np.searchsorted(self.held, idx)])
+        return BitString(self.held_bits[at])
 
 
 def save_node_view(ks: KeyStore, node: int, path) -> None:
@@ -246,12 +270,13 @@ def _read_header(rd: _Reader):
 def load(path) -> KeyStore:
     rd = _open(path, 0)
     n, l, u, scheme, seed = _read_header(rd)
-    groups, _ = _read_groups(rd, n, u)
+    index = _read_groups(rd, n, u)
+    groups = index.groups()
     # Checking a random store, or rebuilding a hybrid one, from its header
     # costs O(u + n*l), so first check u against the header and n against
     # the nodes the file lists (every node of a store with bits holds
     # some): the cost is then bounded by the file.
-    if u and len(set().union(*groups)) != n:
+    if u and len(set().union(*index.node_sets)) != n:
         raise ValueError(f"keystore lists bits for fewer than its {n} nodes")
     if pool_size(scheme, n, l) != u:
         raise ValueError(f"keystore has u={u} pool bits, its header "
@@ -277,14 +302,15 @@ def load_node_view(path) -> NodeView:
     n, l, u, scheme, _ = _read_header(rd)
     if not 1 <= node <= n:
         raise ValueError(f"node view names node {node} outside 1..{n}")
-    groups, held = _read_groups(rd, n, u)
-    if any(node not in nodes for nodes in groups):
+    index = _read_groups(rd, n, u)
+    if any(node not in nodes for nodes in index.node_sets):
         raise ValueError(f"node view {node} lists a group it is not in")
+    held = index.indices
     slots = rd.u32(held.size)
     ordered = np.sort(slots)
     if slots.size and (ordered[0] < 1 or ordered[-1] > l or np.any(ordered[1:] == ordered[:-1])):
         raise ValueError(f"node view's storage locations are not distinct in 1..{l}")
     bits = BitString.from_bytes(rd.read(-(-held.size // 8)), held.size).bits
     rd.finish()
-    return NodeView(node=node, n=n, l=l, scheme=scheme, u=u, groups=groups,
-                    held=held.astype(np.int64), held_slots=slots, held_bits=bits)
+    return NodeView(node=node, n=n, l=l, scheme=scheme, u=u, index=index,
+                    held_slots=slots, held_bits=bits)

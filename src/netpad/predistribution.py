@@ -11,6 +11,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -131,13 +132,54 @@ def parse_fraction(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
+def pool_index_array(indices, u: int) -> np.ndarray:
+    """indices as an int64 array; ValueError unless each is an integer in 0..u-1."""
+    idx = np.asarray(indices)
+    if idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0 or idx.max() >= u):
+        raise ValueError(f"pool indices must be integers in 0..{u - 1}")
+    return idx.astype(np.int64, copy=False)
+
+
+@dataclass(frozen=True, eq=False)
+class GroupIndex:
+    """The groups as arrays: the node sets in record order, the pool
+    indices they cover in ascending order and, aligned with those, each
+    one's record number.  A selection of groups is a boolean mask over
+    node_sets, and mask[group_ids] selects their bits."""
+
+    node_sets: list[tuple[int, ...]]
+    indices: np.ndarray  # int64, ascending
+    group_ids: np.ndarray
+
+    @classmethod
+    def of(cls, groups) -> "GroupIndex":
+        sizes = list(map(len, groups.values()))
+        flat = np.fromiter(itertools.chain.from_iterable(groups.values()), np.int64, sum(sizes))
+        order = np.argsort(flat)
+        return cls(list(groups), flat[order], np.repeat(np.arange(len(sizes)), sizes)[order])
+
+    def select(self, keep) -> np.ndarray:
+        """Which indices lie in a group whose node set passes keep."""
+        return np.fromiter(map(keep, self.node_sets), bool, len(self.node_sets))[self.group_ids]
+
+    def pick(self, keep) -> list[int]:
+        return self.indices[self.select(keep)].tolist()
+
+    def groups(self) -> dict[tuple[int, ...], list[int]]:
+        """Node set -> its pool indices, ascending, in record order."""
+        listed = self.indices[np.argsort(self.group_ids, kind="stable")].tolist()
+        ends = np.cumsum(np.bincount(self.group_ids, minlength=len(self.node_sets))).tolist()
+        return {nodes: listed[a:b] for nodes, a, b in zip(self.node_sets, [0] + ends, ends)}
+
+
 @dataclass
 class KeyStore:
     """Global pool of secret bits plus per-node assignments and groups.
 
     groups maps a sorted node tuple G to the pool-bit indices distributed
     to exactly the nodes of G; only non-empty groups are stored, and the
-    groups partition the assigned pool bits.
+    groups partition the assigned pool bits.  Queries read ``index``, a
+    GroupIndex built from groups on first use.
     """
 
     n: int
@@ -157,6 +199,10 @@ class KeyStore:
     def u(self) -> int:
         return len(self.pool)
 
+    @cached_property
+    def index(self) -> GroupIndex:
+        return GroupIndex.of(self.groups)
+
     def _check_node(self, i: int) -> None:
         if not 1 <= i <= self.n:
             raise ValueError(f"node {i} outside 1..{self.n}")
@@ -164,22 +210,29 @@ class KeyStore:
     def node_bits(self, i: int) -> list[int]:
         """Pool indices held by node i, ascending."""
         self._check_node(i)
-        return select_bits(self.groups, lambda nodes: i in nodes)
+        return self.index.pick(lambda nodes: i in nodes)
 
-    def common_bits(self, i: int, j: int) -> list[int]:
-        """Pool indices held by both i and j, ascending."""
+    def _common(self, i: int, j: int) -> np.ndarray:
         self._check_node(i)
         self._check_node(j)
         if i == j:
             raise ValueError("common_bits needs two distinct nodes")
-        return select_bits(self.groups, lambda nodes: i in nodes and j in nodes)
+        return self.index.select(lambda nodes: i in nodes and j in nodes)
+
+    def common_bits(self, i: int, j: int) -> list[int]:
+        """Pool indices held by both i and j, ascending."""
+        return self.index.indices[self._common(i, j)].tolist()
+
+    def common_values(self, i: int, j: int) -> np.ndarray:
+        """The bit values of common_bits(i, j), read by one group mask."""
+        return self.pool.bits[self.index.indices[self._common(i, j)]]
 
     def hacked_bits(self, hacked) -> list[int]:
         """Pool indices known to the eavesdropper, ascending."""
         hacked = set(hacked)
         for h in hacked:
             self._check_node(h)
-        return select_bits(self.groups, lambda nodes: not hacked.isdisjoint(nodes))
+        return self.index.pick(lambda nodes: not hacked.isdisjoint(nodes))
 
     def unhacked_common_indices(self, channels, hacked) -> list[int]:
         """Pool indices in the union of u_ij over channels, minus u_h."""
@@ -190,7 +243,7 @@ class KeyStore:
             self._check_node(j)
             if i in hacked or j in hacked:
                 raise ValueError(f"channel ({i},{j}) touches a hacked node")
-        return select_bits(self.groups, lambda nodes: hacked.isdisjoint(nodes) and any(
+        return self.index.pick(lambda nodes: hacked.isdisjoint(nodes) and any(
             i in nodes and j in nodes for i, j in channels))
 
     def unhacked_union_size(self, channels, hacked) -> int:
@@ -198,7 +251,7 @@ class KeyStore:
         return len(self.unhacked_common_indices(channels, hacked))
 
     def bit_values(self, indices) -> BitString:
-        return BitString(self.pool.bits[np.asarray(list(indices), dtype=np.int64)])
+        return BitString(self.pool.bits[pool_index_array(indices, self.u)])
 
     def slots(self, node: int) -> tuple[np.ndarray, np.ndarray]:
         """The pool indices node holds, ascending, and the storage slot
@@ -225,15 +278,6 @@ class KeyStore:
         """Pool index -> storage slot of each bit node holds (see slots)."""
         held, slots = self.slots(node)
         return dict(zip(held.tolist(), slots.tolist()))
-
-
-def select_bits(groups, keep) -> list[int]:
-    """Ascending pool indices of the groups whose node tuple passes keep."""
-    out: list[int] = []
-    for nodes, idx in groups.items():
-        if keep(nodes):
-            out.extend(idx)
-    return sorted(out)
 
 
 def generate(spec: SchemeSpec, n: int, l: int, seed, strict: bool = False) -> KeyStore:
@@ -305,11 +349,10 @@ def random_groups(perm: PermutationFamily, l: int) -> dict[tuple[int, ...], list
     holds[perm.invert_all(np.arange(1, perm.n + 1), l) - 1, np.arange(perm.n)[:, None]] = True
     keys = np.packbits(holds, axis=1, bitorder="little")
     _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    members = np.argsort(inverse.ravel(), kind="stable").tolist()
-    bounds = np.cumsum([0] + np.bincount(inverse.ravel()).tolist()).tolist()
-    rows = holds[first].tolist()
-    groups = {tuple(i for i, held in enumerate(rows[g], start=1) if held):
-              members[bounds[g]:bounds[g + 1]] for g in np.argsort(first).tolist()}
+    order = np.argsort(first)
+    node_sets = [tuple(i for i, held in enumerate(row, start=1) if held)
+                 for row in holds[first[order]].tolist()]
+    groups = GroupIndex(node_sets, np.arange(perm.u), np.argsort(order)[inverse.ravel()]).groups()
     groups.pop((), None)
     return groups
 

@@ -332,6 +332,31 @@ def test_encrypt_refuses_more_key_bits_than_the_channel_shares(files, tmp_path):
     assert encrypt(105).exit_code == 0 and out.exists()  # exactly 840 bits
 
 
+def test_cli_round_trip_never_builds_view_groups(tmp_path, monkeypatch):
+    # The key path selects u_ij by a group mask, so neither endpoint should
+    # build the groups dict of its view.
+    loaded = []
+
+    def load_node_view(path):
+        loaded.append(real_load(path))
+        return loaded[-1]
+    real_load = keystore_io.load_node_view
+    monkeypatch.setattr(keystore_io, "load_node_view", load_node_view)
+    for node in (1, 3):
+        run("keygen", "--scheme", "comb:a=3", "--n", "4", "--l", "1260", "--seed", "3",
+            "--node", str(node), "--out", str(tmp_path / f"n{node}.npks"))
+    (tmp_path / "msg.bin").write_bytes(bytes(range(80)))
+    enc = run("encrypt", "--keystore", str(tmp_path / "n1.npks"), "--peer", "3",
+              "--in", str(tmp_path / "msg.bin"), "--out", str(tmp_path / "msg.npct"))
+    dec = run("decrypt", "--keystore", str(tmp_path / "n3.npks"),
+              "--in", str(tmp_path / "msg.npct"), "--out", str(tmp_path / "msg.out"))
+    assert enc.exit_code == dec.exit_code == 0, enc.output + dec.output
+    assert (tmp_path / "msg.out").read_bytes() == bytes(range(80))
+    assert [view.node for view in loaded] == [1, 3]
+    assert all("groups" not in view.__dict__ for view in loaded)
+    assert all(1 in nodes for nodes in loaded[0].groups) and "groups" in loaded[0].__dict__
+
+
 def _mutations(doc):
     """doc with one key dropped, or one value replaced by another JSON
     type, for every key and value at any depth."""

@@ -54,6 +54,22 @@ def test_node_view_roundtrip(text, n, l, tmp_path):
         assert view.common_bits(2, j) == ks.common_bits(2, j)
 
 
+@pytest.mark.parametrize("text,n,l", SCHEMES)
+def test_common_values_are_the_common_bits_values(text, n, l, tmp_path):
+    ks = generate(SchemeSpec.parse(text), n, l, seed=29)
+    for node in range(1, n + 1):
+        keystore_io.save_node_view(ks, node, tmp_path / f"v{node}.npks")
+    views = [keystore_io.load_node_view(tmp_path / f"v{node}.npks") for node in range(1, n + 1)]
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        for store in (ks, views[i - 1], views[j - 1]):
+            values = store.common_values(i, j)
+            assert values.dtype == np.uint8
+            assert np.array_equal(values, store.bit_values(store.common_bits(i, j)).bits)
+    assert all("groups" not in view.__dict__ for view in views)
+    assert [view.groups for view in views] == [
+        {g: idx for g, idx in ks.groups.items() if node in g} for node in range(1, n + 1)]
+
+
 def test_node_view_rejects_foreign_channels():
     ks = generate(SchemeSpec.parse("pairwise"), 4, 6, seed=0)
     view_path = None
@@ -469,3 +485,24 @@ def test_node_view_bit_values_match_the_store(tmp_path):
     assert len(view.bit_values([])) == 0
     with pytest.raises(ValueError, match="does not hold"):
         view.bit_values([0, 8])  # bit 8 is in group (1,3,4)
+
+
+@pytest.mark.parametrize("indices", [[-1], [16], [2**40], [0.5], [True], ["0"]])
+def test_bit_values_refuse_indices_outside_the_pool(indices, tmp_path):
+    # u = 16: a negative index must not wrap to the end of the pool, and a
+    # non-integer must not be truncated to an index.
+    ks, _, _ = _comb_files(tmp_path)
+    view = keystore_io.load_node_view(tmp_path / "view.npks")
+    for store in (ks, view):
+        with pytest.raises(ValueError):
+            store.bit_values(indices)
+
+
+def test_bit_values_take_index_arrays(tmp_path):
+    ks, _, _ = _comb_files(tmp_path)
+    view = keystore_io.load_node_view(tmp_path / "view.npks")
+    held = np.array(ks.node_bits(2), dtype=np.int64)
+    assert ks.bit_values(held) == view.bit_values(held) == ks.bit_values(held.tolist())
+    assert ks.bit_values(np.arange(ks.u, dtype=np.uint32)) == ks.pool
+    with pytest.raises(ValueError, match="does not hold pool index 8"):
+        view.bit_values(np.array([0, 8]))
