@@ -173,9 +173,8 @@ def conditional_mi(ks: KeyStore, a: int, b: int) -> int:
         raise ValueError(f"need a >= 1, b >= 0, a + b <= n (got a={a}, b={b}, n={ks.n})")
 
     def joint_entropy(k: int) -> int:
-        first = set(range(1, k + 1))
-        return sum(len(idx) for nodes, idx in ks.groups.items()
-                   if first.intersection(nodes))
+        # Node sets ascend, so a group meets nodes 1..k iff its first node does.
+        return int(ks.index.sizes @ ks.index.chosen(lambda nodes: nodes[0] <= k))
 
     memo: dict[tuple[int, int], int] = {}
 

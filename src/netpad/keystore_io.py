@@ -14,13 +14,11 @@ Layout (little-endian), NPKS version 2:
   seal: 32-byte blake2b digest of everything before it
 
 A view's held pool indices are not stored: they are the sorted union of
-its groups.  The loaders read the group table into a GroupIndex, which
-keeps beside each ascending pool index the record number of its group,
-so that a query selects bits by one mask over the node sets.  A view
-builds its ``groups`` dict only when something reads it.  A full store
-records no storage locations: they follow from the scheme
-(``KeyStore.locations``).  The writers refuse u > 2^32 and l >= 2^32,
-which the u32 tables cannot hold.
+its groups.  Both store types keep their groups as a GroupIndex: the
+writers read the u32 table from it and the loaders build it from that
+table, so no ``groups`` dict is built unless something reads it.  A
+full store records no storage locations: they follow from the scheme
+(``KeyStore.locations``).  The writers refuse u > 2^32 and l >= 2^32.
 
 The loaders read the magic and version first, so that a file of another
 version (1 had variable-length tables and no seal) is named as such,
@@ -127,12 +125,13 @@ def _write_header(out: bytearray, ks: KeyStore, seed: int) -> None:
     _write_text(out, RNG_ALGORITHM)
 
 
-def _write_groups(out: bytearray, groups) -> None:
-    out += struct.pack("<I", len(groups))
-    for nodes, indices in groups.items():
-        out += struct.pack(f"<H{len(nodes)}IQ", len(nodes), *nodes, len(indices))
-    out += _u32(np.fromiter(itertools.chain.from_iterable(groups.values()), dtype=np.int64,
-                            count=sum(map(len, groups.values()))))
+def _write_groups(out: bytearray, index: GroupIndex, keep) -> None:
+    """The groups whose node set passes keep, in record order."""
+    kept = index.chosen(keep)
+    out += struct.pack("<I", np.count_nonzero(kept))
+    for nodes, size in zip(itertools.compress(index.node_sets, kept), index.sizes[kept].tolist()):
+        out += struct.pack(f"<H{len(nodes)}IQ", len(nodes), *nodes, size)
+    out += _u32(index.table[np.repeat(kept, index.sizes)])
 
 
 def _write_sealed(out: bytearray, path) -> None:
@@ -170,7 +169,7 @@ def _read_groups(rd: _Reader, n: int, u: int) -> GroupIndex:
 def save(ks: KeyStore, path) -> None:
     out = bytearray(MAGIC + struct.pack("<HB", VERSION, 0))
     _write_header(out, ks, ks.seed)
-    _write_groups(out, ks.groups)
+    _write_groups(out, ks.index, lambda nodes: True)
     out += ks.pool.to_bytes()
     _write_sealed(out, path)
 
@@ -179,8 +178,8 @@ def save(ks: KeyStore, path) -> None:
 class NodeView:
     """What a deployed node carries: its group memberships, as a GroupIndex
     over its ascending held pool indices, and each held index's storage
-    location and bit value.  ``groups``, the dict a KeyStore holds, is
-    built from the index only when something reads it."""
+    location and bit value.  ``groups`` is derived from the index, as on
+    a KeyStore, only when something reads it."""
 
     node: int
     n: int
@@ -191,10 +190,7 @@ class NodeView:
     held_slots: np.ndarray  # storage location of each held index
     held_bits: np.ndarray  # bit value of each held index
     held = property(lambda self: self.index.indices)  # held pool indices, ascending
-
-    @cached_property
-    def groups(self) -> dict[tuple[int, ...], list[int]]:
-        return self.index.groups()
+    groups = cached_property(lambda self: self.index.groups())
 
     @cached_property
     def locations(self) -> dict[int, int]:
@@ -231,7 +227,7 @@ class NodeView:
 def save_node_view(ks: KeyStore, node: int, path) -> None:
     out = bytearray(MAGIC + struct.pack("<HBI", VERSION, 1, node))
     _write_header(out, ks, 0)
-    _write_groups(out, {nodes: idx for nodes, idx in ks.groups.items() if node in nodes})
+    _write_groups(out, ks.index, lambda nodes: node in nodes)
     held, slots = ks.slots(node)
     out += _u32(slots)
     out += ks.pool[held].to_bytes()
@@ -271,7 +267,6 @@ def load(path) -> KeyStore:
     rd = _open(path, 0)
     n, l, u, scheme, seed = _read_header(rd)
     index = _read_groups(rd, n, u)
-    groups = index.groups()
     # Checking a random store, or rebuilding a hybrid one, from its header
     # costs O(u + n*l), so first check u against the header and n against
     # the nodes the file lists (every node of a store with bits holds
@@ -287,11 +282,11 @@ def load(path) -> KeyStore:
         # A hybrid's storage locations depend on its parts; rebuild the
         # store deterministically from the header and check it matches.
         rebuilt = generate(scheme, n, l, seed)
-        if rebuilt.groups != groups or rebuilt.pool != pool:
+        if rebuilt.index != index or rebuilt.pool != pool:
             raise ValueError("hybrid keystore content does not match its header")
         return rebuilt
-    ks = KeyStore(n=n, l=l, scheme=scheme, seed=seed, pool=pool, groups=groups)
-    if scheme.kind == "random" and random_groups(ks.perm, l) != groups:
+    ks = KeyStore(n=n, l=l, scheme=scheme, seed=seed, pool=pool, index=index)
+    if scheme.kind == "random" and random_groups(ks.perm, l) != index:
         raise ValueError("random keystore's groups do not follow its permutation")
     return ks
 

@@ -19,6 +19,7 @@ import numpy as np
 from .gf2 import BitString
 from .permutation import PermutationFamily, _seed_int
 
+MAX_RETRIES = 5000  # stub shuffles random_regular_groups tries
 KINDS = ("pairwise", "same", "combinational", "sampled_combinational", "random", "hybrid")
 
 
@@ -145,30 +146,40 @@ class GroupIndex:
     """The groups as arrays: the node sets in record order, the pool
     indices they cover in ascending order and, aligned with those, each
     one's record number.  A selection of groups is a boolean mask over
-    node_sets, and mask[group_ids] selects their bits."""
+    node_sets, and mask[group_ids] selects their bits.  Equal indexes
+    give the same node sets the same indices, in any record order."""
 
     node_sets: list[tuple[int, ...]]
     indices: np.ndarray  # int64, ascending
     group_ids: np.ndarray
 
-    @classmethod
-    def of(cls, groups) -> "GroupIndex":
-        sizes = list(map(len, groups.values()))
-        flat = np.fromiter(itertools.chain.from_iterable(groups.values()), np.int64, sum(sizes))
-        order = np.argsort(flat)
-        return cls(list(groups), flat[order], np.repeat(np.arange(len(sizes)), sizes)[order])
+    def __eq__(self, other) -> bool:
+        position = {nodes: k for k, nodes in enumerate(self.node_sets)}
+        remap = np.array([position.get(nodes, -1) for nodes in other.node_sets], dtype=np.int64)
+        return (position.keys() == set(other.node_sets)
+                and np.array_equal(self.indices, other.indices)
+                and np.array_equal(self.group_ids, remap[other.group_ids]))
+
+    sizes = cached_property(lambda self: np.bincount(self.group_ids, minlength=len(self.node_sets)))
+
+    def chosen(self, keep) -> np.ndarray:
+        """Which groups have a node set that passes keep."""
+        return np.fromiter(map(keep, self.node_sets), bool, len(self.node_sets))
 
     def select(self, keep) -> np.ndarray:
         """Which indices lie in a group whose node set passes keep."""
-        return np.fromiter(map(keep, self.node_sets), bool, len(self.node_sets))[self.group_ids]
+        return self.chosen(keep)[self.group_ids]
 
     def pick(self, keep) -> list[int]:
         return self.indices[self.select(keep)].tolist()
 
+    # The indices group by group in record order, ascending in each.
+    table = cached_property(lambda self: self.indices[np.argsort(self.group_ids, kind="stable")])
+
     def groups(self) -> dict[tuple[int, ...], list[int]]:
         """Node set -> its pool indices, ascending, in record order."""
-        listed = self.indices[np.argsort(self.group_ids, kind="stable")].tolist()
-        ends = np.cumsum(np.bincount(self.group_ids, minlength=len(self.node_sets))).tolist()
+        listed = self.table.tolist()
+        ends = np.cumsum(self.sizes).tolist()
         return {nodes: listed[a:b] for nodes, a, b in zip(self.node_sets, [0] + ends, ends)}
 
 
@@ -176,10 +187,10 @@ class GroupIndex:
 class KeyStore:
     """Global pool of secret bits plus per-node assignments and groups.
 
-    groups maps a sorted node tuple G to the pool-bit indices distributed
-    to exactly the nodes of G; only non-empty groups are stored, and the
-    groups partition the assigned pool bits.  Queries read ``index``, a
-    GroupIndex built from groups on first use.
+    index records the groups: each holds the pool bits given to exactly
+    the nodes of its sorted node tuple, and they partition the assigned
+    bits.  ``groups`` (node tuple -> indices) is derived from the index
+    when read; writing to it does not change the store.
     """
 
     n: int
@@ -187,7 +198,7 @@ class KeyStore:
     scheme: SchemeSpec
     seed: int
     pool: BitString
-    groups: dict[tuple[int, ...], list[int]]
+    index: GroupIndex
     perm: PermutationFamily | None = None
     parts: list["KeyStore"] | None = None
 
@@ -199,9 +210,7 @@ class KeyStore:
     def u(self) -> int:
         return len(self.pool)
 
-    @cached_property
-    def index(self) -> GroupIndex:
-        return GroupIndex.of(self.groups)
+    groups = cached_property(lambda self: self.index.groups())
 
     def _check_node(self, i: int) -> None:
         if not 1 <= i <= self.n:
@@ -297,7 +306,7 @@ def generate(spec: SchemeSpec, n: int, l: int, seed, strict: bool = False) -> Ke
     if spec.kind == "random":
         perm = PermutationFamily(u, n, [seed, 0])
         return KeyStore(n=n, l=l, scheme=spec, seed=seed, pool=BitString.random(u, rng),
-                        groups=random_groups(perm, l), perm=perm)
+                        index=random_groups(perm, l), perm=perm)
 
     _, quota = _layout(spec, n)
     group_size, remainder = divmod(l, quota)
@@ -312,11 +321,10 @@ def generate(spec: SchemeSpec, n: int, l: int, seed, strict: bool = False) -> Ke
     elif spec.kind == "sampled_combinational":
         node_sets = random_regular_groups(n, spec.a, spec.m, [seed, 0])
     else:
-        node_sets = itertools.combinations(range(1, n + 1), spec.effective_a)
-    groups = {tuple(nodes): list(range(g * group_size, (g + 1) * group_size))
-              for g, nodes in enumerate(node_sets)}
+        node_sets = list(itertools.combinations(range(1, n + 1), spec.effective_a))
+    group_ids = np.repeat(np.arange(len(node_sets)), group_size)
     return KeyStore(n=n, l=l, scheme=spec, seed=seed, pool=BitString.random(u, rng),
-                    groups=groups)
+                    index=GroupIndex(node_sets, np.arange(group_ids.size), group_ids))
 
 
 def _layout(spec: SchemeSpec, n: int) -> tuple[int, int]:
@@ -340,21 +348,20 @@ def pool_size(spec: SchemeSpec, n: int, l: int) -> int:
     return l // quota * count
 
 
-def random_groups(perm: PermutationFamily, l: int) -> dict[tuple[int, ...], list[int]]:
+def random_groups(perm: PermutationFamily, l: int) -> GroupIndex:
     """The random scheme's groups: bit k is held by node i iff
     F(k+1, i) <= l, so node i holds exactly the l bits F^-1(s, i) - 1 for
-    s = 1..l.  Each nonempty holder set maps to its pool indices,
-    ascending, with the sets in order of first index."""
+    s = 1..l.  Each nonempty holder set is a group, in order of first
+    index."""
     holds = np.zeros((perm.u, perm.n), dtype=bool)
     holds[perm.invert_all(np.arange(1, perm.n + 1), l) - 1, np.arange(perm.n)[:, None]] = True
-    keys = np.packbits(holds, axis=1, bitorder="little")
+    held = np.flatnonzero(holds.any(axis=1))  # a bit no node holds is in no group
+    keys = np.packbits(holds[held], axis=1, bitorder="little")
     _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     order = np.argsort(first)
-    node_sets = [tuple(i for i, held in enumerate(row, start=1) if held)
-                 for row in holds[first[order]].tolist()]
-    groups = GroupIndex(node_sets, np.arange(perm.u), np.argsort(order)[inverse.ravel()]).groups()
-    groups.pop((), None)
-    return groups
+    node_sets = [tuple(i for i, has in enumerate(row, start=1) if has)
+                 for row in holds[held[first[order]]].tolist()]
+    return GroupIndex(node_sets, held, np.argsort(order)[inverse.ravel()])
 
 
 def _generate_hybrid(spec, n, l, seed, strict) -> KeyStore:
@@ -362,34 +369,30 @@ def _generate_hybrid(spec, n, l, seed, strict) -> KeyStore:
     parts = [generate(child, n, budget, [seed, 2 + part_no], strict)
              for part_no, (child, budget) in enumerate(zip(spec.parts, (l1, l - l1)))
              if budget >= 1]
-    groups: dict[tuple[int, ...], list[int]] = {}
-    offset = 0
+    # Node sets in order of first appearance; indices past earlier parts' pools.
+    position, indices, group_ids, offset = {}, [], [], 0
     for part in parts:
-        for nodes, idx in part.groups.items():
-            groups.setdefault(nodes, []).extend(k + offset for k in idx)
+        remap = [position.setdefault(nodes, len(position)) for nodes in part.index.node_sets]
+        indices.append(part.index.indices + offset)
+        group_ids.append(np.array(remap, dtype=np.int64)[part.index.group_ids])
         offset += part.u
+    index = GroupIndex(list(position), np.concatenate(indices), np.concatenate(group_ids))
     pool = BitString(np.concatenate([part.pool.bits for part in parts]))
-    return KeyStore(n=n, l=l, scheme=spec, seed=seed, pool=pool, groups=groups,
-                    parts=parts)
+    return KeyStore(n=n, l=l, scheme=spec, seed=seed, pool=pool, index=index, parts=parts)
 
 
-def random_regular_groups(n: int, a: int, m: int, seed, max_retries: int = 5000):
+def random_regular_groups(n: int, a: int, m: int, seed):
     """m distinct node-sets of size a with every node in exactly a*m/n sets.
 
     Regular bipartite design built by stub shuffling, the construction
     used for regular LDPC parity-check matrices; retries until the random
     partition has no repeated node inside a group and no repeated group.
     """
-    if not 2 <= a <= n:
-        raise ValueError(f"group size a={a} must satisfy 2 <= a <= n={n}")
-    if (a * m) % n != 0:
-        raise ValueError(f"a*m = {a * m} must be divisible by n = {n}")
-    if m > comb(n, a):
-        raise ValueError(f"m = {m} exceeds C({n},{a}) distinct groups")
+    SchemeSpec("sampled_combinational", a=a, m=m).validate(n)
     degree = a * m // n
     stubs = np.repeat(np.arange(1, n + 1), degree)
     rng = np.random.default_rng(seed)
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         shuffled = rng.permutation(stubs)
         chunks = [tuple(sorted(shuffled[i * a:(i + 1) * a])) for i in range(m)]
         if any(len(set(c)) != a for c in chunks):
@@ -399,5 +402,5 @@ def random_regular_groups(n: int, a: int, m: int, seed, max_retries: int = 5000)
         return sorted(chunks)
     raise ValueError(
         f"no regular group design found for n={n}, a={a}, m={m} "
-        f"after {max_retries} retries"
+        f"after {MAX_RETRIES} retries"
     )

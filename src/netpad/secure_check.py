@@ -143,10 +143,10 @@ def _hacked_sets(n: int, t: int):
 
 
 def _covering_groups(ks: KeyStore, channels) -> dict:
-    """Channel -> the group tuples holding both its endpoints, in the
-    order of ks.groups: the channel x group incidence of one check."""
+    """Channel -> the group tuples holding both its endpoints, in record
+    order: the channel x group incidence of one check."""
     covers: dict = {e: [] for e in channels}
-    for nodes in ks.groups:
+    for nodes in ks.index.node_sets:
         for e in itertools.combinations(nodes, 2):
             if e in covers:
                 covers[e].append(nodes)
@@ -241,7 +241,7 @@ def check_exact(ks: KeyStore, profile: RateProfile, t: int) -> SecurityVerdict:
 
     positive = sorted((p, r) for p, r in profile.rates.items() if r > 0)
     covering = _covering_groups(ks, [p for p, _ in positive])
-    sizes = {nodes: len(idx) for nodes, idx in ks.groups.items()}
+    sizes = dict(zip(ks.index.node_sets, ks.index.sizes.tolist()))
     best = None  # (channels, hacked); hacked sets run in lex order
     for hacked in sorted(_hacked_sets(ks.n, t)):
         hset = set(hacked)
@@ -339,29 +339,26 @@ def check_relaxed(spec: SchemeSpec, n: int, t: int,
 # feasibility (group flow) criterion
 
 
-def check_feasibility(ks: KeyStore, profile: RateProfile, t: int,
-                      epsilon: Fraction = DEFAULT_EPSILON) -> SecurityVerdict:
+def check_feasibility(ks: KeyStore, profile: RateProfile, t: int) -> SecurityVerdict:
     """Sufficient criterion via the concrete proportional flow split.
 
     For every hacked set, splits each positive rate across the unhacked
     groups shared by its endpoints in proportion to group size / group
-    order, inflated by (1 + epsilon), and verifies the per-group capacity.
+    order, inflated by 1 + DEFAULT_EPSILON, and verifies the per-group capacity.
     A pass proves achievability; a fail leaves the profile undecided.
     """
     if profile.n != ks.n:
         raise ValueError(f"profile is for n={profile.n}, keystore has n={ks.n}")
     NetworkParams(ks.n, t)
-    if not ks.groups:
+    if not ks.index.node_sets:
         raise ValueError("feasibility check needs a group-structured keystore")
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
 
     # share_G = |G| / |nodes of G|, kept as an integer over one denominator.
-    den = math.lcm(*map(len, ks.groups))
-    scaled = {nodes: len(idx) * (den // len(nodes)) for nodes, idx in ks.groups.items()}
+    sizes = dict(zip(ks.index.node_sets, ks.index.sizes.tolist()))
+    den = math.lcm(*map(len, sizes))
+    scaled = {nodes: size * (den // len(nodes)) for nodes, size in sizes.items()}
     share = {nodes: Fraction(s, den) for nodes, s in scaled.items()}
-    boost = (1 + epsilon) * den
+    boost = (1 + DEFAULT_EPSILON) * den
     positive = [(p, r) for p, r in profile.rates.items() if r > 0]
     covering = _covering_groups(ks, [p for p, _ in positive])
     assignments = []
@@ -385,7 +382,7 @@ def check_feasibility(ks: KeyStore, profile: RateProfile, t: int,
         for g, q_sum in per_group_q.items():
             # sum_x > |G|/l  iff  sum_q > |nodes|/l, since x = share_G * q.
             if q_sum > Fraction(len(g), ks.l):
-                total, cap = share[g] * q_sum, Fraction(len(ks.groups[g]), ks.l)
+                total, cap = share[g] * q_sum, Fraction(sizes[g], ks.l)
                 return SecurityVerdict(
                     status=Status.UNDECIDED, method="feasibility",
                     witness=Witness(

@@ -1,15 +1,19 @@
+import dataclasses
 import hashlib
 import itertools
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from netpad import amplify, keystore_io
+from netpad.adversary import Transcript, build_security_matrix, conditional_mi
 from netpad.cli import main
 from netpad.gf2 import BitString
-from netpad.predistribution import SchemeSpec, generate
+from netpad.predistribution import GroupIndex, SchemeSpec, generate
+from netpad.secure_check import RateProfile, check_exact, check_feasibility
 
 from helpers import reseal
 
@@ -68,6 +72,27 @@ def test_common_values_are_the_common_bits_values(text, n, l, tmp_path):
     assert all("groups" not in view.__dict__ for view in views)
     assert [view.groups for view in views] == [
         {g: idx for g, idx in ks.groups.items() if node in g} for node in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("text,n,l", SCHEMES)
+def test_library_paths_never_build_store_groups(text, n, l, tmp_path):
+    # The index is a store's record: keygen, NPKS I/O, the checkers,
+    # encryption and the adversary read it and leave groups unbuilt.
+    ks = generate(SchemeSpec.parse(text), n, l, seed=31)
+    keystore_io.save(ks, tmp_path / "full.npks")
+    for node in range(1, n + 1):
+        keystore_io.save_node_view(ks, node, tmp_path / f"v{node}.npks")
+    loaded = keystore_io.load(tmp_path / "full.npks")
+    profile = RateProfile.uniform(n, Fraction(1, 100))
+    for store in (ks, loaded):
+        check_exact(store, profile, 1)
+        check_feasibility(store, profile, 1)
+        state = amplify.ChannelCipherState(1, 2, d=2)
+        ct = amplify.encrypt(store, state, BitString.from01("10"), seed=1)
+        build_security_matrix(store, Transcript(ciphertexts=(ct,), hacked=(n,), d=2))
+        conditional_mi(store, 2, 1)
+    for store in (ks, loaded, *(ks.parts or ()), *(loaded.parts or ())):
+        assert "groups" not in store.__dict__
 
 
 def test_node_view_rejects_foreign_channels():
@@ -327,13 +352,34 @@ def test_hybrid_header_is_checked_before_regenerating(text, field, value, messag
 
 def test_random_store_groups_must_follow_the_permutation(tmp_path):
     # Moving one bit between two groups keeps the table well formed, but
-    # node_bits would then disagree with the slots F gives.
+    # node_bits would then disagree with the slots F gives.  The bit moves
+    # in the index, the store's record: group 0's lowest index joins group 1.
     ks = generate(SchemeSpec.parse("random:p=1/2"), 4, 10, seed=11)
-    (a, idx_a), (b, idx_b) = list(ks.groups.items())[:2]
-    ks.groups[a], ks.groups[b] = idx_a[1:], sorted(idx_b + idx_a[:1])
+    group_ids = ks.index.group_ids.copy()
+    assert np.count_nonzero(group_ids == 0) > 1
+    group_ids[np.flatnonzero(group_ids == 0)[0]] = 1
+    ks.index = dataclasses.replace(ks.index, group_ids=group_ids)
     keystore_io.save(ks, tmp_path / "moved.npks")
+    assert ks.groups != generate(ks.scheme, 4, 10, seed=11).groups
     with pytest.raises(ValueError, match="permutation"):
         keystore_io.load(tmp_path / "moved.npks")
+
+
+@pytest.mark.parametrize("text,n,l", SCHEMES)
+def test_load_accepts_groups_in_any_record_order(text, n, l, tmp_path):
+    # The random and hybrid checks compare node sets and their indices,
+    # not the order of the records.  The loaded groups keep the file's
+    # order, except a hybrid's: its load returns the rebuilt store.
+    ks = generate(SchemeSpec.parse(text), n, l, seed=37)
+    rebuilt = generate(ks.scheme, n, l, seed=37)
+    last = len(ks.index.node_sets) - 1
+    ks.index = GroupIndex(ks.index.node_sets[::-1], ks.index.indices, last - ks.index.group_ids)
+    keystore_io.save(ks, tmp_path / "reversed.npks")
+    loaded = keystore_io.load(tmp_path / "reversed.npks")
+    assert loaded.index == ks.index == rebuilt.index and loaded.pool == ks.pool
+    order = rebuilt if ks.scheme.kind == "hybrid" else ks
+    assert list(loaded.groups.items()) == list(order.groups.items())
+    assert list(ks.groups) == rebuilt.index.node_sets[::-1]
 
 
 def _comb_files(tmp_path):

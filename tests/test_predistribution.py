@@ -2,11 +2,13 @@ import itertools
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from netpad import keystore_io
 from netpad.permutation import PermutationFamily
 from netpad.predistribution import (
+    GroupIndex,
     KeyStore,
     SchemeSpec,
     generate,
@@ -263,3 +265,22 @@ def test_random_regular_groups_properties():
     assert all(c == 2 for c in counts.values())
     with pytest.raises(ValueError):
         random_regular_groups(6, 3, 5, seed=0)
+    with pytest.raises(ValueError, match="m >= 1"):
+        random_regular_groups(6, 3, 0, seed=0)
+
+
+def test_group_indexes_are_equal_as_their_groups_dicts():
+    # Equal when the same node sets hold the same indices, whatever the
+    # record order; a renamed node set, a moved bit or an extra empty
+    # group makes them differ, as it does their groups dicts.
+    def index(node_sets, group_ids, indices=(0, 1, 2)):
+        return GroupIndex(node_sets, np.array(indices), np.array(group_ids))
+
+    base = index([(1, 2), (1, 3)], [0, 1, 1])
+    variants = [index([(1, 3), (1, 2)], [1, 0, 0]), index([(1, 2), (2, 3)], [0, 1, 1]),
+                index([(1, 2), (1, 3)], [0, 0, 1]), index([(1, 2), (1, 3), (2, 3)], [0, 1, 1]),
+                index([(1, 2), (1, 3)], [0, 1, 1], (0, 1, 3))]
+    for other in variants:
+        assert (base == other) == (base.groups() == other.groups())
+        assert (other == base) == (base == other)
+    assert base == variants[0] and not any(base == other for other in variants[1:])
