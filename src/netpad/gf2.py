@@ -365,9 +365,6 @@ def cross_independent(blocks: Sequence[BitMatrix]) -> bool:
     masks = stacked.left_nullspace_masks()
     spans = np.cumsum([0] + [b.n_rows for b in blocks]).tolist()
     spans = [(1 << end) - (1 << start) for start, end in zip(spans, spans[1:])]
-    # A zero-sum selection uses only rows in the masks' support.
-    if not all(any(mask & span for mask in masks) for span in spans):
-        return True
     touching = 0
     for avoided in range(1 << len(blocks)):
         rows = sum(span for k, span in enumerate(spans) if avoided >> k & 1)

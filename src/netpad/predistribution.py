@@ -161,6 +161,7 @@ class GroupIndex:
                 and np.array_equal(self.group_ids, remap[other.group_ids]))
 
     sizes = cached_property(lambda self: np.bincount(self.group_ids, minlength=len(self.node_sets)))
+    size_of = cached_property(lambda self: dict(zip(self.node_sets, self.sizes.tolist())))
 
     def chosen(self, keep) -> np.ndarray:
         """Which groups have a node set that passes keep."""
@@ -190,7 +191,8 @@ class KeyStore:
     index records the groups: each holds the pool bits given to exactly
     the nodes of its sorted node tuple, and they partition the assigned
     bits.  ``groups`` (node tuple -> indices) is derived from the index
-    when read; writing to it does not change the store.
+    when first read; writing to it does not change the store, and index
+    must not be replaced after that (build a new store instead).
     """
 
     n: int

@@ -241,7 +241,7 @@ def check_exact(ks: KeyStore, profile: RateProfile, t: int) -> SecurityVerdict:
 
     positive = sorted((p, r) for p, r in profile.rates.items() if r > 0)
     covering = _covering_groups(ks, [p for p, _ in positive])
-    sizes = dict(zip(ks.index.node_sets, ks.index.sizes.tolist()))
+    sizes = ks.index.size_of
     best = None  # (channels, hacked); hacked sets run in lex order
     for hacked in sorted(_hacked_sets(ks.n, t)):
         hset = set(hacked)
@@ -354,7 +354,7 @@ def check_feasibility(ks: KeyStore, profile: RateProfile, t: int) -> SecurityVer
         raise ValueError("feasibility check needs a group-structured keystore")
 
     # share_G = |G| / |nodes of G|, kept as an integer over one denominator.
-    sizes = dict(zip(ks.index.node_sets, ks.index.sizes.tolist()))
+    sizes = ks.index.size_of
     den = math.lcm(*map(len, sizes))
     scaled = {nodes: size * (den // len(nodes)) for nodes, size in sizes.items()}
     share = {nodes: Fraction(s, den) for nodes, s in scaled.items()}

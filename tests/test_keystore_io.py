@@ -358,7 +358,7 @@ def test_random_store_groups_must_follow_the_permutation(tmp_path):
     group_ids = ks.index.group_ids.copy()
     assert np.count_nonzero(group_ids == 0) > 1
     group_ids[np.flatnonzero(group_ids == 0)[0]] = 1
-    ks.index = dataclasses.replace(ks.index, group_ids=group_ids)
+    ks = dataclasses.replace(ks, index=dataclasses.replace(ks.index, group_ids=group_ids))
     keystore_io.save(ks, tmp_path / "moved.npks")
     assert ks.groups != generate(ks.scheme, 4, 10, seed=11).groups
     with pytest.raises(ValueError, match="permutation"):
@@ -373,7 +373,8 @@ def test_load_accepts_groups_in_any_record_order(text, n, l, tmp_path):
     ks = generate(SchemeSpec.parse(text), n, l, seed=37)
     rebuilt = generate(ks.scheme, n, l, seed=37)
     last = len(ks.index.node_sets) - 1
-    ks.index = GroupIndex(ks.index.node_sets[::-1], ks.index.indices, last - ks.index.group_ids)
+    ks = dataclasses.replace(ks, index=GroupIndex(
+        ks.index.node_sets[::-1], ks.index.indices, last - ks.index.group_ids))
     keystore_io.save(ks, tmp_path / "reversed.npks")
     loaded = keystore_io.load(tmp_path / "reversed.npks")
     assert loaded.index == ks.index == rebuilt.index and loaded.pool == ks.pool
