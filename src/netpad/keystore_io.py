@@ -17,8 +17,8 @@ A view's held pool indices are not stored: they are the sorted union of
 its groups.  Both store types keep their groups as a GroupIndex: the
 writers read the u32 table from it and the loaders build it from that
 table, so no ``groups`` dict is built unless something reads it.  A
-full store records no storage locations: they follow from the scheme
-(``KeyStore.locations``).  The writers refuse u > 2^32 and l >= 2^32.
+full store records no storage locations: they follow from the scheme's
+parts (``KeyStore.locations``).  The writers refuse u > 2^32 and l >= 2^32.
 
 The loaders read the magic and version first, so that a file of another
 version (1 had variable-length tables and no seal) is named as such,
@@ -26,12 +26,12 @@ then check the seal before any other field.  The digest detects
 corruption and truncation; it is not a MAC, since anyone who can write
 the file can re-seal it.  Then they raise ValueError (CLI exit 3) on
 group node ids not strictly ascending in 1..n, a repeated node set, a
-pool index >= u, repeated in a group or in two groups, a view node
-outside 1..n or missing from one of its groups, slots repeated or
-outside 1..l, and trailing bytes.  A full store's header must agree with
-its file (u with the scheme's pool size, n with the nodes its groups
-name) before a random store's groups are checked against its permutation
-or a hybrid store is rebuilt and compared.  A node view stores seed 0:
+group with no pool index, a pool index >= u, repeated in a group or in
+two groups, a view node outside 1..n or missing from one of its groups,
+slots repeated or outside 1..l, and trailing bytes.  A full store's
+header must agree with its file (u with the scheme's pool size, n with
+the nodes its groups name) before the groups in each random part's pool
+range are checked against its permutation.  A node view stores seed 0:
 the pool is drawn from the seed, so a view that carried it would give
 one hacked node every node's bits.
 """
@@ -48,8 +48,8 @@ from pathlib import Path
 import numpy as np
 
 from .gf2 import RNG_ALGORITHM, BitString
-from .predistribution import (GroupIndex, KeyStore, SchemeSpec, generate, pool_index_array,
-                              pool_size, random_groups)
+from .predistribution import (GroupIndex, KeyStore, SchemeSpec, pool_index_array, pool_size,
+                              random_groups)
 
 MAGIC = b"NPKS"
 VERSION = 2
@@ -153,6 +153,8 @@ def _read_groups(rd: _Reader, n: int, u: int) -> GroupIndex:
         sizes.append(rd.unpack("Q")[0])
     if len(set(node_sets)) != count:
         raise ValueError("a node set appears twice in the group table")
+    if 0 in sizes:
+        raise ValueError("a group holds no pool index")
     flat = rd.u32(sum(sizes))
     group_of = np.repeat(np.arange(count), sizes)
     if not np.all((flat[1:] > flat[:-1]) | (group_of[1:] != group_of[:-1])):
@@ -267,10 +269,10 @@ def load(path) -> KeyStore:
     rd = _open(path, 0)
     n, l, u, scheme, seed = _read_header(rd)
     index = _read_groups(rd, n, u)
-    # Checking a random store, or rebuilding a hybrid one, from its header
-    # costs O(u + n*l), so first check u against the header and n against
-    # the nodes the file lists (every node of a store with bits holds
-    # some): the cost is then bounded by the file.
+    # Checking a random part against its permutation costs O(u + n*l), so
+    # first check u against the header and n against the nodes the file
+    # lists (every node of a store with bits holds some): the cost is then
+    # bounded by the file.
     if u and len(set().union(*index.node_sets)) != n:
         raise ValueError(f"keystore lists bits for fewer than its {n} nodes")
     if pool_size(scheme, n, l) != u:
@@ -278,16 +280,10 @@ def load(path) -> KeyStore:
                          f"gives {pool_size(scheme, n, l)}")
     pool = BitString.from_bytes(rd.read(-(-u // 8)), u)
     rd.finish()
-    if scheme.kind == "hybrid":
-        # A hybrid's storage locations depend on its parts; rebuild the
-        # store deterministically from the header and check it matches.
-        rebuilt = generate(scheme, n, l, seed)
-        if rebuilt.index != index or rebuilt.pool != pool:
-            raise ValueError("hybrid keystore content does not match its header")
-        return rebuilt
     ks = KeyStore(n=n, l=l, scheme=scheme, seed=seed, pool=pool, index=index)
-    if scheme.kind == "random" and random_groups(ks.perm, l) != index:
-        raise ValueError("random keystore's groups do not follow its permutation")
+    for _, part_l, _, start, part_u, perm in ks.parts:
+        if perm and random_groups(perm, part_l) != index.within(start, start + part_u):
+            raise ValueError("random keystore's groups do not follow its permutation")
     return ks
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -171,6 +172,14 @@ class GroupIndex:
         """Which indices lie in a group whose node set passes keep."""
         return self.chosen(keep)[self.group_ids]
 
+    def within(self, start: int, stop: int) -> "GroupIndex":
+        """The groups cut to pool indices start..stop-1 and shifted down by
+        start, in record order, without the groups left empty."""
+        lo, hi = np.searchsorted(self.indices, [start, stop])
+        kept = np.bincount(self.group_ids[lo:hi], minlength=len(self.node_sets)) > 0
+        return GroupIndex(list(itertools.compress(self.node_sets, kept)),
+                          self.indices[lo:hi] - start, (np.cumsum(kept) - 1)[self.group_ids[lo:hi]])
+
     def pick(self, keep) -> list[int]:
         return self.indices[self.select(keep)].tolist()
 
@@ -193,6 +202,7 @@ class KeyStore:
     bits.  ``groups`` (node tuple -> indices) is derived from the index
     when first read; writing to it does not change the store, and index
     must not be replaced after that (build a new store instead).
+    ``parts`` is derived from scheme, n, l and seed when first read.
     """
 
     n: int
@@ -201,18 +211,13 @@ class KeyStore:
     seed: int
     pool: BitString
     index: GroupIndex
-    perm: PermutationFamily | None = None
-    parts: list["KeyStore"] | None = None
-
-    def __post_init__(self):
-        if self.perm is None and self.scheme.kind == "random":
-            self.perm = PermutationFamily(self.u, self.n, [self.seed, 0])
 
     @property
     def u(self) -> int:
         return len(self.pool)
 
     groups = cached_property(lambda self: self.index.groups())
+    parts = cached_property(lambda self: parts(self.scheme, self.n, self.l, self.seed))
 
     def _check_node(self, i: int) -> None:
         if not 1 <= i <= self.n:
@@ -266,24 +271,22 @@ class KeyStore:
 
     def slots(self, node: int) -> tuple[np.ndarray, np.ndarray]:
         """The pool indices node holds, ascending, and the storage slot
-        (1..l) of each, as int64 arrays: slots 1, 2, ... in index order for
-        sequential schemes, F(k+1, node) for the random scheme (found by
-        inverting the l slots), and for a hybrid each part's, shifted by
-        the earlier parts' u (indices) and l (slots)."""
-        if self.scheme.kind == "hybrid":
-            held, slots, offset, slot_offset = [], [], 0, 0
-            for part in self.parts:
-                part_held, part_slots = part.slots(node)
-                held.append(part_held + offset)
-                slots.append(part_slots + slot_offset)
-                offset, slot_offset = offset + part.u, slot_offset + part.l
-            return np.concatenate(held), np.concatenate(slots)
-        if self.scheme.kind == "random":
-            held = self.perm.invert_all(node, self.l) - 1
-            order = np.argsort(held)
-            return held[order], order + 1
-        held = np.array(self.node_bits(node), dtype=np.int64)
-        return held, np.arange(1, held.size + 1)
+        (1..l) of each, as int64 arrays.  Each part's slots follow the
+        earlier parts' l: F(k+1, node) in a random part (found by
+        inverting its l slots), 1, 2, ... in index order in any other."""
+        held, slots, offset = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], 0
+        mine = None if all(p.perm for p in self.parts) else np.array(self.node_bits(node), np.int64)
+        for part in self.parts:
+            if part.perm is None:
+                lo, hi = np.searchsorted(mine, [part.start, part.start + part.u])
+                part_held, order = mine[lo:hi], np.arange(hi - lo)
+            else:
+                part_held = part.perm.invert_all(node, part.l) - 1 + part.start
+                order = np.argsort(part_held)
+            held.append(part_held[order])
+            slots.append(order + 1 + offset)
+            offset += part.l
+        return np.concatenate(held), np.concatenate(slots)
 
     def locations(self, node: int) -> dict[int, int]:
         """Pool index -> storage slot of each bit node holds (see slots)."""
@@ -292,24 +295,30 @@ class KeyStore:
 
 
 def generate(spec: SchemeSpec, n: int, l: int, seed, strict: bool = False) -> KeyStore:
-    """Run the key pre-distribution phase for one scheme."""
+    """Run the key pre-distribution phase: draw each part's groups and pool bits, and join them."""
     if n < 2:
         raise ValueError("need at least two nodes")
     if l < 1:
         raise ValueError("per-node budget must be at least one bit")
     spec.validate(n)
     seed = _seed_int(seed)
+    # Node sets in order of first appearance; indices past earlier parts' pools.
+    position, indices, group_ids, pools = {}, [], [], []
+    for part in (layout := parts(spec, n, l, seed)):
+        index = (random_groups(part.perm, part.l) if part.perm
+                 else _sequential_groups(part.scheme, n, part.l, part.seed, strict))
+        remap = [position.setdefault(nodes, len(position)) for nodes in index.node_sets]
+        indices.append(index.indices + part.start)
+        group_ids.append(np.array(remap, dtype=np.int64)[index.group_ids])
+        pools.append(BitString.random(part.u, np.random.default_rng([part.seed, 1])).bits)
+    ks = KeyStore(n, l, spec, seed, BitString(np.concatenate(pools)),
+                  GroupIndex(list(position), np.concatenate(indices), np.concatenate(group_ids)))
+    ks.parts = layout  # keeps each random part's family and its round keys
+    return ks
 
-    if spec.kind == "hybrid":
-        return _generate_hybrid(spec, n, l, seed, strict)
 
-    u = pool_size(spec, n, l)
-    rng = np.random.default_rng([seed, 1])
-    if spec.kind == "random":
-        perm = PermutationFamily(u, n, [seed, 0])
-        return KeyStore(n=n, l=l, scheme=spec, seed=seed, pool=BitString.random(u, rng),
-                        index=random_groups(perm, l), perm=perm)
-
+def _sequential_groups(spec: SchemeSpec, n: int, l: int, seed: int, strict: bool) -> GroupIndex:
+    """A sequential scheme's groups over its pool indices 0..u-1."""
     _, quota = _layout(spec, n)
     group_size, remainder = divmod(l, quota)
     if strict and remainder:
@@ -325,8 +334,28 @@ def generate(spec: SchemeSpec, n: int, l: int, seed, strict: bool = False) -> Ke
     else:
         node_sets = list(itertools.combinations(range(1, n + 1), spec.effective_a))
     group_ids = np.repeat(np.arange(len(node_sets)), group_size)
-    return KeyStore(n=n, l=l, scheme=spec, seed=seed, pool=BitString.random(u, rng),
-                    index=GroupIndex(node_sets, np.arange(group_ids.size), group_ids))
+    return GroupIndex(node_sets, np.arange(group_ids.size), group_ids)
+
+
+Part = namedtuple("Part", "scheme l seed start u perm")
+
+
+def parts(spec: SchemeSpec, n: int, l: int, seed) -> list[Part]:
+    """A store's non-hybrid parts in pool order: budget l, seed, first pool
+    index, pool size u and, for a random part with u >= 1, its permutation.
+    A hybrid's are its children with l >= 1, the k-th seeded [seed, 2 + k]."""
+    if spec.kind == "random":
+        u = round(Fraction(l) / spec.p)
+        return [Part(spec, l, seed, 0, u, PermutationFamily(u, n, [seed, 0]) if u else None)]
+    if spec.kind != "hybrid":
+        count, quota = _layout(spec, n)
+        return [Part(spec, l, seed, 0, l // quota * count, None)]
+    l1, found = int(spec.lam * l), []
+    for k, (child, budget) in enumerate(zip(spec.parts, (l1, l - l1))):
+        if budget >= 1:
+            (part,) = parts(child, n, budget, _seed_int([seed, 2 + k]))
+            found.append(part._replace(start=sum(p.u for p in found)))
+    return found
 
 
 def _layout(spec: SchemeSpec, n: int) -> tuple[int, int]:
@@ -341,13 +370,7 @@ def _layout(spec: SchemeSpec, n: int) -> tuple[int, int]:
 
 def pool_size(spec: SchemeSpec, n: int, l: int) -> int:
     """The pool size u that generate(spec, n, l, seed) draws, for any seed."""
-    if spec.kind == "hybrid":
-        l1 = int(spec.lam * l)
-        return sum(pool_size(child, n, budget) for child, budget in zip(spec.parts, (l1, l - l1)))
-    if spec.kind == "random":
-        return round(Fraction(l) / spec.p)
-    count, quota = _layout(spec, n)
-    return l // quota * count
+    return sum(part.u for part in parts(spec, n, l, 0))
 
 
 def random_groups(perm: PermutationFamily, l: int) -> GroupIndex:
@@ -366,23 +389,6 @@ def random_groups(perm: PermutationFamily, l: int) -> GroupIndex:
     return GroupIndex(node_sets, held, np.argsort(order)[inverse.ravel()])
 
 
-def _generate_hybrid(spec, n, l, seed, strict) -> KeyStore:
-    l1 = int(spec.lam * l)
-    parts = [generate(child, n, budget, [seed, 2 + part_no], strict)
-             for part_no, (child, budget) in enumerate(zip(spec.parts, (l1, l - l1)))
-             if budget >= 1]
-    # Node sets in order of first appearance; indices past earlier parts' pools.
-    position, indices, group_ids, offset = {}, [], [], 0
-    for part in parts:
-        remap = [position.setdefault(nodes, len(position)) for nodes in part.index.node_sets]
-        indices.append(part.index.indices + offset)
-        group_ids.append(np.array(remap, dtype=np.int64)[part.index.group_ids])
-        offset += part.u
-    index = GroupIndex(list(position), np.concatenate(indices), np.concatenate(group_ids))
-    pool = BitString(np.concatenate([part.pool.bits for part in parts]))
-    return KeyStore(n=n, l=l, scheme=spec, seed=seed, pool=pool, index=index, parts=parts)
-
-
 def random_regular_groups(n: int, a: int, m: int, seed):
     """m distinct node-sets of size a with every node in exactly a*m/n sets.
 
@@ -395,7 +401,7 @@ def random_regular_groups(n: int, a: int, m: int, seed):
     stubs = np.repeat(np.arange(1, n + 1), degree)
     rng = np.random.default_rng(seed)
     for _ in range(MAX_RETRIES):
-        shuffled = rng.permutation(stubs)
+        shuffled = rng.permutation(stubs).tolist()
         chunks = [tuple(sorted(shuffled[i * a:(i + 1) * a])) for i in range(m)]
         if any(len(set(c)) != a for c in chunks):
             continue

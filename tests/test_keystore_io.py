@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from netpad import amplify, keystore_io
+from netpad import amplify, keystore_io, predistribution
 from netpad.adversary import Transcript, build_security_matrix, conditional_mi
 from netpad.cli import main
 from netpad.gf2 import BitString
@@ -91,7 +91,7 @@ def test_library_paths_never_build_store_groups(text, n, l, tmp_path):
         ct = amplify.encrypt(store, state, BitString.from01("10"), seed=1)
         build_security_matrix(store, Transcript(ciphertexts=(ct,), hacked=(n,), d=2))
         conditional_mi(store, 2, 1)
-    for store in (ks, loaded, *(ks.parts or ()), *(loaded.parts or ())):
+    for store in (ks, loaded):
         assert "groups" not in store.__dict__
 
 
@@ -145,16 +145,78 @@ def test_bad_magic_and_truncation(tmp_path):
         keystore_io.load(truncated)
 
 
-def test_hybrid_load_verifies_content(tmp_path):
-    ks = generate(SchemeSpec.parse("hybrid:lambda=1/2,(pairwise),(comb:a=3)"),
-                  4, 12, seed=9)
+HYBRID_ORDERS = ["hybrid:lambda=1/2,(random:p=1/2),(comb:a=3)",
+                 "hybrid:lambda=1/2,(comb:a=3),(random:p=1/2)"]
+
+
+@pytest.mark.parametrize("text", HYBRID_ORDERS)
+def test_hybrid_random_part_must_follow_the_permutation(text, tmp_path):
+    # One bit moves between two groups inside the random part's pool
+    # range, which starts past the comb part's pool in the second order.
+    ks = generate(SchemeSpec.parse(text), 4, 12, seed=9)
+    (part,) = [part for part in ks.parts if part.perm]
+    assert (part.start > 0) == text.startswith("hybrid:lambda=1/2,(comb")
+    in_part = np.flatnonzero((ks.index.indices >= part.start)
+                             & (ks.index.indices < part.start + part.u))
+    group_ids = ks.index.group_ids.copy()
+    at = next(k for k in in_part if ks.index.sizes[group_ids[k]] > 1)
+    group_ids[at] = next(g for g in group_ids[in_part] if g != group_ids[at])
+    ks = dataclasses.replace(ks, index=dataclasses.replace(ks.index, group_ids=group_ids))
+    keystore_io.save(ks, tmp_path / "moved.npks")
+    with pytest.raises(ValueError, match="permutation"):
+        keystore_io.load(tmp_path / "moved.npks")
+
+
+def test_resealed_hybrid_pool_edit_loads(tmp_path):
+    # The seal detects corruption, it is not a MAC: a hybrid, like every
+    # other store, takes its pool bits from its file.
+    ks = generate(SchemeSpec.parse("hybrid:lambda=1/2,(pairwise),(comb:a=3)"), 4, 12, seed=9)
     path = tmp_path / "hybrid.npks"
     keystore_io.save(ks, path)
     raw = bytearray(path.read_bytes())
-    raw[-33] ^= 0x01  # flip a bit of the packed pool tail, before the seal
-    (tmp_path / "bad.npks").write_bytes(reseal(bytes(raw)))
-    with pytest.raises(ValueError, match="does not match its header"):
-        keystore_io.load(tmp_path / "bad.npks")
+    raw[-33] ^= 0x01  # the first bit of the packed pool's last byte, before the seal
+    path.write_bytes(reseal(bytes(raw)))
+    loaded = keystore_io.load(path)
+    flipped = ks.pool.bits.copy()
+    flipped[(ks.u - 1) // 8 * 8] ^= 1
+    assert np.array_equal(loaded.pool.bits, flipped) and loaded.index == ks.index
+
+
+@pytest.mark.parametrize("text", [text for text, _, _ in SCHEMES if text.startswith("hybrid")]
+                         + HYBRID_ORDERS)
+@pytest.mark.parametrize("seed", [9, [3, 9]])
+def test_hybrid_load_never_generates(text, seed, tmp_path, monkeypatch):
+    # A seed sequence folds to a 64-bit store seed; each part's seed is
+    # derived from the stored value as it is.
+    ks = generate(SchemeSpec.parse(text), 4, 12, seed=seed)
+    assert isinstance(seed, int) or ks.seed >= 2**63
+    keystore_io.save(ks, tmp_path / "hybrid.npks")
+
+    def fail(*args, **kwargs):
+        pytest.fail("load called generate")
+    monkeypatch.setattr(predistribution, "generate", fail)
+    loaded = keystore_io.load(tmp_path / "hybrid.npks")
+    assert loaded.seed == ks.seed and loaded.index == ks.index and loaded.pool == ks.pool
+    for node in range(1, 5):
+        assert loaded.locations(node) == ks.locations(node)
+
+
+@pytest.mark.parametrize("text", ["comb:a=3", "random:p=1/2"])
+def test_loaders_refuse_a_group_with_no_pool_index(text, tmp_path):
+    # No writer emits an empty group, and a random part's check cuts the
+    # index to its pool range, which drops empty groups.
+    ks = generate(SchemeSpec.parse(text), 4, 12, seed=3)
+    extra = next(nodes for size in range(1, 5)
+                 for nodes in itertools.combinations(range(1, 5), size)
+                 if 2 in nodes and nodes not in ks.index.node_sets)
+    ks = dataclasses.replace(ks, index=dataclasses.replace(
+        ks.index, node_sets=ks.index.node_sets + [extra]))
+    keystore_io.save(ks, tmp_path / "full.npks")
+    keystore_io.save_node_view(ks, 2, tmp_path / "view.npks")
+    with pytest.raises(ValueError, match="a group holds no pool index"):
+        keystore_io.load(tmp_path / "full.npks")
+    with pytest.raises(ValueError, match="a group holds no pool index"):
+        keystore_io.load_node_view(tmp_path / "view.npks")
 
 
 def test_huge_group_count_raises_value_error(tmp_path):
@@ -345,7 +407,7 @@ def test_hybrid_header_is_checked_before_regenerating(text, field, value, messag
 
     def regenerate(*args, **kwargs):
         pytest.fail("load called generate before checking the header")
-    monkeypatch.setattr(keystore_io, "generate", regenerate)
+    monkeypatch.setattr(predistribution, "generate", regenerate)
     with pytest.raises(ValueError, match=message):
         keystore_io.load(tmp_path / "bad.npks")
 
@@ -367,9 +429,8 @@ def test_random_store_groups_must_follow_the_permutation(tmp_path):
 
 @pytest.mark.parametrize("text,n,l", SCHEMES)
 def test_load_accepts_groups_in_any_record_order(text, n, l, tmp_path):
-    # The random and hybrid checks compare node sets and their indices,
-    # not the order of the records.  The loaded groups keep the file's
-    # order, except a hybrid's: its load returns the rebuilt store.
+    # The random parts' checks compare node sets and their indices, not
+    # the order of the records, and the loaded groups keep the file's order.
     ks = generate(SchemeSpec.parse(text), n, l, seed=37)
     rebuilt = generate(ks.scheme, n, l, seed=37)
     last = len(ks.index.node_sets) - 1
@@ -378,8 +439,7 @@ def test_load_accepts_groups_in_any_record_order(text, n, l, tmp_path):
     keystore_io.save(ks, tmp_path / "reversed.npks")
     loaded = keystore_io.load(tmp_path / "reversed.npks")
     assert loaded.index == ks.index == rebuilt.index and loaded.pool == ks.pool
-    order = rebuilt if ks.scheme.kind == "hybrid" else ks
-    assert list(loaded.groups.items()) == list(order.groups.items())
+    assert list(loaded.groups.items()) == list(ks.groups.items())
     assert list(ks.groups) == rebuilt.index.node_sets[::-1]
 
 
@@ -521,6 +581,27 @@ def test_mutated_files_raise_value_error_or_load(text, l, as_view, tmp_path):
         path.write_bytes(_edit(raw, at, bytes([raw[at] ^ x])))
         with pytest.raises(ValueError):
             loader(path)
+
+
+@pytest.mark.parametrize("as_view", [False, True], ids=["full", "view"])
+def test_resealed_hybrid_edits_load_or_raise_value_error(as_view, tmp_path):
+    """Every one-byte XOR of a hybrid file, resealed so that it reaches the
+    loader's own checks, loads or raises ValueError."""
+    ks = generate(SchemeSpec.parse(HYBRID_ORDERS[0]), 4, 12, seed=11)
+    path = tmp_path / "ks.npks"
+    if as_view:
+        keystore_io.save_node_view(ks, 2, path)
+        loader = keystore_io.load_node_view
+    else:
+        keystore_io.save(ks, path)
+        loader = keystore_io.load
+    raw = path.read_bytes()
+    for at, x in itertools.product(range(len(raw) - 32), FUZZ_XOR):
+        path.write_bytes(reseal(_edit(raw, at, bytes([raw[at] ^ x]))))
+        try:
+            loader(path)
+        except ValueError:
+            pass
 
 
 def test_node_view_bit_values_match_the_store(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from netpad import keystore_io
+from netpad.gf2 import BitString
 from netpad.permutation import PermutationFamily
 from netpad.predistribution import (
     GroupIndex,
@@ -168,18 +169,18 @@ def test_floor_quota_when_not_strict():
 def test_random_scheme_locations_follow_permutation(tmp_path):
     ks = generate(SchemeSpec.parse("random:p=1/2"), 4, 20, seed=3)
     assert ks.u == 40
+    # A family rebuilt from the public seed gives every storage slot.
+    perm = PermutationFamily(ks.u, ks.n, [ks.seed, 0])
     for node in range(1, 5):
         for k, loc in ks.locations(node).items():
-            assert ks.perm.permute(k + 1, node) == loc
+            assert perm.permute(k + 1, node) == loc
             assert loc <= ks.l
     # Every pool bit held ~ p of the time.
     total = sum(len(ks.locations(i)) for i in range(1, 5))
     assert abs(total / (4 * 40) - 0.5) < 0.15
-    # Full-pool scan with a family rebuilt from the public seed: node i
-    # holds exactly the k with F(k+1, i) <= l, in a generated store and
-    # in one read back from disk.
+    # Full-pool scan: node i holds exactly the k with F(k+1, i) <= l, in a
+    # generated store and in one read back from disk.
     keystore_io.save(ks, tmp_path / "random.npks")
-    perm = PermutationFamily(ks.u, ks.n, [ks.seed, 0])
     for store in (ks, keystore_io.load(tmp_path / "random.npks")):
         for node in range(1, 5):
             scan = [k for k in range(ks.u) if perm.permute(k + 1, node) <= ks.l]
@@ -196,6 +197,16 @@ def test_random_scheme_locations_follow_permutation(tmp_path):
 def test_pool_size_matches_generate(text, n, l):
     spec = SchemeSpec.parse(text)
     assert pool_size(spec, n, l) == generate(spec, n, l, seed=4).u
+
+
+@pytest.mark.parametrize("text", [
+    "pairwise", "same", "comb:a=3", "sampled:a=3,m=4", "random:p=1/2",
+    "hybrid:lambda=1/2,(sampled:a=3,m=4),(random:p=1/2)",
+])
+def test_node_ids_are_python_ints(text):
+    ks = generate(SchemeSpec.parse(text), 4, 24, seed=6)
+    assert ks.index.node_sets
+    assert all(type(node) is int for nodes in ks.index.node_sets for node in nodes)
 
 
 def test_random_scheme_determinism():
@@ -220,9 +231,15 @@ def test_hybrid_concatenates_parts():
     spec = SchemeSpec.parse("hybrid:lambda=1/2,(pairwise),(comb:a=3)")
     ks = generate(spec, 4, 12, seed=2)
     assert ks.l == 12
-    assert ks.parts is not None and len(ks.parts) == 2
-    assert ks.u == sum(p.u for p in ks.parts)
-    assert len(ks.node_bits(1)) == sum(len(p.node_bits(1)) for p in ks.parts)
+    # Each child is generated with its budget and seed [seed, 2 + k].
+    children = [generate(child, 4, 6, [2, 2 + k]) for k, child in enumerate(spec.parts)]
+    assert ks.pool == BitString(np.concatenate([child.pool.bits for child in children]))
+    assert ks.u == sum(child.u for child in children)
+    assert len(ks.node_bits(1)) == sum(len(child.node_bits(1)) for child in children)
+    start = 0
+    for child in children:
+        assert ks.index.within(start, start + child.u) == child.index
+        start += child.u
     # Pairwise part: 6 bits over pairs; comb part: 6 bits over triples.
     pair_groups = [g for g in ks.groups if len(g) == 2]
     triple_groups = [g for g in ks.groups if len(g) == 3]
