@@ -139,11 +139,6 @@ class BitMatrix:
         return cls(n_rows, n_cols, np.zeros((n_rows, n_words), dtype=np.uint64))
 
     @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        dense = np.eye(n, dtype=np.uint8)
-        return cls.from_dense(dense)
-
-    @classmethod
     def from_dense(cls, dense) -> "BitMatrix":
         arr = np.asarray(dense, dtype=np.uint8)
         if arr.ndim != 2:
@@ -200,15 +195,6 @@ class BitMatrix:
             raise IndexError(f"entry ({i}, {j}) outside a {self.n_rows}x{self.n_cols} matrix")
         w, b = divmod(j, _WORD)
         return int((self._words[i, w] >> np.uint64(b)) & np.uint64(1))
-
-    def row_weights(self) -> np.ndarray:
-        return np.bitwise_count(self._words).sum(axis=1).astype(np.int64)
-
-    def take_columns(self, indices) -> "BitMatrix":
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.n_cols):
-            raise ValueError("column index out of range")
-        return BitMatrix.from_dense(self.to_dense()[:, idx])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitMatrix):

@@ -13,12 +13,13 @@ Layout (little-endian), NPKS version 2:
           pool-index order, then the held bit values packed the same way
   seal: 32-byte blake2b digest of everything before it
 
-A view's held pool indices are not stored: they are the sorted union of
-its groups.  Both store types keep their groups as a GroupIndex: the
-writers read the u32 table from it and the loaders build it from that
-table, so no ``groups`` dict is built unless something reads it.  A
-full store records no storage locations: they follow from the scheme's
-parts (``KeyStore.locations``).  The writers refuse u > 2^32 and l >= 2^32.
+The group records are encoded and decoded as arrays of u16 words; only
+finding each record from its length is a loop.  Both store types keep
+their groups as a GroupIndex, which the writers read and the loaders
+build, so no ``groups`` dict is built unless something reads it.  A
+view's held pool indices are its groups' sorted union, and a full
+store's storage locations follow from the scheme's parts
+(``KeyStore.locations``).  The writers refuse u > 2^32 and l >= 2^32.
 
 The loaders read the magic and version first, so that a file of another
 version (1 had variable-length tables and no seal) is named as such,
@@ -112,8 +113,7 @@ class _Reader:
 
 def _write_text(out: bytearray, text: str) -> None:
     raw = text.encode("utf-8")
-    out += struct.pack("<H", len(raw))
-    out += raw
+    out += struct.pack("<H", len(raw)) + raw
 
 
 def _write_header(out: bytearray, ks: KeyStore, seed: int) -> None:
@@ -125,12 +125,28 @@ def _write_header(out: bytearray, ks: KeyStore, seed: int) -> None:
     _write_text(out, RNG_ALGORITHM)
 
 
+def _id_words(lens: np.ndarray) -> np.ndarray:
+    """Which u16 words of a group table hold node ids: a record of k ids is
+    its length (1 word), the ids (2k words) and its bit count (4 words)."""
+    runs = np.full((lens.size, 3), 4)
+    runs[:, 0], runs[:, 1] = 1, 2 * lens
+    return np.repeat(np.arange(runs.size) % 3 == 1, runs.ravel())
+
+
 def _write_groups(out: bytearray, index: GroupIndex, keep) -> None:
-    """The groups whose node set passes keep, in record order."""
+    """The groups whose node set passes keep, in record order, laid out
+    as one array of u16 words."""
     kept = index.chosen(keep)
-    out += struct.pack("<I", np.count_nonzero(kept))
-    for nodes, size in zip(itertools.compress(index.node_sets, kept), index.sizes[kept].tolist()):
-        out += struct.pack(f"<H{len(nodes)}IQ", len(nodes), *nodes, size)
+    node_sets = list(itertools.compress(index.node_sets, kept))
+    lens = np.fromiter(map(len, node_sets), np.int64, len(node_sets))
+    if lens.size and lens.max() > 0xFFFF:
+        raise ValueError("NPKS node sets hold at most 65535 nodes")
+    is_id = _id_words(lens)
+    words = np.empty(is_id.size, dtype="<u2")
+    words[is_id] = np.fromiter(itertools.chain.from_iterable(node_sets), "<u4").view("<u2")
+    sizes = index.sizes[kept].astype("<u8").view("<u2").reshape(-1, 4)
+    words[~is_id] = np.column_stack([lens, sizes]).ravel()
+    out += struct.pack("<I", lens.size) + words.tobytes()
     out += _u32(index.table[np.repeat(kept, index.sizes)])
 
 
@@ -139,27 +155,46 @@ def _write_sealed(out: bytearray, path) -> None:
     Path(path).write_bytes(out)
 
 
-def _read_groups(rd: _Reader, n: int, u: int) -> GroupIndex:
+def _read_groups(rd: _Reader, n: int, u: int, member: int | None = None) -> GroupIndex:
     """The group table as a GroupIndex: its flat u32 table sorted, with
-    each index's group id carried along by the same permutation."""
+    each index's group id carried along by the same permutation.  Only
+    finding the records is a loop; a view's member must be in each."""
     (count,) = rd.unpack("I")
-    node_sets, sizes = [], []
-    for _ in range(count):
-        (set_len,) = rd.unpack("H")
-        nodes = rd.unpack(f"{set_len}I")
-        if not nodes or nodes != tuple(sorted(set(nodes))) or nodes[0] < 1 or nodes[-1] > n:
-            raise ValueError(f"group {nodes} is not an ascending set of nodes in 1..{n}")
-        node_sets.append(nodes)
-        sizes.append(rd.unpack("Q")[0])
+    data, start, end = rd.data, rd.pos, len(rd.data)
+    lens, at = [], start
+    for _ in range(count):  # a record takes at least 10 bytes: the file bounds the loop
+        if at + 10 > end:
+            raise ValueError("truncated keystore file")
+        lens.append(data[at] | data[at + 1] << 8)
+        at += 10 + 4 * lens[-1]
+    words = np.frombuffer(rd.read(at - start), dtype="<u2")
+    lens = np.array(lens, dtype=np.int64)
+    is_id = _id_words(lens)
+    ids = words[is_id].view("<u4").astype(np.int64)
+    sizes = np.ascontiguousarray(words[~is_id].reshape(-1, 5)[:, 1:]).view("<u8").ravel()
+    record = np.repeat(np.arange(count), lens)
+    bad_id = (ids < 1) | (ids > n)
+    bad_id[1:] |= (ids[1:] <= ids[:-1]) & (record[1:] == record[:-1])
+    listed, ends = ids.tolist(), np.cumsum(lens).tolist()
+    node_sets = [tuple(listed[a:b]) for a, b in zip([0] + ends, ends)]
+    bad = (lens == 0) | (np.bincount(record[bad_id], minlength=count) > 0)
+    if bad.any():
+        raise ValueError(f"group {node_sets[bad.argmax()]} is not an ascending set "
+                         f"of nodes in 1..{n}")
     if len(set(node_sets)) != count:
         raise ValueError("a node set appears twice in the group table")
-    if 0 in sizes:
+    if not sizes.all():
         raise ValueError("a group holds no pool index")
-    flat = rd.u32(sum(sizes))
-    group_of = np.repeat(np.arange(count), sizes)
-    if not np.all((flat[1:] > flat[:-1]) | (group_of[1:] != group_of[:-1])):
+    if member is not None and np.count_nonzero(ids == member) != count:
+        raise ValueError(f"node view {member} lists a group it is not in")
+    flat = rd.u32(sum(sizes.tolist()))
+    group_of = np.repeat(np.arange(count), sizes.astype(np.int64))
+    rises = flat[1:] > flat[:-1]
+    # Sequential schemes write their groups in pool order: no sort needed.
+    order = slice(None) if rises.all() else np.argsort(flat)
+    rises[np.cumsum(sizes)[:-1] - 1] = True  # each group starts afresh
+    if not rises.all():
         raise ValueError("a group's pool indices are not strictly ascending")
-    order = np.argsort(flat)
     ordered = flat[order]
     if ordered.size and ordered[-1] >= u:
         raise ValueError(f"pool index {int(ordered[-1])} outside 0..{u - 1}")
@@ -293,9 +328,7 @@ def load_node_view(path) -> NodeView:
     n, l, u, scheme, _ = _read_header(rd)
     if not 1 <= node <= n:
         raise ValueError(f"node view names node {node} outside 1..{n}")
-    index = _read_groups(rd, n, u)
-    if any(node not in nodes for nodes in index.node_sets):
-        raise ValueError(f"node view {node} lists a group it is not in")
+    index = _read_groups(rd, n, u, member=node)
     held = index.indices
     slots = rd.u32(held.size)
     ordered = np.sort(slots)

@@ -7,6 +7,8 @@ cryptographic primitive: the mapping is public anyway, it only needs to
 be a reproducible bijection.  The network runs on numpy lanes, one per
 input, each half in uint32 so that products wrap mod 2^32 as the round
 function needs; cycle walking repeats it on the lanes still out of range.
+A family keeps its round keys and its last n x l inverse table, which
+costs 8*n*l bytes, so each node's slots are walked once.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ class PermutationFamily:
         self._half_bits = half
         self._half_mask = (1 << half) - 1
         self._round_keys = {}
+        self._inverse = np.zeros((n, 0), dtype=np.int64)  # row i-1: F^-1(1..l, i)
 
     def _keys(self, node: int) -> np.ndarray:
         if not 1 <= node <= self.n:
@@ -73,19 +76,20 @@ class PermutationFamily:
             todo = todo[lanes >= self.u]
         return x.astype(np.int64) + 1
 
-    def permute_all(self, node: int) -> np.ndarray:
-        """[F(1, node), ..., F(u, node)] as an int64 array."""
-        return self._walk(np.arange(1, self.u + 1), self._keys(node), inverse=False)
-
     def invert_all(self, node, l: int) -> np.ndarray:
         """[F^-1(1, node), ..., F^-1(l, node)] as an int64 array, l <= u;
-        for an array of nodes, one such row per node, in one walk."""
+        for an array of nodes, one such row per node.  A new l walks all n
+        nodes at once into the kept table; each call copies its rows."""
         if not 0 <= l <= self.u:
             raise ValueError(f"slot count {l} outside 0..{self.u}")
-        keys = np.stack([self._keys(i) for i in np.ravel(node).tolist()])
-        lanes = self._walk(np.tile(np.arange(1, l + 1), len(keys)), np.repeat(keys, l, axis=0),
-                           inverse=True)
-        return lanes.reshape(np.shape(node) + (l,))
+        rows = np.asarray(node, dtype=np.int64) - 1
+        if rows.size and (rows.min() < 0 or rows.max() >= self.n):
+            raise ValueError(f"node {node} outside 1..{self.n}")
+        if self._inverse.shape[1] != l:
+            keys = np.stack([self._keys(i) for i in range(1, self.n + 1)])
+            self._inverse = self._walk(np.tile(np.arange(1, l + 1), self.n),
+                                       np.repeat(keys, l, axis=0), inverse=True).reshape(self.n, l)
+        return np.take(self._inverse, rows, axis=0)
 
     def _lane(self, k: int) -> np.ndarray:
         if not 1 <= k <= self.u:

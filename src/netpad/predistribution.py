@@ -381,12 +381,14 @@ def random_groups(perm: PermutationFamily, l: int) -> GroupIndex:
     holds = np.zeros((perm.u, perm.n), dtype=bool)
     holds[perm.invert_all(np.arange(1, perm.n + 1), l) - 1, np.arange(perm.n)[:, None]] = True
     held = np.flatnonzero(holds.any(axis=1))  # a bit no node holds is in no group
-    keys = np.packbits(holds[held], axis=1, bitorder="little")
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    keys = np.packbits(holds[held], axis=1, bitorder="little")  # one bytes value per holder set
+    _, first, inverse = np.unique(keys.view(f"V{keys.shape[1]}").ravel(), return_index=True,
+                                  return_inverse=True)
     order = np.argsort(first)
-    node_sets = [tuple(i for i, has in enumerate(row, start=1) if has)
-                 for row in holds[held[first[order]]].tolist()]
-    return GroupIndex(node_sets, held, np.argsort(order)[inverse.ravel()])
+    rows, nodes = np.nonzero(holds[held[first[order]]])
+    listed, ends = (nodes + 1).tolist(), np.cumsum(np.bincount(rows, minlength=order.size)).tolist()
+    node_sets = [tuple(listed[a:b]) for a, b in zip([0] + ends, ends)]
+    return GroupIndex(node_sets, held, np.argsort(order)[inverse])
 
 
 def random_regular_groups(n: int, a: int, m: int, seed):

@@ -71,12 +71,16 @@ class RateProfile:
             # Through str(), true and Infinity fail as bad literals and a
             # float reads as the exact decimal it shows.
             n, entries = doc["n"], doc["rates"]
-            rates = {(e["i"], e["j"]): parse_fraction(str(e["r"])) for e in entries}
+            rates = [((e["i"], e["j"]), parse_fraction(str(e["r"]))) for e in entries]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed rate profile: {exc!r}") from None
-        if any(type(v) is not int for v in (n, *itertools.chain(*rates))):
+        if any(type(v) is not int for v in (n, *itertools.chain(*(pair for pair, _ in rates)))):
             raise ValueError("rate profile node ids must be integers")
-        return cls(n, rates)
+        if n < 2:
+            raise ValueError(f"rate profile has n={n}, fewer than two nodes")
+        if len({frozenset(pair) for pair, _ in rates}) != len(rates):
+            raise ValueError("rate profile lists a channel twice")
+        return cls(n, dict(rates))
 
     def to_json(self) -> str:
         entries = [

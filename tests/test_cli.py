@@ -212,7 +212,7 @@ def files(tmp_path_factory):
     paths = {name: d / name for name in (
         "full.npks", "n1.npks", "n2.npks", "msg.bin", "msg.npct", "topo.json",
         "profile.json", "null_rate.json", "list.json", "int_edges.json",
-        "str_node.json", "bad.npks", "missing")}
+        "str_node.json", "repeated_pair.json", "one_node.json", "bad.npks", "missing")}
     run("keygen", "--scheme", "comb:a=3", "--n", "4", "--l", "1260", "--seed", "7",
         "--out", str(paths["full.npks"]))
     for node in (1, 2):
@@ -229,6 +229,9 @@ def files(tmp_path_factory):
         "list.json": [4],
         "int_edges.json": {"n": 5, "edges": [1, 2]},
         "str_node.json": {"n": 5, "edges": [[1, "x"]]},
+        "repeated_pair.json": {"n": 4, "rates": [{"i": 1, "j": 2, "r": "1/9"},
+                                                 {"i": 2, "j": 1, "r": "1/3"}]},
+        "one_node.json": {"n": 1, "rates": []},
     }.items():
         paths[name].write_text(json.dumps(doc))
     paths["no_dir"] = d / "no_dir" / "out"
@@ -283,6 +286,8 @@ SIMULATE = "simulate --scheme comb:a=3 --n 4 --l 120 --t 1 --d 8 --seed 2 --prof
     # Malformed inputs.
     (f"{STORE} {{null_rate_json}}", 3),
     (f"{STORE} {{list_json}}", 3),
+    (f"{STORE} {{repeated_pair_json}}", 3),  # would read as r_12 = 1/3
+    (f"{STORE} {{one_node_json}}", 3),
     ("multipath --topology {int_edges_json} --s 1 --dst 5 --t 1", 3),
     ("multipath --topology {str_node_json} --s 1 --dst 5 --t 1", 3),
     ("check --store {bad_npks} --t 1 --profile uniform:1/18", 3),

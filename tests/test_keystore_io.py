@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import struct
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -539,6 +540,13 @@ def test_writers_refuse_values_past_u32(tmp_path, monkeypatch):
             write(ks, tmp_path / "bad.npks")
 
 
+def test_writers_refuse_a_node_set_past_u16(tmp_path):
+    # A set length is a u16, so one group of 65536 nodes has no record.
+    ks = generate(SchemeSpec.parse("same"), 2**16, 1, seed=1)
+    with pytest.raises(ValueError, match="at most 65535 nodes"):
+        keystore_io.save(ks, tmp_path / "bad.npks")
+
+
 def test_unsealed_edit_fails_the_checksum(tmp_path):
     _, full, view = _comb_files(tmp_path)
     for raw, loader in ((full, keystore_io.load), (view, keystore_io.load_node_view)):
@@ -554,6 +562,16 @@ def test_unsealed_edit_fails_the_checksum(tmp_path):
 FUZZ_XOR = (0x01, 0x80, 0xFF)
 
 
+def _saved(text: str, l: int, as_view: bool, path):
+    """A seed-11 n=4 store saved to path, full or as node 2's view; its loader."""
+    ks = generate(SchemeSpec.parse(text), 4, l, seed=11)
+    if as_view:
+        keystore_io.save_node_view(ks, 2, path)
+        return keystore_io.load_node_view
+    keystore_io.save(ks, path)
+    return keystore_io.load
+
+
 @pytest.mark.parametrize("text,l", [
     ("pairwise", 6), ("comb:a=3", 12), ("sampled:a=3,m=4", 9), ("random:p=1/2", 10),
     ("hybrid:lambda=1/2,(random:p=1/2),(comb:a=3)", 12),
@@ -563,14 +581,8 @@ def test_mutated_files_raise_value_error_or_load(text, l, as_view, tmp_path):
     """Every truncation of a saved file, and every one-byte XOR of it,
     raises ValueError: the seal covers every byte, pool and bit values
     included, and no other exception reaches the CLI."""
-    ks = generate(SchemeSpec.parse(text), 4, l, seed=11)
     path = tmp_path / "ks.npks"
-    if as_view:
-        keystore_io.save_node_view(ks, 2, path)
-        loader = keystore_io.load_node_view
-    else:
-        keystore_io.save(ks, path)
-        loader = keystore_io.load
+    loader = _saved(text, l, as_view, path)
     raw = path.read_bytes()
     loader(path)
     for cut in range(len(raw)):
@@ -583,18 +595,10 @@ def test_mutated_files_raise_value_error_or_load(text, l, as_view, tmp_path):
             loader(path)
 
 
-@pytest.mark.parametrize("as_view", [False, True], ids=["full", "view"])
-def test_resealed_hybrid_edits_load_or_raise_value_error(as_view, tmp_path):
-    """Every one-byte XOR of a hybrid file, resealed so that it reaches the
+def _resealed_edits_load_or_raise_value_error(text, l, as_view, path):
+    """Every one-byte XOR of a saved file, resealed so that it reaches the
     loader's own checks, loads or raises ValueError."""
-    ks = generate(SchemeSpec.parse(HYBRID_ORDERS[0]), 4, 12, seed=11)
-    path = tmp_path / "ks.npks"
-    if as_view:
-        keystore_io.save_node_view(ks, 2, path)
-        loader = keystore_io.load_node_view
-    else:
-        keystore_io.save(ks, path)
-        loader = keystore_io.load
+    loader = _saved(text, l, as_view, path)
     raw = path.read_bytes()
     for at, x in itertools.product(range(len(raw) - 32), FUZZ_XOR):
         path.write_bytes(reseal(_edit(raw, at, bytes([raw[at] ^ x]))))
@@ -602,6 +606,44 @@ def test_resealed_hybrid_edits_load_or_raise_value_error(as_view, tmp_path):
             loader(path)
         except ValueError:
             pass
+
+
+@pytest.mark.parametrize("text,l", [
+    ("pairwise", 6), ("comb:a=3", 12), ("sampled:a=3,m=4", 9), ("random:p=1/2", 10),
+])
+@pytest.mark.parametrize("as_view", [False, True], ids=["full", "view"])
+def test_resealed_edits_load_or_raise_value_error(text, l, as_view, tmp_path):
+    _resealed_edits_load_or_raise_value_error(text, l, as_view, tmp_path / "ks.npks")
+
+
+@pytest.mark.parametrize("as_view", [False, True], ids=["full", "view"])
+def test_resealed_hybrid_edits_load_or_raise_value_error(as_view, tmp_path):
+    _resealed_edits_load_or_raise_value_error(HYBRID_ORDERS[0], 12, as_view,
+                                              tmp_path / "ks.npks")
+
+
+@pytest.mark.parametrize("field", ["group count", "set length", "bit count"])
+@pytest.mark.parametrize("as_view", [False, True], ids=["full", "view"])
+def test_max_value_table_fields_raise_before_allocating(field, as_view, tmp_path):
+    """A resealed group count of 2^32-1, set length of 0xFFFF or bit count
+    of 2^64-1 is refused before anything is sized from it."""
+    _, full, view = _comb_files(tmp_path)
+    raw = view if as_view else full
+    first = _group_at(raw, (1, 2, 3))  # the first record; the count precedes it
+    at, new = {"group count": (first - 4, struct.pack("<I", 2**32 - 1)),
+               "set length": (first, struct.pack("<H", 0xFFFF)),
+               "bit count": (first + 14, struct.pack("<Q", 2**64 - 1))}[field]
+    path = tmp_path / "bad.npks"
+    path.write_bytes(reseal(_edit(raw, at, new)))
+    loader = keystore_io.load_node_view if as_view else keystore_io.load
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            loader(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_node_view_bit_values_match_the_store(tmp_path):

@@ -187,6 +187,26 @@ def test_random_scheme_locations_follow_permutation(tmp_path):
             assert store.node_bits(node) == scan
 
 
+@pytest.mark.parametrize("text", ["random:p=1/2", "hybrid:lambda=1/2,(comb:a=3),(random:p=1/2)"])
+def test_random_parts_keep_one_slot_table(text, tmp_path):
+    """Each random part's family keeps the n x l inverse table that keygen
+    walked: its rows are F^-1(1..l, node), and a caller that writes into
+    one gets a copy, so the next call still reads the walk."""
+    ks = generate(SchemeSpec.parse(text), 4, 12, seed=5)
+    (part,) = [p for p in ks.parts if p.perm]
+    assert part.start == (0 if text.startswith("random") else 8)
+    for node in range(1, 5):
+        walked = [part.perm.invert(s, node) for s in range(1, part.l + 1)]
+        row = part.perm.invert_all(node, part.l)
+        assert row.tolist() == walked
+        row[:] = 0
+        assert part.perm.invert_all(node, part.l).tolist() == walked
+    keystore_io.save(ks, tmp_path / "ks.npks")
+    loaded = keystore_io.load(tmp_path / "ks.npks")
+    for node in range(1, 5):
+        assert all(map(np.array_equal, loaded.slots(node), ks.slots(node)))
+
+
 @pytest.mark.parametrize("text,n,l", GRID + [
     ("pairwise", 6, 4),  # quota 5 > l: no groups
     ("random:p=2/3", 5, 7),

@@ -1,4 +1,5 @@
 import itertools
+import json
 import statistics
 from fractions import Fraction
 from math import comb as binom
@@ -68,6 +69,21 @@ def test_profile_json_roundtrip():
     p = RateProfile(5, {(1, 2): Fraction(1, 3), (4, 5): Fraction(2, 7)})
     q = RateProfile.from_json(p.to_json())
     assert q.n == 5 and q.rates == p.rates
+
+
+@pytest.mark.parametrize("first,second", [((1, 2), (2, 1)), ((2, 1), (1, 2)), ((1, 2), (1, 2))])
+def test_profile_json_refuses_a_repeated_channel(first, second):
+    # Read as a dict, the second entry would silently replace the first.
+    doc = {"n": 4, "rates": [{"i": first[0], "j": first[1], "r": "1/9"},
+                             {"i": second[0], "j": second[1], "r": "1/3"}]}
+    with pytest.raises(ValueError, match="lists a channel twice"):
+        RateProfile.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_profile_json_refuses_fewer_than_two_nodes(n):
+    with pytest.raises(ValueError, match="fewer than two nodes"):
+        RateProfile.from_json(json.dumps({"n": n, "rates": []}))
 
 
 # ---------------------------------------------------------------------------
