@@ -275,9 +275,10 @@ class KeyStore:
         earlier parts' l: F(k+1, node) in a random part (found by
         inverting its l slots), 1, 2, ... in index order in any other."""
         held, slots, offset = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], 0
-        mine = None if all(p.perm for p in self.parts) else np.array(self.node_bits(node), np.int64)
+        self._check_node(node)
         for part in self.parts:
             if part.perm is None:
+                mine = self.index.indices[self.index.select(lambda nodes: node in nodes)]
                 lo, hi = np.searchsorted(mine, [part.start, part.start + part.u])
                 part_held, order = mine[lo:hi], np.arange(hi - lo)
             else:
