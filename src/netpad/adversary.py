@@ -45,19 +45,21 @@ class SecrecyWitness:
 def _unhacked_columns(ks: KeyStore, hacked) -> tuple[np.ndarray, int]:
     """Column of each pool index in the eavesdropper's system (-1 for a
     hacked bit), and the number of unhacked columns."""
-    unhacked = np.ones(ks.u, dtype=bool)
-    unhacked[np.asarray(ks.hacked_bits(hacked), dtype=np.int64)] = False
-    col_of = np.cumsum(unhacked, dtype=np.int64) - 1
-    col_of[~unhacked] = -1
-    return col_of, int(unhacked.sum())
+    hacked = ks.hacked_mask(hacked)
+    col_of = np.cumsum(~hacked, dtype=np.int64) - 1
+    col_of[hacked] = -1
+    return col_of, ks.u - int(np.count_nonzero(hacked))
 
 
-def _embed(idx: np.ndarray, common, col_of: np.ndarray, n_cols: int) -> BitMatrix:
+def _embed(idx: np.ndarray, columns: np.ndarray, n_cols: int) -> BitMatrix:
     """Sampling rows, given as positions in the common bits u_ij, moved
-    into the unhacked pool columns; the columns of hacked bits drop out."""
-    cols = col_of[np.asarray(common, dtype=np.int64)[idx]]
+    into the unhacked pool columns through u_ij's column table *columns*;
+    the positions of hacked bits drop out.  Row r keeps its positions in
+    order, so the kept ones are row-major and need no sort."""
+    cols = columns[idx]
     keep = cols >= 0
-    return BitMatrix.from_positions(idx.shape[0], n_cols, np.nonzero(keep)[0], cols[keep])
+    rows = np.repeat(np.arange(idx.shape[0]), np.count_nonzero(keep, axis=1))
+    return BitMatrix.from_positions(idx.shape[0], n_cols, rows, cols[keep])
 
 
 def _channel_key_blocks(ks: KeyStore, tr: Transcript):
@@ -68,10 +70,10 @@ def _channel_key_blocks(ks: KeyStore, tr: Transcript):
     for ct in tr.ciphertexts:
         if ct.i in hset or ct.j in hset:
             raise ValueError(f"ciphertext on hacked channel ({ct.i},{ct.j})")
-        common = ks.common_bits(ct.i, ct.j)
-        idx = gf2.sample_indices(len(ct.body), len(common), tr.d,
+        columns = col_of[ks.common_indices(ct.i, ct.j)]
+        idx = gf2.sample_indices(len(ct.body), columns.size, tr.d,
                                  seed_to_int(ct.sampling_seed))
-        blocks.append(_embed(idx, common, col_of, n_cols))
+        blocks.append(_embed(idx, columns, n_cols))
     return blocks, n_cols
 
 
@@ -283,9 +285,9 @@ def _profile_blocks(ks: KeyStore, profile: RateProfile, hacked, d: int, seed):
         m_bits = int(r * ks.l)
         if m_bits == 0:
             continue
-        common = ks.common_bits(i, j)
-        idx = gf2.sample_indices(m_bits, len(common), d, rng.integers(0, 2**63))
-        blocks.append(_embed(idx, common, col_of, n_cols))
+        columns = col_of[ks.common_indices(i, j)]
+        idx = gf2.sample_indices(m_bits, columns.size, d, rng.integers(0, 2**63))
+        blocks.append(_embed(idx, columns, n_cols))
     return blocks
 
 

@@ -153,8 +153,13 @@ class BitMatrix:
 
     @classmethod
     def from_positions(cls, n_rows: int, n_cols: int, rows, cols) -> "BitMatrix":
-        """Matrix with a one at (rows[k], cols[k]) for every k, built
-        directly in packed words."""
+        """Matrix with a one at (rows[k], cols[k]) for every k, in any order
+        and repeats allowed, built directly in packed words.
+
+        Each position is a bit of word rows*n_words + cols//64; the bits of
+        one word form a run of equal keys once the keys ascend (sorted only
+        if they do not already, as for the row-major positions of a
+        sampler), and one ``bitwise_or.reduceat`` ORs each run together."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         if cols.size and (cols.min() < 0 or cols.max() >= n_cols):
@@ -163,8 +168,14 @@ class BitMatrix:
             raise ValueError("row index out of range")
         n_words = -(-n_cols // _WORD)
         words = np.zeros(n_rows * n_words, dtype=np.uint64)
-        np.bitwise_or.at(words, rows * n_words + (cols >> 6),
-                         np.left_shift(np.uint64(1), (cols & 63).astype(np.uint64)))
+        keys = rows * n_words + (cols >> 6)
+        bits = np.left_shift(np.uint64(1), (cols & 63).astype(np.uint64))
+        if np.any(keys[1:] < keys[:-1]):
+            order = np.argsort(keys)
+            keys, bits = keys[order], bits[order]
+        if keys.size:
+            starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+            words[keys[starts]] = np.bitwise_or.reduceat(bits, starts)
         return cls(n_rows, n_cols, words.reshape(n_rows, n_words))
 
     @classmethod

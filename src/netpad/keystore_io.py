@@ -331,7 +331,8 @@ def load_node_view(path) -> NodeView:
     index = _read_groups(rd, n, u, member=node)
     held = index.indices
     slots = rd.u32(held.size)
-    ordered = np.sort(slots)
+    # Sequential schemes write their slots ascending: no sort needed.
+    ordered = slots if np.all(slots[1:] > slots[:-1]) else np.sort(slots)
     if slots.size and (ordered[0] < 1 or ordered[-1] > l or np.any(ordered[1:] == ordered[:-1])):
         raise ValueError(f"node view's storage locations are not distinct in 1..{l}")
     bits = BitString.from_bytes(rd.read(-(-held.size // 8)), held.size).bits

@@ -43,8 +43,12 @@ class Topology:
             n, edges = doc["n"], [tuple(e) for e in doc["edges"]]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed topology: {exc!r}") from None
+        if doc.keys() != {"n", "edges"}:
+            raise ValueError(f"topology has unknown keys {sorted(doc.keys() - {'n', 'edges'})}")
         if any(type(v) is not int for v in (n, *itertools.chain(*edges))):
             raise ValueError("topology node ids must be integers")
+        if len({frozenset(e) for e in edges}) != len(edges):
+            raise ValueError("topology lists an edge twice")
         return cls(n, frozenset(edges))
 
     def to_json(self) -> str:

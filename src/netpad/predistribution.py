@@ -228,27 +228,35 @@ class KeyStore:
         self._check_node(i)
         return self.index.pick(lambda nodes: i in nodes)
 
-    def _common(self, i: int, j: int) -> np.ndarray:
+    def common_indices(self, i: int, j: int) -> np.ndarray:
+        """Pool indices held by both i and j, ascending, read by one group mask."""
         self._check_node(i)
         self._check_node(j)
         if i == j:
             raise ValueError("common_bits needs two distinct nodes")
-        return self.index.select(lambda nodes: i in nodes and j in nodes)
+        return self.index.indices[self.index.select(lambda nodes: i in nodes and j in nodes)]
 
     def common_bits(self, i: int, j: int) -> list[int]:
         """Pool indices held by both i and j, ascending."""
-        return self.index.indices[self._common(i, j)].tolist()
+        return self.common_indices(i, j).tolist()
 
     def common_values(self, i: int, j: int) -> np.ndarray:
-        """The bit values of common_bits(i, j), read by one group mask."""
-        return self.pool.bits[self.index.indices[self._common(i, j)]]
+        """The bit values of common_bits(i, j)."""
+        return self.pool.bits[self.common_indices(i, j)]
 
-    def hacked_bits(self, hacked) -> list[int]:
-        """Pool indices known to the eavesdropper, ascending."""
+    def hacked_mask(self, hacked) -> np.ndarray:
+        """Which pool bits the eavesdropper knows, as a bool over 0..u-1."""
         hacked = set(hacked)
         for h in hacked:
             self._check_node(h)
-        return self.index.pick(lambda nodes: not hacked.isdisjoint(nodes))
+        mask = np.zeros(self.u, dtype=bool)
+        known = self.index.select(lambda nodes: not hacked.isdisjoint(nodes))
+        mask[self.index.indices[known]] = True
+        return mask
+
+    def hacked_bits(self, hacked) -> list[int]:
+        """Pool indices known to the eavesdropper, ascending."""
+        return np.flatnonzero(self.hacked_mask(hacked)).tolist()
 
     def unhacked_common_indices(self, channels, hacked) -> list[int]:
         """Pool indices in the union of u_ij over channels, minus u_h."""

@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from math import comb
 
 from .maxflow import max_flow
@@ -74,6 +75,10 @@ class RateProfile:
             rates = [((e["i"], e["j"]), parse_fraction(str(e["r"]))) for e in entries]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed rate profile: {exc!r}") from None
+        unknown = doc.keys() - {"n", "rates"}
+        unknown |= {key for e in entries for key in e.keys() - {"i", "j", "r"}}
+        if unknown:
+            raise ValueError(f"rate profile has unknown keys {sorted(unknown)}")
         if any(type(v) is not int for v in (n, *itertools.chain(*(pair for pair, _ in rates)))):
             raise ValueError("rate profile node ids must be integers")
         if n < 2:
@@ -102,10 +107,24 @@ class Witness:
 
 @dataclass(frozen=True)
 class FlowAssignment:
-    """Non-negative per-group rate split x^G_ij for one hacked set."""
+    """Non-negative per-group rate split x^G_ij for one hacked set.
+
+    Kept in integers: each (channel e, c_e, groups) of *shares* puts
+    x^G_e = (1 + DEFAULT_EPSILON) * weights[G] * c_e / denominator on each
+    of its groups G.  ``values`` maps (G, e) to that Fraction, built when
+    first read.
+    """
 
     hacked: tuple[int, ...]
-    values: dict[tuple[tuple[int, ...], tuple[int, int]], Fraction]
+    shares: tuple[tuple[tuple[int, int], int, list[tuple[int, ...]]], ...]
+    denominator: int
+    weights: dict[tuple[int, ...], int]
+
+    @cached_property
+    def values(self) -> dict[tuple[tuple[int, ...], tuple[int, int]], Fraction]:
+        boost = 1 + DEFAULT_EPSILON
+        return {(g, e): boost * Fraction(self.weights[g] * c, self.denominator)
+                for e, c, groups in self.shares for g in groups}
 
 
 @dataclass(frozen=True)
@@ -192,7 +211,7 @@ def _lex_min_violation(l: int, pairs, covers, sizes, below=None):
     joins for free, any other costs one flow that forces it in.
     """
     scale = (len(pairs) + 1) * math.lcm(*[r.denominator for _, r in pairs])
-    weight = {e: int(scale * l * r) + 1 for e, r in pairs}
+    weight = {e: scale * l * r.numerator // r.denominator + 1 for e, r in pairs}
     cost = {g: scale * sizes[g] for e in weight for g in covers[e]}
 
     def gain(channels) -> int:
@@ -313,6 +332,12 @@ def r_secrecy_w_closed(spec: SchemeSpec, n: int, t: int, w: int) -> Fraction:
                     comb(n - 1, a - 1))
 
 
+@lru_cache(maxsize=64)
+def _r_secrecy_table(spec: SchemeSpec, n: int, t: int) -> tuple[Fraction, ...]:
+    """r_secrecy(w) for w = 1..C(n-t, 2), computed once per (spec, n, t)."""
+    return tuple(r_secrecy_w_closed(spec, n, t, w) for w in range(1, comb(n - t, 2) + 1))
+
+
 def check_relaxed(spec: SchemeSpec, n: int, t: int,
                   profile: RateProfile) -> SecurityVerdict:
     """Sufficient criterion: for every subset size w, the w largest rates
@@ -327,16 +352,11 @@ def check_relaxed(spec: SchemeSpec, n: int, t: int,
         (profile.rate(i, j) for i, j in itertools.combinations(range(1, n + 1), 2)),
         reverse=True,
     )
-    margins = []
-    ok = True
-    for w in range(1, comb(n - t, 2) + 1):
-        lhs = sum(all_rates[:w], Fraction(0))
-        rhs = r_secrecy_w_closed(spec, n, t, w)
-        margins.append((w, lhs, rhs))
-        if lhs > 0 and lhs >= rhs:
-            ok = False
+    margins = tuple(zip(itertools.count(1), itertools.accumulate(all_rates),
+                        _r_secrecy_table(spec, n, t)))
+    ok = not any(lhs > 0 and lhs >= rhs for _, lhs, rhs in margins)
     status = Status.ACHIEVABLE if ok else Status.UNDECIDED
-    return SecurityVerdict(status=status, method="relaxed", margins=tuple(margins))
+    return SecurityVerdict(status=status, method="relaxed", margins=margins)
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +370,12 @@ def check_feasibility(ks: KeyStore, profile: RateProfile, t: int) -> SecurityVer
     groups shared by its endpoints in proportion to group size / group
     order, inflated by 1 + DEFAULT_EPSILON, and verifies the per-group capacity.
     A pass proves achievability; a fail leaves the profile undecided.
+
+    Decided in integers: per hacked set, Q = lcm of den(r_e) * S_e (S_e:
+    scaled_G summed over e's unhacked groups) makes each c_e = r_e * Q / S_e
+    and each group load W_G = sum of its c_e an int, and G overflows iff
+    (1+eps) * den * W_G * l > |nodes of G| * Q.  Fractions are built only
+    for a witness, and for the splits when an assignment's values are read.
     """
     if profile.n != ks.n:
         raise ValueError(f"profile is for n={profile.n}, keystore has n={ks.n}")
@@ -361,40 +387,40 @@ def check_feasibility(ks: KeyStore, profile: RateProfile, t: int) -> SecurityVer
     sizes = ks.index.size_of
     den = math.lcm(*map(len, sizes))
     scaled = {nodes: size * (den // len(nodes)) for nodes, size in sizes.items()}
-    share = {nodes: Fraction(s, den) for nodes, s in scaled.items()}
-    boost = (1 + DEFAULT_EPSILON) * den
+    boost = 1 + DEFAULT_EPSILON
     positive = [(p, r) for p, r in profile.rates.items() if r > 0]
     covering = _covering_groups(ks, [p for p, _ in positive])
     assignments = []
     for hacked in _hacked_sets(ks.n, t):
         hset = set(hacked)
-        values: dict = {}
-        per_group_q: dict[tuple[int, ...], Fraction] = {}
-        for (i, j), r in positive:
-            if i in hset or j in hset:
-                continue
-            groups = [g for g in covering[(i, j)] if hset.isdisjoint(g)]
-            if not groups:
-                return SecurityVerdict(status=Status.UNDECIDED, method="feasibility",
-                                       witness=Witness(hacked=hacked,
-                                                       channels=((i, j),),
-                                                       rate_sum=r, bound=Fraction(0)))
-            q = boost * r / sum(scaled[g] for g in groups)
+        live = []  # (channel, rate, its unhacked groups, their scaled sum)
+        for e, r in positive:
+            if hset.isdisjoint(e):
+                groups = [g for g in covering[e] if hset.isdisjoint(g)]
+                if not groups:
+                    return SecurityVerdict(status=Status.UNDECIDED, method="feasibility",
+                                           witness=Witness(hacked=hacked, channels=(e,),
+                                                           rate_sum=r, bound=Fraction(0)))
+                live.append((e, r, groups, sum(scaled[g] for g in groups)))
+        q = math.lcm(*[r.denominator * s for _, r, _, s in live])
+        shares = tuple((e, r.numerator * (q // (r.denominator * s)), groups)
+                       for e, r, groups, s in live)
+        load: dict[tuple[int, ...], int] = {}
+        for _, c, groups in shares:
             for g in groups:
-                values[(g, (i, j))] = share[g] * q
-                per_group_q[g] = per_group_q[g] + q if g in per_group_q else q
-        for g, q_sum in per_group_q.items():
-            # sum_x > |G|/l  iff  sum_q > |nodes|/l, since x = share_G * q.
-            if q_sum > Fraction(len(g), ks.l):
-                total, cap = share[g] * q_sum, Fraction(sizes[g], ks.l)
+                load[g] = load.get(g, 0) + c
+        limit = boost.denominator * q
+        for g, w in load.items():
+            if boost.numerator * den * w * ks.l > len(g) * limit:
                 return SecurityVerdict(
                     status=Status.UNDECIDED, method="feasibility",
                     witness=Witness(
                         hacked=hacked,
-                        channels=tuple(sorted(p for h, p in values if h == g)),
-                        rate_sum=total, bound=cap,
+                        channels=tuple(sorted(e for e, _, groups in shares if g in groups)),
+                        rate_sum=boost * Fraction(scaled[g] * w, q),
+                        bound=Fraction(sizes[g], ks.l),
                     ),
                 )
-        assignments.append(FlowAssignment(hacked=hacked, values=values))
+        assignments.append(FlowAssignment(hacked, shares, q, scaled))
     return SecurityVerdict(status=Status.ACHIEVABLE, method="feasibility",
                            assignments=tuple(assignments))

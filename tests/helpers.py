@@ -3,13 +3,15 @@
 Everything here is deliberately naive and shares no code with the
 library: pure-Python elimination, a per-index Feistel network, the NPKS
 seal, pool scans over per-node storage locations, brute-force
-graph/subset enumeration, and the key sampler's earlier int64 loop.
+graph/subset enumeration, the key sampler's earlier int64 loop and the
+group-flow checker's earlier Fraction arithmetic.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -164,6 +166,48 @@ def achievable_oracle(ks, profile, t) -> tuple[bool, list]:
                             (hacked, tuple(p for p, _ in chosen), rate_sum, bound)
                         )
     return (not violations, violations)
+
+
+def feasibility_oracle(ks, profile, t):
+    """The group-flow checker as first written, in Fractions throughout.
+
+    For every hacked set (by size, then in lexicographic order), each
+    positive unhacked rate is split over the unhacked groups holding both
+    its endpoints in proportion to |G| / |nodes of G|, inflated by
+    1 + 2^-20, and each group's total is checked against |G| / l.
+    Returns (status, witness, assignments): status "achievable" or
+    "undecided", witness (hacked, channels, rate_sum, bound) or None, and
+    one (hacked, {(group, channel): x}) per hacked set when achievable.
+    """
+    groups = ks.groups  # node set -> its pool indices, in record order
+    sizes = {g: len(idx) for g, idx in groups.items()}
+    den = math.lcm(*map(len, sizes))
+    scaled = {g: size * (den // len(g)) for g, size in sizes.items()}
+    share = {g: Fraction(s, den) for g, s in scaled.items()}
+    boost = (1 + Fraction(1, 2**20)) * den
+    positive = [(p, r) for p, r in profile.rates.items() if r > 0]
+    assignments = []
+    for size in range(t + 1):
+        for hacked in itertools.combinations(range(1, ks.n + 1), size):
+            hset = set(hacked)
+            values, per_group_q = {}, {}
+            for (i, j), r in positive:
+                if i in hset or j in hset:
+                    continue
+                covering = [g for g in groups if i in g and j in g and hset.isdisjoint(g)]
+                if not covering:
+                    return "undecided", (hacked, ((i, j),), r, Fraction(0)), []
+                q = boost * r / sum(scaled[g] for g in covering)
+                for g in covering:
+                    values[(g, (i, j))] = share[g] * q
+                    per_group_q[g] = per_group_q.get(g, 0) + q
+            for g, q_sum in per_group_q.items():
+                if q_sum > Fraction(len(g), ks.l):
+                    channels = tuple(sorted(p for h, p in values if h == g))
+                    return ("undecided",
+                            (hacked, channels, share[g] * q_sum, Fraction(sizes[g], ks.l)), [])
+            assignments.append((hacked, values))
+    return "achievable", None, assignments
 
 
 def menger_max_paths(topo, s, dst) -> int:

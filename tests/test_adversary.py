@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -41,8 +42,49 @@ def make_transcript(ks, channels, m_bits, d, hacked=(), seed=0):
     return Transcript(ciphertexts=cts, hacked=tuple(hacked), d=d)
 
 
+def dense_security_matrix(ks, tr) -> np.ndarray:
+    """The key rows over the unhacked pool columns, built from a pool scan
+    and each message's dense sampling matrix."""
+    holders = holders_by_index(ks)
+    unhacked = [k for k in range(ks.u) if not holders[k] & set(tr.hacked)]
+    column = {k: pos for pos, k in enumerate(unhacked)}
+    blocks = [np.zeros((0, len(unhacked)), dtype=np.uint8)]
+    for ct in tr.ciphertexts:
+        common = [k for k in range(ks.u) if {ct.i, ct.j} <= holders[k]]
+        local = amplify.sampling_matrix(len(ct.body), len(common), tr.d,
+                                        ct.sampling_seed).to_dense()
+        block = np.zeros((local.shape[0], len(unhacked)), dtype=np.uint8)
+        for pos, k in enumerate(common):
+            if k in column:
+                block[:, column[k]] = local[:, pos]
+        blocks.append(block)
+    return np.concatenate(blocks)
+
+
 # ---------------------------------------------------------------------------
 # security matrix
+
+
+@pytest.mark.parametrize("text", [
+    "pairwise", "same", "comb:a=3", "sampled:a=3,m=5", "random:p=1/2",
+    "hybrid:lambda=1/2,(comb:a=3),(random:p=1/2)"])
+@pytest.mark.parametrize("t", [0, 1, 2])
+@pytest.mark.parametrize("d", [1, 3])
+def test_security_matrix_matches_a_dense_construction(text, t, d):
+    ks = generate(SchemeSpec.parse(text), 5, 60, seed=4)
+    hacked = NetworkParams(5, t).last_t_nodes
+    channels = [(i, j) for i, j in itertools.combinations(range(1, 6), 2)
+                if i not in hacked and j not in hacked and len(ks.common_bits(i, j)) >= d]
+    tr = make_transcript(ks, channels, m_bits=8, d=d, hacked=hacked, seed=t)
+    w = build_security_matrix(ks, tr)
+    dense = dense_security_matrix(ks, tr)
+    assert np.array_equal(w.a_matrix.to_dense(), dense)
+    assert w.rank == py_rank(dense)
+    assert w.full_rank == (w.rank == dense.shape[0])
+    if d == 1 and text in ("same", "comb:a=3") and t:
+        # Some rows sample only a hacked bit: they embed as zero rows.
+        assert not dense.any(axis=1).all()
+        assert not w.full_rank
 
 
 def test_empty_transcript_is_vacuously_secret():

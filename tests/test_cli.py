@@ -212,7 +212,9 @@ def files(tmp_path_factory):
     paths = {name: d / name for name in (
         "full.npks", "n1.npks", "n2.npks", "msg.bin", "msg.npct", "topo.json",
         "profile.json", "null_rate.json", "list.json", "int_edges.json",
-        "str_node.json", "repeated_pair.json", "one_node.json", "bad.npks", "missing")}
+        "str_node.json", "repeated_pair.json", "one_node.json", "profile_key.json",
+        "rate_key.json", "topo_key.json", "repeated_edge.json", "reversed_edge.json",
+        "bad.npks", "missing")}
     run("keygen", "--scheme", "comb:a=3", "--n", "4", "--l", "1260", "--seed", "7",
         "--out", str(paths["full.npks"]))
     for node in (1, 2):
@@ -232,6 +234,11 @@ def files(tmp_path_factory):
         "repeated_pair.json": {"n": 4, "rates": [{"i": 1, "j": 2, "r": "1/9"},
                                                  {"i": 2, "j": 1, "r": "1/3"}]},
         "one_node.json": {"n": 1, "rates": []},
+        "profile_key.json": {"n": 4, "rates": [{"i": 1, "j": 2, "r": "1/10"}], "t": 1},
+        "rate_key.json": {"n": 4, "rates": [{"i": 1, "j": 2, "r": "1/10", "d": 8}]},
+        "topo_key.json": {"n": 5, "edges": [[1, 2], [2, 5]], "directed": True},
+        "repeated_edge.json": {"n": 5, "edges": [[1, 2], [2, 5], [1, 3], [3, 5], [1, 2]]},
+        "reversed_edge.json": {"n": 5, "edges": [[1, 2], [2, 5], [1, 3], [3, 5], [2, 1]]},
     }.items():
         paths[name].write_text(json.dumps(doc))
     paths["no_dir"] = d / "no_dir" / "out"
@@ -290,6 +297,11 @@ SIMULATE = "simulate --scheme comb:a=3 --n 4 --l 120 --t 1 --d 8 --seed 2 --prof
     (f"{STORE} {{one_node_json}}", 3),
     ("multipath --topology {int_edges_json} --s 1 --dst 5 --t 1", 3),
     ("multipath --topology {str_node_json} --s 1 --dst 5 --t 1", 3),
+    (f"{STORE} {{profile_key_json}}", 3),  # an unknown top-level key
+    (f"{STORE} {{rate_key_json}}", 3),  # an unknown key in a rate entry
+    ("multipath --topology {topo_key_json} --s 1 --dst 5 --t 1", 3),
+    ("multipath --topology {repeated_edge_json} --s 1 --dst 5 --t 1", 3),
+    ("multipath --topology {reversed_edge_json} --s 1 --dst 5 --t 1", 3),
     ("check --store {bad_npks} --t 1 --profile uniform:1/18", 3),
     ("decrypt --keystore {n2_npks} --in {msg_bin} --out {no_dir}", 3),
     ("encrypt --keystore {full_npks} --peer 2 --in {msg_bin} --out {no_dir}", 3),

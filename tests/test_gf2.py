@@ -375,6 +375,11 @@ def test_from_positions_matches_dense():
     rows, cols = np.nonzero(dense)
     assert BitMatrix.from_positions(7, 130, rows, cols) == BitMatrix.from_dense(dense)
     assert BitMatrix.from_positions(3, 0, [], []) == BitMatrix.zeros(3, 0)
+    # Shuffled and repeated positions give the same matrix: each one is set.
+    twice = np.concatenate([rows, rows[::3]]), np.concatenate([cols, cols[::3]])
+    order = rng.permutation(twice[0].size)
+    assert BitMatrix.from_positions(7, 130, twice[0][order], twice[1][order]) \
+        == BitMatrix.from_dense(dense)
     with pytest.raises(ValueError):
         BitMatrix.from_positions(2, 4, [0], [4])
     with pytest.raises(ValueError):

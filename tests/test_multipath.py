@@ -62,6 +62,17 @@ def test_topology_json_roundtrip():
     assert Topology.from_json(topo.to_json()) == topo
 
 
+@pytest.mark.parametrize("doc,message", [
+    ({"n": 4, "edges": [[1, 2]], "weights": [1]}, "unknown keys"),
+    ({"n": 4, "edges": [[1, 2], [2, 3], [1, 2]]}, "lists an edge twice"),
+    ({"n": 4, "edges": [[1, 2], [2, 3], [2, 1]]}, "lists an edge twice"),
+])
+def test_topology_json_refuses_other_documents(doc, message):
+    # Read as a set, a repeated edge would silently collapse into one.
+    with pytest.raises(ValueError, match=message):
+        Topology.from_json(json.dumps(doc))
+
+
 # ---------------------------------------------------------------------------
 # disjoint paths vs Menger oracle
 

@@ -20,7 +20,7 @@ from netpad.secure_check import (
     _heaviest_closure,
 )
 
-from helpers import achievable_oracle, pair_index_sets, union_size_oracle
+from helpers import achievable_oracle, feasibility_oracle, pair_index_sets, union_size_oracle
 
 EPS = Fraction(1, 2**20)
 
@@ -69,6 +69,15 @@ def test_profile_json_roundtrip():
     p = RateProfile(5, {(1, 2): Fraction(1, 3), (4, 5): Fraction(2, 7)})
     q = RateProfile.from_json(p.to_json())
     assert q.n == 5 and q.rates == p.rates
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": 4, "rates": [{"i": 1, "j": 2, "r": "1/9"}], "t": 1},
+    {"n": 4, "rates": [{"i": 1, "j": 2, "r": "1/9", "weight": 2}]},
+])
+def test_profile_json_refuses_unknown_keys(doc):
+    with pytest.raises(ValueError, match="unknown keys"):
+        RateProfile.from_json(json.dumps(doc))
 
 
 @pytest.mark.parametrize("first,second", [((1, 2), (2, 1)), ((2, 1), (1, 2)), ((1, 2), (1, 2))])
@@ -368,6 +377,41 @@ def test_feasibility_pass_is_sound(four_node):
         for group, total in per_group.items():
             assert total <= Fraction(len(four_node.groups[group]), four_node.l)
     assert check_exact(four_node, profile, 1).achievable
+
+
+FEASIBILITY_SCHEMES = ["pairwise", "same", "comb:a=3", "sampled:a=3,m={n}", "random:p=1/2",
+                       "hybrid:lambda=1/2,(comb:a=3),(random:p=1/2)"]
+
+
+def test_feasibility_matches_the_fraction_oracle():
+    # Random profiles over all six scheme kinds, n = 4..6 and every t, with
+    # the channels listed in a random order: the integer decision gives the
+    # oracle's status and witness, and every split it reports equals the
+    # oracle's Fraction.
+    rng = np.random.default_rng(17)
+    seen = {"achievable": 0, "no unhacked group": 0, "over capacity": 0}
+    levels = (Fraction(1, 400), Fraction(1, 40), Fraction(1, 8))
+    for text, n in itertools.product(FEASIBILITY_SCHEMES, (4, 5, 6)):
+        ks = generate(SchemeSpec.parse(text.format(n=n)), n, 60, seed=n)
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for t, level in itertools.product(range(n - 1), levels):
+            rates = {}
+            for k in rng.permutation(len(pairs)):
+                r = Fraction(int(rng.integers(1, 100)), int(rng.choice([7, 30, 100]))) * level
+                rates[pairs[k]] = min(r, Fraction(1)) if rng.random() < 0.75 else Fraction(0)
+            profile = RateProfile(n, rates)
+            verdict = check_feasibility(ks, profile, t)
+            status, witness, assignments = feasibility_oracle(ks, profile, t)
+            assert verdict.status.value == status
+            if witness is None:
+                assert verdict.witness is None
+                seen["achievable"] += 1
+            else:
+                w = verdict.witness
+                assert (w.hacked, w.channels, w.rate_sum, w.bound) == witness
+                seen["over capacity" if w.bound else "no unhacked group"] += 1
+            assert [(fa.hacked, fa.values) for fa in verdict.assignments] == assignments
+    assert all(seen.values()), seen
 
 
 def test_feasibility_never_claims_impossibility(four_node):
