@@ -42,6 +42,11 @@ class SecrecyWitness:
     full_rank: bool  # True is a proof of perfect secrecy
 
 
+class ShortChannelError(ValueError):
+    """A channel's endpoints share fewer than d bits, so none of its key
+    bits can be sampled."""
+
+
 def _unhacked_columns(ks: KeyStore, hacked) -> tuple[np.ndarray, int]:
     """Column of each pool index in the eavesdropper's system (-1 for a
     hacked bit), and the number of unhacked columns."""
@@ -51,39 +56,29 @@ def _unhacked_columns(ks: KeyStore, hacked) -> tuple[np.ndarray, int]:
     return col_of, ks.u - int(np.count_nonzero(hacked))
 
 
-def _embed(idx: np.ndarray, columns: np.ndarray, n_cols: int) -> BitMatrix:
-    """Sampling rows, given as positions in the common bits u_ij, moved
-    into the unhacked pool columns through u_ij's column table *columns*;
-    the positions of hacked bits drop out.  Row r keeps its positions in
-    order, so the kept ones are row-major and need no sort."""
-    cols = columns[idx]
-    keep = cols >= 0
-    rows = np.repeat(np.arange(idx.shape[0]), np.count_nonzero(keep, axis=1))
-    return BitMatrix.from_positions(idx.shape[0], n_cols, rows, cols[keep])
-
-
-def _channel_key_blocks(ks: KeyStore, tr: Transcript):
-    """Per-ciphertext sampling rows embedded into the unhacked columns."""
-    hset = set(tr.hacked)
-    col_of, n_cols = _unhacked_columns(ks, tr.hacked)
-    blocks = []
-    for ct in tr.ciphertexts:
-        if ct.i in hset or ct.j in hset:
-            raise ValueError(f"ciphertext on hacked channel ({ct.i},{ct.j})")
-        columns = col_of[ks.common_indices(ct.i, ct.j)]
-        idx = gf2.sample_indices(len(ct.body), columns.size, tr.d,
-                                 seed_to_int(ct.sampling_seed))
-        blocks.append(_embed(idx, columns, n_cols))
-    return blocks, n_cols
+def _key_rows(ks: KeyStore, col_of: np.ndarray, n_cols: int, i: int, j: int,
+              m_bits: int, d: int, seed) -> BitMatrix:
+    """The m_bits sampled key rows of one message on channel (i, j), moved
+    into the unhacked pool columns through u_ij's slice of col_of."""
+    columns = col_of[ks.common_indices(i, j)]
+    if d > columns.size:
+        raise ShortChannelError(f"channel ({i},{j}) has |u_ij| = {columns.size} common "
+                                f"bits, fewer than the sampling weight d = {d}")
+    return BitMatrix.from_rows(gf2.sample_indices(m_bits, columns.size, d, seed),
+                               columns, n_cols)
 
 
 def build_security_matrix(ks: KeyStore, tr: Transcript) -> SecrecyWitness:
     """Stack all key rows over the columns the eavesdropper cannot read;
     full row rank proves perfect secrecy for this realized transcript."""
-    blocks, n_cols = _channel_key_blocks(ks, tr)
-    if not blocks:
-        a = BitMatrix.zeros(0, n_cols)
-        return SecrecyWitness(a_matrix=a, rank=0, full_rank=True)
+    hset = set(tr.hacked)
+    col_of, n_cols = _unhacked_columns(ks, tr.hacked)
+    blocks = [BitMatrix.zeros(0, n_cols)]
+    for ct in tr.ciphertexts:
+        if ct.i in hset or ct.j in hset:
+            raise ValueError(f"ciphertext on hacked channel ({ct.i},{ct.j})")
+        blocks.append(_key_rows(ks, col_of, n_cols, ct.i, ct.j, len(ct.body), tr.d,
+                                seed_to_int(ct.sampling_seed)))
     a = BitMatrix.vstack(blocks)
     r = a.rank()
     return SecrecyWitness(a_matrix=a, rank=r, full_rank=r == a.n_rows)
@@ -259,7 +254,10 @@ def full_rank_experiment(spec: SchemeSpec, n: int, t: int, profile: RateProfile,
     successes = 0
     for trial in range(trials):
         ks = generate(spec, n, l, [seed, trial])
-        blocks = _profile_blocks(ks, profile, hacked, d, [seed, trial, 1])
+        try:
+            blocks = _profile_blocks(ks, profile, hacked, d, [seed, trial, 1])
+        except ShortChannelError:
+            continue  # this store cannot key the profile: a failed trial
         stacked = BitMatrix.vstack(blocks) if blocks else None
         if stacked is None or stacked.rank() == stacked.n_rows:
             successes += 1
@@ -274,7 +272,8 @@ def full_rank_experiment(spec: SchemeSpec, n: int, t: int, profile: RateProfile,
 
 def _profile_blocks(ks: KeyStore, profile: RateProfile, hacked, d: int, seed):
     """One sampling block per positive-rate unhacked channel, with
-    m_ij = floor(r_ij * l) key rows, over the unhacked pool columns."""
+    m_ij = floor(r_ij * l) key rows, over the unhacked pool columns.
+    Raises ShortChannelError for such a channel with fewer than d common bits."""
     col_of, n_cols = _unhacked_columns(ks, hacked)
     rng = np.random.default_rng(seed)
     blocks = []
@@ -283,11 +282,9 @@ def _profile_blocks(ks: KeyStore, profile: RateProfile, hacked, d: int, seed):
         if r == 0 or i in hset or j in hset:
             continue
         m_bits = int(r * ks.l)
-        if m_bits == 0:
-            continue
-        columns = col_of[ks.common_indices(i, j)]
-        idx = gf2.sample_indices(m_bits, columns.size, d, rng.integers(0, 2**63))
-        blocks.append(_embed(idx, columns, n_cols))
+        if m_bits:
+            blocks.append(_key_rows(ks, col_of, n_cols, i, j, m_bits, d,
+                                    rng.integers(0, 2**63)))
     return blocks
 
 
@@ -312,7 +309,10 @@ def cross_independence_experiment(spec: SchemeSpec, n: int, t: int,
         successes = 0
         for trial in range(trials):
             ks = generate(spec, n, l, [seed, l, trial])
-            blocks = _profile_blocks(ks, profile, hacked, d, [seed, l, trial, 1])
+            try:
+                blocks = _profile_blocks(ks, profile, hacked, d, [seed, l, trial, 1])
+            except ShortChannelError:
+                continue  # this store cannot key the profile: a failed trial
             if not blocks or gf2.cross_independent(blocks):
                 successes += 1
         low, high = wilson_interval(successes, trials)

@@ -34,10 +34,12 @@ def py_rank(dense) -> int:
     return rank
 
 
-def reference_sample_indices(n_rows: int, n_cols: int, d: int, seed) -> np.ndarray:
+def reference_sample_indices(n_rows: int, n_cols: int, d: int, seed,
+                             rounds: list | None = None) -> np.ndarray:
     """The key sampler as first written: int64 draws, and every round
     re-gathers its rows and marks repeats in a fresh array.  The library's
-    gf2.sample_indices must return exactly these rows for every input."""
+    gf2.sample_indices must return exactly these rows for every input.
+    Each round's redraw count is appended to *rounds*, if given."""
     rng = np.random.default_rng(seed)
     if d == 0 or n_rows == 0:
         return np.zeros((n_rows, d), dtype=np.int64)
@@ -57,6 +59,8 @@ def reference_sample_indices(n_rows: int, n_cols: int, d: int, seed) -> np.ndarr
         if not hit.any():
             return idx
         rows, sub, repeat = rows[hit], sub[hit], repeat[hit]
+        if rounds is not None:
+            rounds.append(int(repeat.sum()))
         sub[repeat] = rng.integers(0, n_cols, size=int(repeat.sum()), dtype=np.int64)
         sub.sort(axis=1)
         idx[rows] = sub

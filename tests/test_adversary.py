@@ -7,7 +7,9 @@ import pytest
 
 from netpad import amplify
 from netpad.adversary import (
+    ShortChannelError,
     Transcript,
+    _profile_blocks,
     build_security_matrix,
     conditional_mi,
     cross_independence_experiment,
@@ -16,12 +18,12 @@ from netpad.adversary import (
     lemma_rank_experiment,
     wilson_interval,
 )
-from netpad.gf2 import BitString
+from netpad.gf2 import BitMatrix, BitString
 from netpad.predistribution import SchemeSpec, generate
 from netpad.rates import NetworkParams, capacity
 from netpad.secure_check import RateProfile
 
-from helpers import holders_by_index, py_rank
+from helpers import holders_by_index, pair_index_sets, py_rank
 
 
 def first_ciphertext(ks, channel, d, plaintext, seed):
@@ -65,6 +67,21 @@ def dense_security_matrix(ks, tr) -> np.ndarray:
 # security matrix
 
 
+def check_against_dense(ks, hacked, d, m_bits, seed):
+    """One message of m_bits on every unhacked channel with at least d
+    common bits; its witness must equal the dense construction."""
+    channels = [(i, j) for i, j in itertools.combinations(range(1, ks.n + 1), 2)
+                if i not in hacked and j not in hacked and len(ks.common_bits(i, j)) >= d]
+    tr = make_transcript(ks, channels, m_bits=m_bits, d=d, hacked=hacked, seed=seed)
+    w = build_security_matrix(ks, tr)
+    dense = dense_security_matrix(ks, tr)
+    assert np.array_equal(w.a_matrix.to_dense(), dense)
+    assert w.a_matrix == BitMatrix.from_dense(dense)  # padding bits too
+    assert w.rank == py_rank(dense)
+    assert w.full_rank == (w.rank == dense.shape[0])
+    return w, dense
+
+
 @pytest.mark.parametrize("text", [
     "pairwise", "same", "comb:a=3", "sampled:a=3,m=5", "random:p=1/2",
     "hybrid:lambda=1/2,(comb:a=3),(random:p=1/2)"])
@@ -72,19 +89,27 @@ def dense_security_matrix(ks, tr) -> np.ndarray:
 @pytest.mark.parametrize("d", [1, 3])
 def test_security_matrix_matches_a_dense_construction(text, t, d):
     ks = generate(SchemeSpec.parse(text), 5, 60, seed=4)
-    hacked = NetworkParams(5, t).last_t_nodes
-    channels = [(i, j) for i, j in itertools.combinations(range(1, 6), 2)
-                if i not in hacked and j not in hacked and len(ks.common_bits(i, j)) >= d]
-    tr = make_transcript(ks, channels, m_bits=8, d=d, hacked=hacked, seed=t)
-    w = build_security_matrix(ks, tr)
-    dense = dense_security_matrix(ks, tr)
-    assert np.array_equal(w.a_matrix.to_dense(), dense)
-    assert w.rank == py_rank(dense)
-    assert w.full_rank == (w.rank == dense.shape[0])
+    w, dense = check_against_dense(ks, NetworkParams(5, t).last_t_nodes, d, 8, seed=t)
     if d == 1 and text in ("same", "comb:a=3") and t:
         # Some rows sample only a hacked bit: they embed as zero rows.
         assert not dense.any(axis=1).all()
         assert not w.full_rank
+
+
+@pytest.mark.parametrize("text,n,l,hacked,d,m_bits,n_cols", [
+    # The audit store: 2000 unhacked columns, 48 bits of word padding.
+    ("comb:a=3", 7, 1500, (7,), 128, 70, 2000),
+    # 4 unhacked groups of 32 bits: 128 columns fill two words exactly, so
+    # the spare column of the scatter starts a third word.
+    ("comb:a=3", 5, 192, (5,), 16, 20, 128),
+])
+def test_security_matrix_matches_a_dense_construction_at_word_edges(text, n, l, hacked, d,
+                                                                    m_bits, n_cols):
+    ks = generate(SchemeSpec.parse(text), n, l, seed=4)
+    w, dense = check_against_dense(ks, hacked, d, m_bits, seed=1)
+    assert dense.shape == (m_bits * math.comb(n - len(hacked), 2), n_cols)
+    assert (dense.sum(axis=1) < d).any()  # some sampled bits were hacked
+    assert w.full_rank
 
 
 def test_empty_transcript_is_vacuously_secret():
@@ -294,6 +319,40 @@ def test_full_rank_experiment_small():
                                l=600, d=32, trials=15, seed=4)
     assert res.successes == 15
     assert res.ci_low > 0.7
+
+
+def short_trials(spec, n, l, d, seeds) -> list[int]:
+    """Trials whose store has a channel with fewer than d common bits, by
+    pool scan."""
+    return [k for k, seed in enumerate(seeds)
+            if min(map(len, pair_index_sets(generate(spec, n, l, seed)).values())) < d]
+
+
+def test_experiments_count_a_short_channel_as_a_failure():
+    # sampled:a=3 with few groups leaves some pairs of nodes sharing fewer
+    # than d = 3 bits; no key row of such a channel can be drawn, so that
+    # trial fails and the run goes on.
+    profile = RateProfile.uniform(6, Fraction(1, 10))
+    spec = SchemeSpec.parse("sampled:a=3,m=6")
+    res = full_rank_experiment(spec, 6, 0, profile, 60, 3, 3, 6)
+    assert short_trials(spec, 6, 60, 3, [[6, k] for k in range(3)]) == [0, 1, 2]
+    assert res.trials == 3 and res.successes == 0
+
+    spec = SchemeSpec.parse("sampled:a=3,m=8")
+    res = full_rank_experiment(spec, 6, 0, profile, 60, 3, 12, 6)
+    short = short_trials(spec, 6, 60, 3, [[6, k] for k in range(12)])
+    assert 0 < len(short) < 12
+    assert 0 < res.successes <= 12 - len(short)
+    ks = generate(spec, 6, 60, [6, short[0]])
+    with pytest.raises(ShortChannelError,
+                       match=r"channel \(\d,\d\) has \|u_ij\| = [0-2] common bits, .* d = 3"):
+        _profile_blocks(ks, profile, (), 3, 0)
+
+    [res] = cross_independence_experiment(spec, 6, 0, RateProfile.uniform(6, Fraction(1, 100)),
+                                          [120], 12, 6, d=3)
+    short = short_trials(spec, 6, 120, 3, [[6, 120, k] for k in range(12)])
+    assert 0 < len(short) < 12
+    assert 0 < res.successes <= 12 - len(short)
 
 
 @pytest.mark.parametrize("t,trials", [(-1, 5), (3, 5), (1, 0)])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netpad import gf2
 from netpad.gf2 import (
     BitMatrix,
     BitString,
@@ -327,6 +328,42 @@ def test_sample_indices_peak_memory_at_messaging_size():
     assert peak <= 2 * idx.nbytes  # the int64 result and a uint32 working copy
 
 
+def test_sample_indices_peak_memory_at_audit_size():
+    # One audit message: 70 rows of d = 128 over |u_ij| = 500, about 1100
+    # repeats over six redraw rounds.  Warmed up as above, but with no
+    # redraw, so that a first use of any helper in the rounds is traced.
+    sample_indices(2, 10, 1, seed=0)
+    tracemalloc.start()
+    try:
+        idx = sample_indices(70, 500, 128, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * idx.nbytes
+
+
+def test_sample_indices_refills_its_spare_draw(monkeypatch):
+    # Pairs where the reference loop redraws more values in all than the
+    # first spare draw holds, so that the sampler draws again mid-call.
+    refills = 0
+    for shape in [(16, 10, 4), (32, 8, 3), (32, 10, 3), (32, 12, 4), (32, 15, 3),
+                  (32, 60, 12)]:
+        for seed in range(40):
+            rounds = []
+            expected = reference_sample_indices(*shape, seed, rounds=rounds)
+            if rounds and sum(rounds) > gf2._spare_draws(rounds[0], *shape[1:]):
+                refills += 1
+                assert np.array_equal(sample_indices(*shape, seed), expected)
+    assert refills >= 5
+    # A spare of one value past each shortfall: every round draws again and
+    # starts from the value the round before left over.
+    monkeypatch.setattr(gf2, "_spare_draws", lambda repeats, n_cols, d: repeats + 1)
+    for shape in [(70, 500, 128), (640, 8400, 128), (60, 40, 15), (30, 9, 4)]:
+        for seed in range(3):
+            assert np.array_equal(sample_indices(*shape, seed),
+                                  reference_sample_indices(*shape, seed))
+
+
 # sha256 of sample_indices(*shape, seed).tobytes(), recorded from the
 # reference loop: the ciphertexts and the auditor's rows rest on this
 # stream, so any rewrite of the sampler must keep it bit for bit.
@@ -369,21 +406,30 @@ def test_fixed_weight_matrix_holds_the_sampled_indices():
     assert m == BitMatrix.from_dense(dense)
 
 
-def test_from_positions_matches_dense():
+def test_from_rows_matches_dense(monkeypatch):
     rng = np.random.default_rng(2)
     dense = (rng.random((7, 130)) < 0.3).astype(np.uint8)
-    rows, cols = np.nonzero(dense)
-    assert BitMatrix.from_positions(7, 130, rows, cols) == BitMatrix.from_dense(dense)
-    assert BitMatrix.from_positions(3, 0, [], []) == BitMatrix.zeros(3, 0)
-    # Shuffled and repeated positions give the same matrix: each one is set.
-    twice = np.concatenate([rows, rows[::3]]), np.concatenate([cols, cols[::3]])
-    order = rng.permutation(twice[0].size)
-    assert BitMatrix.from_positions(7, 130, twice[0][order], twice[1][order]) \
-        == BitMatrix.from_dense(dense)
-    with pytest.raises(ValueError):
-        BitMatrix.from_positions(2, 4, [0], [4])
-    with pytest.raises(ValueError):
-        BitMatrix.from_positions(2, 4, [2], [0])
+    # Entry 130 of the column table is -1, so a position there sets nothing.
+    # Each row lists its ones shuffled, every third one twice, and is padded
+    # with entry 130.
+    columns = np.append(np.arange(130), -1)
+    width = 2 * int(dense.sum(axis=1).max())
+    idx = np.full((7, width), 130)
+    for r, row in enumerate(dense):
+        ones = np.flatnonzero(row)
+        ones = rng.permutation(np.concatenate([ones, ones[::3]]))
+        idx[r, :ones.size] = ones
+        idx[r] = rng.permutation(idx[r])
+    assert BitMatrix.from_rows(idx, columns, 130) == BitMatrix.from_dense(dense)
+    # One row per chunk.
+    monkeypatch.setattr(gf2, "_SCATTER_BYTES", 1)
+    assert BitMatrix.from_rows(idx, columns, 130) == BitMatrix.from_dense(dense)
+    none = np.zeros(0, dtype=np.int64)
+    assert BitMatrix.from_rows(np.zeros((3, 0), int), none, 0) == BitMatrix.zeros(3, 0)
+    assert BitMatrix.from_rows(np.zeros((0, 2), int), np.array([1]), 4) == BitMatrix.zeros(0, 4)
+    for bad in (4, -2):
+        with pytest.raises(ValueError):
+            BitMatrix.from_rows(np.zeros((1, 1), int), np.array([bad]), 4)
 
 
 # ---------------------------------------------------------------------------
