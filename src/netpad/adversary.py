@@ -170,8 +170,7 @@ def conditional_mi(ks: KeyStore, a: int, b: int) -> int:
         raise ValueError(f"need a >= 1, b >= 0, a + b <= n (got a={a}, b={b}, n={ks.n})")
 
     def joint_entropy(k: int) -> int:
-        # Node sets ascend, so a group meets nodes 1..k iff its first node does.
-        return int(ks.index.sizes @ ks.index.chosen(lambda nodes: nodes[0] <= k))
+        return int(ks.index.sizes @ ks.index.touching(range(1, k + 1)))
 
     memo: dict[tuple[int, int], int] = {}
 

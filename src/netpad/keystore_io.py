@@ -1,46 +1,49 @@
 """Binary keystore persistence.
 
-Layout (little-endian), NPKS version 2:
+Layout (little-endian), NPKS version 3:
   magic "NPKS", version u16, flags u8 (0 = full store, 1 = node view)
   [node id u32 when flags = 1]
   header: n u32, l u64, u u64, scheme canonical text (u16 len + utf8),
           seed u64 (0 in a node view), RNG algorithm id (u16 len + utf8)
-  group table: count u32; per group: node-set length u16, node ids u32,
-          bit count u64; then every group's pool indices (ascending within
-          a group, groups in record order) as one u32 table
+  group table: count u32, then four tables in record order: each node
+          set's length (u16), every set's node ids (u32, ascending within
+          a set), each group's bit count (u64) and every group's pool
+          indices (u32, ascending within a group)
   full store: pool bits packed little-endian within bytes
   node view: the storage slot (u32) of each held bit in ascending
           pool-index order, then the held bit values packed the same way
-  seal: 32-byte blake2b digest of everything before it
+  seal: 32-byte sha256 digest of everything before it
 
-The group records are encoded and decoded as arrays of u16 words; only
-finding each record from its length is a loop.  Both store types keep
-their groups as a GroupIndex, which the writers read and the loaders
-build, so no ``groups`` dict is built unless something reads it.  A
-view's held pool indices are its groups' sorted union, and a full
-store's storage locations follow from the scheme's parts
-(``KeyStore.locations``).  The writers refuse u > 2^32 and l >= 2^32.
+Each table is bounds-checked against the bytes left, then read in place
+with one ``np.frombuffer``, so no allocation is sized from a field
+before the file is known to hold it.  Both store types keep their groups
+as a GroupIndex, whose flat arrays are what the tables hold: the writers
+read it and the loaders build it, so no ``groups`` dict is built unless
+something reads it.  A view's held pool indices are its groups' sorted
+union, and a full store's storage locations follow from the scheme's
+parts (``KeyStore.locations``).  The writers refuse u > 2^32, l >= 2^32
+and node sets of more than 65535 nodes.
 
 The loaders read the magic and version first, so that a file of another
-version (1 had variable-length tables and no seal) is named as such,
-then check the seal before any other field.  The digest detects
-corruption and truncation; it is not a MAC, since anyone who can write
-the file can re-seal it.  Then they raise ValueError (CLI exit 3) on
-group node ids not strictly ascending in 1..n, a repeated node set, a
-group with no pool index, a pool index >= u, repeated in a group or in
-two groups, a view node outside 1..n or missing from one of its groups,
-slots repeated or outside 1..l, and trailing bytes.  A full store's
-header must agree with its file (u with the scheme's pool size, n with
-the nodes its groups name) before the groups in each random part's pool
-range are checked against its permutation.  A node view stores seed 0:
-the pool is drawn from the seed, so a view that carried it would give
-one hacked node every node's bits.
+version (1 had variable-length tables and no seal, 2 a blake2b seal and
+one record per group) is named as such, then check the seal before any
+other field.  The digest detects corruption and truncation; it is not a
+MAC, since anyone who can write the file can re-seal it.  Then they
+raise ValueError (CLI exit 3) on group node ids not strictly ascending
+in 1..n, a repeated node set, a group with no pool index, a pool index
+>= u, repeated in a group or in two groups, a view node outside 1..n or
+missing from one of its groups, slots repeated or outside 1..l, and
+trailing bytes.  A full store's header must agree with its file (u with
+the scheme's pool size, n with the nodes its groups name) before the
+groups in each random part's pool range are checked against its
+permutation.  A node view stores seed 0: the pool is drawn from the
+seed, so a view that carried it would give one hacked node every node's
+bits.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import struct
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -49,18 +52,18 @@ from pathlib import Path
 import numpy as np
 
 from .gf2 import RNG_ALGORITHM, BitString
-from .predistribution import (GroupIndex, KeyStore, SchemeSpec, pool_index_array, pool_size,
-                              random_groups)
+from .predistribution import (GroupIndex, KeyStore, SchemeSpec, first_copies, pool_index_array,
+                              pool_size, random_groups)
 
 MAGIC = b"NPKS"
-VERSION = 2
+VERSION = 3
 SEAL_BYTES = 32
 
 _struct = lru_cache(maxsize=64)(struct.Struct)
 
 
 def _seal(data) -> bytes:
-    return hashlib.blake2b(data, digest_size=SEAL_BYTES).digest()
+    return hashlib.sha256(data).digest()
 
 
 def _u32(values) -> bytes:
@@ -91,14 +94,14 @@ class _Reader:
         self.pos += st.size
         return st.unpack_from(self.data, self.pos - st.size)
 
-    def u32(self, count: int) -> np.ndarray:
-        """The next count u32 values, read in place."""
-        remaining = len(self.data) - self.pos
-        if 4 * count > remaining:
+    def table(self, dtype: str, count: int) -> np.ndarray:
+        """The next count values of dtype, read in place."""
+        width, remaining = np.dtype(dtype).itemsize, len(self.data) - self.pos
+        if width * count > remaining:
             raise ValueError(f"table of {count} entries overruns the "
                              f"{remaining} bytes left in the keystore file")
-        table = np.frombuffer(self.data, dtype="<u4", count=count, offset=self.pos)
-        self.pos += 4 * count
+        table = np.frombuffer(self.data, dtype=dtype, count=count, offset=self.pos)
+        self.pos += width * count
         return table
 
     def text(self) -> str:
@@ -125,28 +128,14 @@ def _write_header(out: bytearray, ks: KeyStore, seed: int) -> None:
     _write_text(out, RNG_ALGORITHM)
 
 
-def _id_words(lens: np.ndarray) -> np.ndarray:
-    """Which u16 words of a group table hold node ids: a record of k ids is
-    its length (1 word), the ids (2k words) and its bit count (4 words)."""
-    runs = np.full((lens.size, 3), 4)
-    runs[:, 0], runs[:, 1] = 1, 2 * lens
-    return np.repeat(np.arange(runs.size) % 3 == 1, runs.ravel())
-
-
-def _write_groups(out: bytearray, index: GroupIndex, keep) -> None:
-    """The groups whose node set passes keep, in record order, laid out
-    as one array of u16 words."""
-    kept = index.chosen(keep)
-    node_sets = list(itertools.compress(index.node_sets, kept))
-    lens = np.fromiter(map(len, node_sets), np.int64, len(node_sets))
+def _write_groups(out: bytearray, index: GroupIndex, kept: np.ndarray) -> None:
+    """The groups that kept marks, in record order, as the four tables."""
+    lens = index.set_sizes[kept]
     if lens.size and lens.max() > 0xFFFF:
         raise ValueError("NPKS node sets hold at most 65535 nodes")
-    is_id = _id_words(lens)
-    words = np.empty(is_id.size, dtype="<u2")
-    words[is_id] = np.fromiter(itertools.chain.from_iterable(node_sets), "<u4").view("<u2")
-    sizes = index.sizes[kept].astype("<u8").view("<u2").reshape(-1, 4)
-    words[~is_id] = np.column_stack([lens, sizes]).ravel()
-    out += struct.pack("<I", lens.size) + words.tobytes()
+    out += struct.pack("<I", lens.size) + lens.astype("<u2").tobytes()
+    out += _u32(index.set_nodes[kept[index.set_of]])
+    out += index.sizes[kept].astype("<u8").tobytes()
     out += _u32(index.table[np.repeat(kept, index.sizes)])
 
 
@@ -155,40 +144,41 @@ def _write_sealed(out: bytearray, path) -> None:
     Path(path).write_bytes(out)
 
 
-def _read_groups(rd: _Reader, n: int, u: int, member: int | None = None) -> GroupIndex:
-    """The group table as a GroupIndex: its flat u32 table sorted, with
-    each index's group id carried along by the same permutation.  Only
-    finding the records is a loop; a view's member must be in each."""
-    (count,) = rd.unpack("I")
-    data, start, end = rd.data, rd.pos, len(rd.data)
-    lens, at = [], start
-    for _ in range(count):  # a record takes at least 10 bytes: the file bounds the loop
-        if at + 10 > end:
-            raise ValueError("truncated keystore file")
-        lens.append(data[at] | data[at + 1] << 8)
-        at += 10 + 4 * lens[-1]
-    words = np.frombuffer(rd.read(at - start), dtype="<u2")
-    lens = np.array(lens, dtype=np.int64)
-    is_id = _id_words(lens)
-    ids = words[is_id].view("<u4").astype(np.int64)
-    sizes = np.ascontiguousarray(words[~is_id].reshape(-1, 5)[:, 1:]).view("<u8").ravel()
-    record = np.repeat(np.arange(count), lens)
+def _check_sets(lens: np.ndarray, ids: np.ndarray, n: int) -> None:
+    """ValueError naming the first node set that is empty or not strictly
+    ascending in 1..n."""
+    if lens.all():
+        rises = ids[1:] > ids[:-1]
+        rises[np.cumsum(lens)[:-1] - 1] = True  # each set starts afresh
+        if rises.all() and ids.min(initial=1) >= 1 and ids.max(initial=1) <= n:
+            return
+    record = np.repeat(np.arange(lens.size), lens)
     bad_id = (ids < 1) | (ids > n)
     bad_id[1:] |= (ids[1:] <= ids[:-1]) & (record[1:] == record[:-1])
-    listed, ends = ids.tolist(), np.cumsum(lens).tolist()
-    node_sets = [tuple(listed[a:b]) for a, b in zip([0] + ends, ends)]
-    bad = (lens == 0) | (np.bincount(record[bad_id], minlength=count) > 0)
-    if bad.any():
-        raise ValueError(f"group {node_sets[bad.argmax()]} is not an ascending set "
-                         f"of nodes in 1..{n}")
-    if len(set(node_sets)) != count:
+    k = int(((lens == 0) | (np.bincount(record[bad_id], minlength=lens.size) > 0)).argmax())
+    start = int(lens[:k].sum())
+    raise ValueError(f"group {tuple(ids[start:start + lens[k]].tolist())} is not an "
+                     f"ascending set of nodes in 1..{n}")
+
+
+def _read_groups(rd: _Reader, n: int, u: int, member: int | None = None) -> GroupIndex:
+    """The group table as a GroupIndex: its pool-index table sorted, with
+    each index's group id carried along by the same permutation.  A
+    view's member must be in each group."""
+    (count,) = rd.unpack("I")
+    lens = rd.table("<u2", count).astype(np.int64)
+    ids = rd.table("<u4", int(lens.sum())).astype(np.int64)
+    sizes = rd.table("<u8", count)
+    _check_sets(lens, ids, n)
+    if np.any(first_copies(lens, ids) != np.arange(count)):
         raise ValueError("a node set appears twice in the group table")
     if not sizes.all():
         raise ValueError("a group holds no pool index")
     if member is not None and np.count_nonzero(ids == member) != count:
         raise ValueError(f"node view {member} lists a group it is not in")
-    flat = rd.u32(sum(sizes.tolist()))
-    group_of = np.repeat(np.arange(count), sizes.astype(np.int64))
+    flat = rd.table("<u4", sum(sizes.tolist()))
+    sizes = sizes.astype(np.int64)
+    group_of = np.repeat(np.arange(count), sizes)
     rises = flat[1:] > flat[:-1]
     # Sequential schemes write their groups in pool order: no sort needed.
     order = slice(None) if rises.all() else np.argsort(flat)
@@ -200,13 +190,13 @@ def _read_groups(rd: _Reader, n: int, u: int, member: int | None = None) -> Grou
         raise ValueError(f"pool index {int(ordered[-1])} outside 0..{u - 1}")
     if np.any(ordered[1:] == ordered[:-1]):
         raise ValueError("a pool index lies in two groups")
-    return GroupIndex(node_sets, ordered.astype(np.int64), group_of[order])
+    return GroupIndex(lens, ids, ordered.astype(np.int64), group_of[order])
 
 
 def save(ks: KeyStore, path) -> None:
     out = bytearray(MAGIC + struct.pack("<HB", VERSION, 0))
     _write_header(out, ks, ks.seed)
-    _write_groups(out, ks.index, lambda nodes: True)
+    _write_groups(out, ks.index, np.ones(ks.index.count, dtype=bool))
     out += ks.pool.to_bytes()
     _write_sealed(out, path)
 
@@ -242,7 +232,7 @@ class NodeView:
     def _common(self, i: int, j: int) -> np.ndarray:
         if self.node not in (i, j):
             raise ValueError(f"node view {self.node} is not an endpoint of ({i},{j})")
-        return self.index.select(lambda nodes: i in nodes and j in nodes)
+        return self.index.holding(i, j)[self.index.group_ids]
 
     def common_bits(self, i: int, j: int) -> list[int]:
         return self.held[self._common(i, j)].tolist()
@@ -264,7 +254,7 @@ class NodeView:
 def save_node_view(ks: KeyStore, node: int, path) -> None:
     out = bytearray(MAGIC + struct.pack("<HBI", VERSION, 1, node))
     _write_header(out, ks, 0)
-    _write_groups(out, ks.index, lambda nodes: node in nodes)
+    _write_groups(out, ks.index, ks.index.holding(node))
     held, slots = ks.slots(node)
     out += _u32(slots)
     out += ks.pool[held].to_bytes()
@@ -308,7 +298,8 @@ def load(path) -> KeyStore:
     # first check u against the header and n against the nodes the file
     # lists (every node of a store with bits holds some): the cost is then
     # bounded by the file.
-    if u and len(set().union(*index.node_sets)) != n:
+    named = np.sort(index.set_nodes)
+    if u and np.count_nonzero(named[1:] != named[:-1]) + (named.size > 0) != n:
         raise ValueError(f"keystore lists bits for fewer than its {n} nodes")
     if pool_size(scheme, n, l) != u:
         raise ValueError(f"keystore has u={u} pool bits, its header "
@@ -330,7 +321,7 @@ def load_node_view(path) -> NodeView:
         raise ValueError(f"node view names node {node} outside 1..{n}")
     index = _read_groups(rd, n, u, member=node)
     held = index.indices
-    slots = rd.u32(held.size)
+    slots = rd.table("<u4", held.size)
     # Sequential schemes write their slots ascending: no sort needed.
     ordered = slots if np.all(slots[1:] > slots[:-1]) else np.sort(slots)
     if slots.size and (ordered[0] < 1 or ordered[-1] > l or np.any(ordered[1:] == ordered[:-1])):

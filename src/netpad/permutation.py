@@ -91,16 +91,10 @@ class PermutationFamily:
                                        np.repeat(keys, l, axis=0), inverse=True).reshape(self.n, l)
         return np.take(self._inverse, rows, axis=0)
 
-    def _lane(self, k: int) -> np.ndarray:
+    def permute(self, k: int, i: int) -> int:
         if not 1 <= k <= self.u:
             raise ValueError(f"index {k} outside 1..{self.u}")
-        return np.array([k])
-
-    def permute(self, k: int, i: int) -> int:
-        return int(self._walk(self._lane(k), self._keys(i), inverse=False)[0])
-
-    def invert(self, s: int, i: int) -> int:
-        return int(self._walk(self._lane(s), self._keys(i), inverse=True)[0])
+        return int(self._walk(np.array([k]), self._keys(i), inverse=False)[0])
 
 
 def _seed_int(seed) -> int:

@@ -142,46 +142,109 @@ def pool_index_array(indices, u: int) -> np.ndarray:
     return idx.astype(np.int64, copy=False)
 
 
+def _mixed(ids: np.ndarray) -> np.ndarray:
+    """Each id times an odd 64-bit constant, folded by one xorshift, as
+    uint64 lanes that wrap."""
+    x = ids.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    return x ^ (x >> 29)
+
+
+def first_copies(set_sizes: np.ndarray, set_nodes: np.ndarray) -> np.ndarray:
+    """For each node set (set_sizes[k] ids of set_nodes, in record order),
+    the first record that lists the same ids.  Sets are matched by the
+    wrapping sum of their mixed ids plus their length, and each set is
+    then compared id by id with its match; only if two different sets
+    collide are the sets compared as tuples.  Work and memory are bounded
+    by the number of ids, not by the largest node id."""
+    ends = np.cumsum(set_sizes)
+    starts = ends - set_sizes
+    sums = np.concatenate([np.zeros(1, np.uint64), np.cumsum(_mixed(set_nodes))])
+    keys = sums[ends] - sums[starts] + set_sizes.astype(np.uint64)
+    order = np.argsort(keys, kind="stable")  # each run of equal keys starts at its first record
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = keys[order[1:]] != keys[order[:-1]]
+    if new.all():  # no two sets match
+        return np.arange(order.size)
+    first = np.empty(order.size, dtype=np.int64)
+    first[order] = order[new][np.cumsum(new) - 1]
+    if np.array_equal(set_sizes[first], set_sizes):
+        mate = np.arange(set_nodes.size) + np.repeat(starts[first] - starts, set_sizes)
+        if np.array_equal(set_nodes[mate], set_nodes):
+            return first
+    listed, seen = set_nodes.tolist(), {}
+    return np.array([seen.setdefault(tuple(listed[a:b]), k) for k, (a, b)
+                     in enumerate(zip(starts.tolist(), ends.tolist()))], dtype=np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class GroupIndex:
-    """The groups as arrays: the node sets in record order, the pool
-    indices they cover in ascending order and, aligned with those, each
-    one's record number.  A selection of groups is a boolean mask over
-    node_sets, and mask[group_ids] selects their bits.  Equal indexes
-    give the same node sets the same indices, in any record order."""
+    """The groups as flat arrays.  Record k's node set is the set_sizes[k]
+    ids of set_nodes that set_of maps to k, ascending; indices lists the
+    pool indices the groups cover in ascending order and group_ids,
+    aligned with it, each one's record.  holding and touching answer
+    membership with one bincount over set_of, as a boolean mask over the
+    records, and mask[group_ids] selects their bits.  node_sets and
+    groups() are tuple views of the arrays, built when first read.  Equal
+    indexes give the same node sets the same indices, in any record order."""
 
-    node_sets: list[tuple[int, ...]]
+    set_sizes: np.ndarray  # int64: the node count of each set, in record order
+    set_nodes: np.ndarray  # int64: every set's node ids, ascending within a set
     indices: np.ndarray  # int64, ascending
     group_ids: np.ndarray
 
-    def __eq__(self, other) -> bool:
-        position = {nodes: k for k, nodes in enumerate(self.node_sets)}
-        remap = np.array([position.get(nodes, -1) for nodes in other.node_sets], dtype=np.int64)
-        return (position.keys() == set(other.node_sets)
-                and np.array_equal(self.indices, other.indices)
-                and np.array_equal(self.group_ids, remap[other.group_ids]))
+    @classmethod
+    def of(cls, node_sets, indices, group_ids) -> "GroupIndex":
+        """The index of node_sets, a sequence of ascending node tuples."""
+        sizes = np.fromiter(map(len, node_sets), np.int64, len(node_sets))
+        nodes = np.fromiter(itertools.chain.from_iterable(node_sets), np.int64, int(sizes.sum()))
+        return cls(sizes, nodes, np.asarray(indices, np.int64), np.asarray(group_ids, np.int64))
 
-    sizes = cached_property(lambda self: np.bincount(self.group_ids, minlength=len(self.node_sets)))
+    count = property(lambda self: self.set_sizes.size)
+    set_of = cached_property(lambda self: np.repeat(np.arange(self.count), self.set_sizes))
+    sizes = cached_property(lambda self: np.bincount(self.group_ids, minlength=self.count))
     size_of = cached_property(lambda self: dict(zip(self.node_sets, self.sizes.tolist())))
 
-    def chosen(self, keep) -> np.ndarray:
-        """Which groups have a node set that passes keep."""
-        return np.fromiter(map(keep, self.node_sets), bool, len(self.node_sets))
+    @cached_property
+    def node_sets(self) -> list[tuple[int, ...]]:
+        listed, ends = self.set_nodes.tolist(), np.cumsum(self.set_sizes).tolist()
+        return [tuple(listed[a:b]) for a, b in zip([0] + ends, ends)]
 
-    def select(self, keep) -> np.ndarray:
-        """Which indices lie in a group whose node set passes keep."""
-        return self.chosen(keep)[self.group_ids]
+    def __eq__(self, other) -> bool:
+        first = first_copies(np.concatenate([self.set_sizes, other.set_sizes]),
+                             np.concatenate([self.set_nodes, other.set_nodes]))
+        mine, theirs = first[:self.count], first[self.count:]
+        return (np.array_equal(self.indices, other.indices) and bool(np.all(theirs < self.count))
+                and bool(np.isin(mine, theirs).all())
+                and np.array_equal(mine[self.group_ids], theirs[other.group_ids]))
+
+    def _found(self, nodes) -> tuple[np.ndarray, int]:
+        """How many of the distinct nodes each set holds, and their number."""
+        nodes = set(nodes)
+        hit = np.zeros(self.set_nodes.size, dtype=bool)
+        for node in nodes:
+            hit |= self.set_nodes == node
+        return np.bincount(self.set_of[hit], minlength=self.count), len(nodes)
+
+    def holding(self, *nodes) -> np.ndarray:
+        """Which groups contain every one of nodes."""
+        found, wanted = self._found(nodes)
+        return found == wanted
+
+    def touching(self, nodes) -> np.ndarray:
+        """Which groups contain any of nodes."""
+        return self._found(nodes)[0] > 0
+
+    def indices_of(self, chosen: np.ndarray) -> np.ndarray:
+        """The pool indices of the groups chosen (a mask over the records), ascending."""
+        return self.indices[chosen[self.group_ids]]
 
     def within(self, start: int, stop: int) -> "GroupIndex":
         """The groups cut to pool indices start..stop-1 and shifted down by
         start, in record order, without the groups left empty."""
         lo, hi = np.searchsorted(self.indices, [start, stop])
-        kept = np.bincount(self.group_ids[lo:hi], minlength=len(self.node_sets)) > 0
-        return GroupIndex(list(itertools.compress(self.node_sets, kept)),
+        kept = np.bincount(self.group_ids[lo:hi], minlength=self.count) > 0
+        return GroupIndex(self.set_sizes[kept], self.set_nodes[kept[self.set_of]],
                           self.indices[lo:hi] - start, (np.cumsum(kept) - 1)[self.group_ids[lo:hi]])
-
-    def pick(self, keep) -> list[int]:
-        return self.indices[self.select(keep)].tolist()
 
     # The indices group by group in record order, ascending in each.
     table = cached_property(lambda self: self.indices[np.argsort(self.group_ids, kind="stable")])
@@ -226,7 +289,7 @@ class KeyStore:
     def node_bits(self, i: int) -> list[int]:
         """Pool indices held by node i, ascending."""
         self._check_node(i)
-        return self.index.pick(lambda nodes: i in nodes)
+        return self.index.indices_of(self.index.holding(i)).tolist()
 
     def common_indices(self, i: int, j: int) -> np.ndarray:
         """Pool indices held by both i and j, ascending, read by one group mask."""
@@ -234,7 +297,7 @@ class KeyStore:
         self._check_node(j)
         if i == j:
             raise ValueError("common_bits needs two distinct nodes")
-        return self.index.indices[self.index.select(lambda nodes: i in nodes and j in nodes)]
+        return self.index.indices_of(self.index.holding(i, j))
 
     def common_bits(self, i: int, j: int) -> list[int]:
         """Pool indices held by both i and j, ascending."""
@@ -250,8 +313,7 @@ class KeyStore:
         for h in hacked:
             self._check_node(h)
         mask = np.zeros(self.u, dtype=bool)
-        known = self.index.select(lambda nodes: not hacked.isdisjoint(nodes))
-        mask[self.index.indices[known]] = True
+        mask[self.index.indices_of(self.index.touching(hacked))] = True
         return mask
 
     def hacked_bits(self, hacked) -> list[int]:
@@ -267,8 +329,10 @@ class KeyStore:
             self._check_node(j)
             if i in hacked or j in hacked:
                 raise ValueError(f"channel ({i},{j}) touches a hacked node")
-        return self.index.pick(lambda nodes: hacked.isdisjoint(nodes) and any(
-            i in nodes and j in nodes for i, j in channels))
+        chosen = np.zeros(self.index.count, dtype=bool)
+        for i, j in channels:
+            chosen |= self.index.holding(i, j)
+        return self.index.indices_of(chosen & ~self.index.touching(hacked)).tolist()
 
     def unhacked_union_size(self, channels, hacked) -> int:
         """|union of u_ij over channels, minus u_h| from group metadata."""
@@ -286,7 +350,7 @@ class KeyStore:
         self._check_node(node)
         for part in self.parts:
             if part.perm is None:
-                mine = self.index.indices[self.index.select(lambda nodes: node in nodes)]
+                mine = self.index.indices_of(self.index.holding(node))
                 lo, hi = np.searchsorted(mine, [part.start, part.start + part.u])
                 part_held, order = mine[lo:hi], np.arange(hi - lo)
             else:
@@ -311,19 +375,28 @@ def generate(spec: SchemeSpec, n: int, l: int, seed, strict: bool = False) -> Ke
         raise ValueError("per-node budget must be at least one bit")
     spec.validate(n)
     seed = _seed_int(seed)
-    # Node sets in order of first appearance; indices past earlier parts' pools.
-    position, indices, group_ids, pools = {}, [], [], []
+    tables, pools, records = [], [], 0
     for part in (layout := parts(spec, n, l, seed)):
         index = (random_groups(part.perm, part.l) if part.perm
                  else _sequential_groups(part.scheme, n, part.l, part.seed, strict))
-        remap = [position.setdefault(nodes, len(position)) for nodes in index.node_sets]
-        indices.append(index.indices + part.start)
-        group_ids.append(np.array(remap, dtype=np.int64)[index.group_ids])
+        tables.append((index.set_sizes, index.set_nodes, index.indices + part.start,
+                       index.group_ids + records))
+        records += index.count
         pools.append(BitString.random(part.u, np.random.default_rng([part.seed, 1])).bits)
-    ks = KeyStore(n, l, spec, seed, BitString(np.concatenate(pools)),
-                  GroupIndex(list(position), np.concatenate(indices), np.concatenate(group_ids)))
+    if len(tables) > 1:  # a node set that two parts use is one group
+        index = _merged(*map(np.concatenate, zip(*tables)))
+    ks = KeyStore(n, l, spec, seed, BitString(np.concatenate(pools)), index)
     ks.parts = layout  # keeps each random part's family and its round keys
     return ks
+
+
+def _merged(set_sizes, set_nodes, indices, group_ids) -> GroupIndex:
+    """The index of these records, where a record that repeats an earlier
+    record's node set joins its group."""
+    first = first_copies(set_sizes, set_nodes)
+    kept = first == np.arange(first.size)
+    return GroupIndex(set_sizes[kept], set_nodes[np.repeat(kept, set_sizes)], indices,
+                      (np.cumsum(kept) - 1)[first][group_ids])
 
 
 def _sequential_groups(spec: SchemeSpec, n: int, l: int, seed: int, strict: bool) -> GroupIndex:
@@ -343,7 +416,7 @@ def _sequential_groups(spec: SchemeSpec, n: int, l: int, seed: int, strict: bool
     else:
         node_sets = list(itertools.combinations(range(1, n + 1), spec.effective_a))
     group_ids = np.repeat(np.arange(len(node_sets)), group_size)
-    return GroupIndex(node_sets, np.arange(group_ids.size), group_ids)
+    return GroupIndex.of(node_sets, np.arange(group_ids.size), group_ids)
 
 
 Part = namedtuple("Part", "scheme l seed start u perm")
@@ -389,15 +462,10 @@ def random_groups(perm: PermutationFamily, l: int) -> GroupIndex:
     index."""
     holds = np.zeros((perm.u, perm.n), dtype=bool)
     holds[perm.invert_all(np.arange(1, perm.n + 1), l) - 1, np.arange(perm.n)[:, None]] = True
-    held = np.flatnonzero(holds.any(axis=1))  # a bit no node holds is in no group
-    keys = np.packbits(holds[held], axis=1, bitorder="little")  # one bytes value per holder set
-    _, first, inverse = np.unique(keys.view(f"V{keys.shape[1]}").ravel(), return_index=True,
-                                  return_inverse=True)
-    order = np.argsort(first)
-    rows, nodes = np.nonzero(holds[held[first[order]]])
-    listed, ends = (nodes + 1).tolist(), np.cumsum(np.bincount(rows, minlength=order.size)).tolist()
-    node_sets = [tuple(listed[a:b]) for a, b in zip([0] + ends, ends)]
-    return GroupIndex(node_sets, held, np.argsort(order)[inverse])
+    bits, nodes = np.nonzero(holds)  # each held bit's holders, ascending
+    counts = np.bincount(bits, minlength=perm.u)
+    held = np.flatnonzero(counts)  # a bit no node holds is in no group
+    return _merged(counts[held], nodes + 1, held, np.arange(held.size))
 
 
 def random_regular_groups(n: int, a: int, m: int, seed):

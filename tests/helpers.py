@@ -2,7 +2,7 @@
 
 Everything here is deliberately naive and shares no code with the
 library: pure-Python elimination, a per-index Feistel network, the NPKS
-seal, pool scans over per-node storage locations, brute-force
+seal, tuple predicates for group membership, pool scans over per-node storage locations, brute-force
 graph/subset enumeration, the key sampler's earlier int64 loop and the
 group-flow checker's earlier Fraction arithmetic.
 """
@@ -99,9 +99,19 @@ def feistel_map(u: int, seed: int, node: int, x: int, inverse: bool = False) -> 
 
 
 def reseal(raw: bytes) -> bytes:
-    """An NPKS file's bytes with its trailing 32-byte blake2b seal
+    """An NPKS file's bytes with its trailing 32-byte sha256 seal
     recomputed, so that an edited field reaches the loader's own check."""
-    return raw[:-32] + hashlib.blake2b(raw[:-32], digest_size=32).digest()
+    return raw[:-32] + hashlib.sha256(raw[:-32]).digest()
+
+
+def holding_oracle(node_sets, nodes) -> list[bool]:
+    """Which node-set tuples contain every one of nodes."""
+    return [all(node in nodes_of for node in nodes) for nodes_of in node_sets]
+
+
+def touching_oracle(node_sets, nodes) -> list[bool]:
+    """Which node-set tuples contain any of nodes."""
+    return [any(node in nodes_of for node in nodes) for nodes_of in node_sets]
 
 
 def holders_by_index(ks) -> dict[int, set[int]]:

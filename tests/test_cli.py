@@ -106,9 +106,10 @@ def test_encrypt_decrypt_file_roundtrip(tmp_path):
         assert res.exit_code == 3, res.output
 
     # A node view claiming a 2^40-bit group is a format error, not a
-    # MemoryError: node 2's first group is (1, 2, 3) with 420 bits.
+    # MemoryError: the bit counts follow node 2's last node set (2, 3, 4),
+    # and the first is the 420 bits of (1, 2, 3).
     view = bytearray((tmp_path / "n2.npks").read_bytes())
-    at = view.index(struct.pack("<3IQ", 1, 2, 3, 420)) + 12
+    at = view.index(struct.pack("<3IQ", 2, 3, 4, 420)) + 12
     view[at:at + 8] = struct.pack("<Q", 2**40)
     (tmp_path / "huge.npks").write_bytes(reseal(bytes(view)))
     res = run("decrypt", "--keystore", str(tmp_path / "huge.npks"),

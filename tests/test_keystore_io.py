@@ -16,7 +16,7 @@ from netpad.gf2 import BitString
 from netpad.predistribution import GroupIndex, SchemeSpec, generate
 from netpad.secure_check import RateProfile, check_exact, check_feasibility
 
-from helpers import reseal
+from helpers import holding_oracle, reseal, touching_oracle
 
 SCHEMES = [
     ("pairwise", 4, 9),
@@ -94,6 +94,58 @@ def test_library_paths_never_build_store_groups(text, n, l, tmp_path):
         conditional_mi(store, 2, 1)
     for store in (ks, loaded):
         assert "groups" not in store.__dict__
+
+
+# Both parts of this hybrid use all four triples of n = 4.
+SHARED_SETS = "hybrid:lambda=1/2,(comb:a=3),(sampled:a=3,m=4)"
+
+
+@pytest.mark.parametrize("text,n,l", SCHEMES + [(SHARED_SETS, 4, 18)])
+def test_membership_queries_match_a_tuple_oracle(text, n, l, tmp_path):
+    # holding and touching, for every set of nodes, on a generated and a
+    # loaded full store and on every loaded view.
+    ks = generate(SchemeSpec.parse(text), n, l, seed=41)
+    keystore_io.save(ks, tmp_path / "full.npks")
+    indexes = [ks.index, keystore_io.load(tmp_path / "full.npks").index]
+    for node in range(1, n + 1):
+        keystore_io.save_node_view(ks, node, tmp_path / "view.npks")
+        indexes.append(keystore_io.load_node_view(tmp_path / "view.npks").index)
+    for index in indexes:
+        node_sets = index.node_sets
+        assert node_sets and len(set(node_sets)) == len(node_sets)
+        for size in range(n + 1):
+            for nodes in itertools.combinations(range(1, n + 1), size):
+                assert index.holding(*nodes).tolist() == holding_oracle(node_sets, nodes)
+                assert index.touching(nodes).tolist() == touching_oracle(node_sets, nodes)
+    if text == SHARED_SETS:
+        # Each part gives each triple 3 bits; the store holds each triple once.
+        assert ks.index.node_sets == list(itertools.combinations(range(1, 5), 3))
+        assert ks.index.sizes.tolist() == [6] * 4
+
+
+def test_node_ids_up_to_u32_cost_memory_bounded_by_the_file(tmp_path):
+    # A view whose header says n = 2^32-1 and whose last set names node
+    # 2^32-1 loads, and a copy of that set in another record is refused,
+    # without allocating anything sized by n.
+    _, _, view = _comb_files(tmp_path)
+    ids = _tables(view)["ids"]  # node 2's sets: (1,2,3), (1,2,4), (2,3,4)
+    top = struct.pack("<I", 2**32 - 1)
+    big = _edit(_edit(view, 11, top), ids + 32, top)  # n, then the 4 of (2,3,4)
+    twice = _edit(big, ids + 12, struct.pack("<2I", 2, 3) + top)
+    for raw, message in ((big, None), (twice, "appears twice")):
+        (tmp_path / "big.npks").write_bytes(reseal(raw))
+        tracemalloc.start()
+        try:
+            if message is None:
+                loaded = keystore_io.load_node_view(tmp_path / "big.npks")
+            else:
+                with pytest.raises(ValueError, match=message):
+                    keystore_io.load_node_view(tmp_path / "big.npks")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+    assert loaded.n == 2**32 - 1 and loaded.index.node_sets[-1] == (2, 3, 2**32 - 1)
 
 
 def test_node_view_rejects_foreign_channels():
@@ -210,8 +262,8 @@ def test_loaders_refuse_a_group_with_no_pool_index(text, tmp_path):
     extra = next(nodes for size in range(1, 5)
                  for nodes in itertools.combinations(range(1, 5), size)
                  if 2 in nodes and nodes not in ks.index.node_sets)
-    ks = dataclasses.replace(ks, index=dataclasses.replace(
-        ks.index, node_sets=ks.index.node_sets + [extra]))
+    ks = dataclasses.replace(ks, index=GroupIndex.of(
+        ks.index.node_sets + [extra], ks.index.indices, ks.index.group_ids))
     keystore_io.save(ks, tmp_path / "full.npks")
     keystore_io.save_node_view(ks, 2, tmp_path / "view.npks")
     with pytest.raises(ValueError, match="a group holds no pool index"):
@@ -227,18 +279,45 @@ def test_huge_group_count_raises_value_error(tmp_path):
     path = tmp_path / "n1.npks"
     keystore_io.save_node_view(ks, 1, path)
     raw = bytearray(path.read_bytes())
-    at = raw.index(struct.pack("<3IQ", 1, 2, 3, 420)) + 12
+    at = _tables(bytes(raw))["sizes"]
     raw[at:at + 8] = struct.pack("<Q", 2**40)
     path.write_bytes(reseal(bytes(raw)))
     with pytest.raises(ValueError, match="overruns"):
         keystore_io.load_node_view(path)
 
 
-# NPKS version 2 bytes (seed 5, n=4): the comb:a=3 l=6 full store and
+# NPKS version 3 bytes (seed 5, n=4): the comb:a=3 l=6 full store and
 # node 2's view, and node 2's view of the random:p=1/2 l=4 store.  Storage
 # locations are not stored in a full store, so these pin that the slot
-# rule still gives the slots that version 1 files gave.
+# rule still gives the slots that version 1 files gave.  The version 2
+# loaders read the same pools, groups and locations from FROZEN_V2.
 FROZEN = {
+    "comb_full": (
+        "4e504b5303000004000000060000000000000008000000000000000800636f6d623a613d33"
+        "05000000000000000b006e756d70792d706367363404000000030003000300030001000000"
+        "02000000030000000100000002000000040000000100000003000000040000000200000003"
+        "00000004000000020000000000000002000000000000000200000000000000020000000000"
+        "00000000000001000000020000000300000004000000050000000600000007000000971a66"
+        "5f4e8c623523e186ee783475e433e3cfec91fefe9660e9fd54062c766005"),
+    "comb_view": (
+        "4e504b530300010200000004000000060000000000000008000000000000000800636f6d62"
+        "3a613d3300000000000000000b006e756d70792d7063673634030000000300030003000100"
+        "00000200000003000000010000000200000004000000020000000300000004000000020000"
+        "00000000000200000000000000020000000000000000000000010000000200000003000000"
+        "060000000700000001000000020000000300000004000000050000000600000027beb37b6f"
+        "5a7e8c9471b35a72b1e413bb9ba68fdaf0579d05a6bf98e22b5d69de"),
+    "random_view": (
+        "4e504b530300010200000004000000040000000000000008000000000000000c0072616e64"
+        "6f6d3a703d312f3200000000000000000b006e756d70792d70636736340400000003000300"
+        "01000200010000000200000004000000020000000300000004000000020000000100000002"
+        "00000001000000000000000100000000000000010000000000000001000000000000000000"
+        "000003000000040000000600000004000000010000000200000003000000053e5428ea2257"
+        "a92a1556af70dce209446f5b764cfa8e94c987dbe9228984f2ed"),
+}
+
+# The same three files as version 2 wrote them (one record per group, a
+# blake2b seal).  Version 3 loaders refuse them.
+FROZEN_V2 = {
     "comb_full": (
         "4e504b5302000004000000060000000000000008000000000000000800636f6d623a613d33"
         "05000000000000000b006e756d70792d706367363404000000030001000000020000000300"
@@ -307,18 +386,27 @@ def test_frozen_files_load_with_the_same_locations(tmp_path):
     assert (tmp_path / "again").read_bytes() == bytes.fromhex(FROZEN["random_view"])
 
 
-def test_version_1_files_are_refused(tmp_path):
-    for name, hexed in FROZEN_V1.items():
+def _refused(frozen: dict, version: int, tmp_path) -> None:
+    message = f"unsupported keystore version {version}"
+    for name, hexed in frozen.items():
         path = tmp_path / f"{name}.npks"
         path.write_bytes(bytes.fromhex(hexed))
         for loader in (keystore_io.load, keystore_io.load_node_view):
-            with pytest.raises(ValueError, match="unsupported keystore version 1"):
+            with pytest.raises(ValueError, match=message):
                 loader(path)
     res = CliRunner().invoke(main, ["decrypt", "--keystore", str(tmp_path / "comb_view.npks"),
                                     "--in", str(tmp_path / "missing.npct"),
                                     "--out", str(tmp_path / "out.bin")])
-    assert res.exit_code == 3 and "unsupported keystore version 1" in res.output
+    assert res.exit_code == 3 and message in res.output
     assert not (tmp_path / "out.bin").exists()
+
+
+def test_version_1_files_are_refused(tmp_path):
+    _refused(FROZEN_V1, 1, tmp_path)
+
+
+def test_version_2_files_are_refused(tmp_path):
+    _refused(FROZEN_V2, 2, tmp_path)
 
 
 def _seedless(view: bytes) -> bytes:
@@ -341,36 +429,36 @@ def test_node_view_does_not_carry_the_seed(tmp_path):
 
 
 # sha256 of the bytes `save` writes and of the concatenated bytes of every
-# `save_node_view` (nodes 1..n in order), at seed 17, in NPKS version 2.
-# The version 2 loaders read the same pools, groups and storage locations
-# from these files as the version 1 loaders read from the version 1 files
-# pinned here before.
+# `save_node_view` (nodes 1..n in order), at seed 17, in NPKS version 3.
+# The version 3 loaders read the same pools, groups and storage locations
+# from these files as the version 2 loaders read from the version 2 files
+# pinned here before, and each file has the same length.
 FROZEN_DIGESTS = {
     ("pairwise", 6, 300): (
-        "69f2999a1a1b8ea8f87ccfc8dea8c229caaa99a88f0b4a79edcd8f4e582a606b",
-        "592d9c8095c4e50eb809c3f15cf1e75c7cc502570b01d9ebc39a8941682363fc"),
+        "64cf56551ba422b581362676cfc1e22377d23db9f30d6b672afc6b800c8409bd",
+        "7509497e71202e503b4c0e50d9ef56eb0510a5ece2fb15e8ff742d819ff94f46"),
     ("same", 6, 300): (
-        "f6a938db8b32f96ba1ce28d18245ddbc9addf14f9e68ef247fa4994ba69d8377",
-        "659fb7cd43da02292f05c25821c77dcaf03172e634722db069ad6f56b7b4c924"),
+        "9f2821554e4105a0a5a9570d81b11cb1b871968e74f0b4c6252945437b55f593",
+        "e563ffe5806fa65c4135dc8a5a464fd12c17d32edf5f1e5fcb9638c8dce2f598"),
     ("comb:a=3", 6, 300): (
-        "ac8a777107a85af59896d8a7c4be18cd12d7b40b58b2b090c5e79efec5923945",
-        "1112121baebac3b9e11524889e34b60d89cba3fc4ea67a9a4bcd65f34b1e496a"),
+        "9d92bb1fd3245aa64e126ad39c67593bdfe7bbe111dcbfcfdc4135ec29f7178a",
+        "185978a53c555e67644f26b479b1bfe602f1f660f5e18ff1cedbd71c8eb6908b"),
     ("sampled:a=3,m=4", 6, 300): (
-        "906e9a9b41b075a3f28e8dfa20a6a2de7bb8f645cecc79dc58f8bf6cbae1b53b",
-        "a474c25b9fd9b9ed2e89c2d787ff68e74dabe8bdb75735aa9732a0dea01c031a"),
+        "748d2ff9e685ee7880fb9ffe57e3d12d3577a6f652c1b975e6366824981f8810",
+        "25ee9ae123798d2ff6db848be1ec542bf2e83cadb57a27876bb3678b4c41f9bc"),
     ("random:p=1/2", 6, 300): (
-        "f9b545be6ce40afbd7ecb8b1f1cdbf7725c658667edf30d94d15ecf86d679397",
-        "40895b7968d03847fa21ed24e756b1cc5f6cb1195bbdf9d5f3184bfba72913ee"),
+        "12c0050dfc1dba8aab74e25b893091eabb61cf68c35ccf161eb19a4fa8c507d3",
+        "cfb62a9761a202d114be9a5fa11f8328804c08cc54234dd472598e29073742d3"),
     ("random:p=1/3", 6, 300): (
-        "53120c6e99e20572ab0ed83827100b59a45a48b2cc82bb2c66910f41cc84cfc0",
-        "874d0fdec70c42c7fa88aeb0ff0a30e8161c924e1e4f4696e87d235dc9c9a583"),
+        "c4640ced12d44b27885161d49ddfeef35998bfa7a52ea38f4d3c050790d85195",
+        "4199368d143de82d9ad79d5066cf03e99bf7ee96fe922ae3c367a53ed982a7d2"),
     ("hybrid:lambda=1/2,(random:p=1/2),(comb:a=3)", 6, 300): (
-        "6294082022ad4d85642dee7e48016832e791aa1a1225701879b15472d811a368",
-        "871fea4fa639500096a70667ee6e41eeceec095b2404ae617543764f1f1b1aa7"),
+        "11de889cd0f7d3274dbd4c6d51741c4bdb26b49f341d4f0eca6f7865a111d7ff",
+        "c80547a600156d1162d3dd2e6ac7b82fae6d0e050b0f2932e7d2fad54045903e"),
     # u = 40000: pool indices past 2^16.
     ("comb:a=3", 4, 30000): (
-        "aedeb80c32b41aa5c720fa41a7921f2a0e8f95707c1c70ba1a82bbcb25a0371b",
-        "f35bcb51463da227bf0eca26469e78bc41fa56b2d0fca8f35865c63d1e5fb795"),
+        "d773a8cfaccb5e59c7d4b10e6c5ecf526917fa12e6cbcc55cbb96a994d8402d3",
+        "5d7836376e75ab0c83c2a5150172ea7ed2d890df20a39f16f61d3cd63c6b4877"),
 }
 
 
@@ -434,8 +522,8 @@ def test_load_accepts_groups_in_any_record_order(text, n, l, tmp_path):
     # the order of the records, and the loaded groups keep the file's order.
     ks = generate(SchemeSpec.parse(text), n, l, seed=37)
     rebuilt = generate(ks.scheme, n, l, seed=37)
-    last = len(ks.index.node_sets) - 1
-    ks = dataclasses.replace(ks, index=GroupIndex(
+    last = ks.index.count - 1
+    ks = dataclasses.replace(ks, index=GroupIndex.of(
         ks.index.node_sets[::-1], ks.index.indices, last - ks.index.group_ids))
     keystore_io.save(ks, tmp_path / "reversed.npks")
     loaded = keystore_io.load(tmp_path / "reversed.npks")
@@ -453,9 +541,16 @@ def _comb_files(tmp_path):
     return ks, (tmp_path / "full.npks").read_bytes(), (tmp_path / "view.npks").read_bytes()
 
 
-def _group_at(raw: bytes, nodes) -> int:
-    """Offset of the node-set record of a group in a saved file."""
-    return raw.index(struct.pack(f"<H{len(nodes)}I", len(nodes), *nodes))
+def _tables(raw: bytes) -> dict[str, int]:
+    """Offsets of a saved file's group count and of its four tables, read
+    past the preamble (and a view's node id) and the header."""
+    at = 7 + 4 * raw[6] + 20  # n, l, u
+    at += 2 + struct.unpack_from("<H", raw, at)[0] + 8  # the scheme text, the seed
+    at += 2 + struct.unpack_from("<H", raw, at)[0]  # the RNG id
+    (count,) = struct.unpack_from("<I", raw, at)
+    ids = at + 4 + 2 * count
+    sizes = ids + 4 * sum(struct.unpack_from(f"<{count}H", raw, at + 4))
+    return {"count": at, "lens": at + 4, "ids": ids, "sizes": sizes, "indices": sizes + 8 * count}
 
 
 def _edit(raw: bytes, at: int, new: bytes) -> bytes:
@@ -471,22 +566,21 @@ def _edit(raw: bytes, at: int, new: bytes) -> bytes:
 def test_loaders_reject_malformed_tables(case, tmp_path):
     """Each edit is resealed, so it reaches the check it is written for."""
     _, full, view = _comb_files(tmp_path)
-    first = _group_at(full, (1, 2, 3))
-    second = _group_at(full, (1, 2, 4))
-    # The u32 index table follows the last group record (22 bytes each):
-    # (1,2,3) holds 0..3, then (1,2,4) 4..7.
-    indices = _group_at(full, (2, 3, 4)) + 22
+    # The node ids list (1,2,3) then (1,2,4); (1,2,3) holds pool indices
+    # 0..3, then (1,2,4) 4..7.
+    first, indices = _tables(full)["ids"], _tables(full)["indices"]
+    second = first + 12
     u32 = lambda value: struct.pack("<I", value)
     mutated, loader, message = {
         "full trailing bytes": (full[:-32] + b"junk" + full[-32:], keystore_io.load,
                                 "4 bytes follow the end"),
         "view trailing bytes": (view[:-32] + b"junk" + view[-32:], keystore_io.load_node_view,
                                 "4 bytes follow the end"),
-        "node id beyond n": (_edit(full, first + 10, u32(9)), keystore_io.load,
-                             "not an ascending set"),
-        "node ids not ascending": (_edit(full, first + 2, u32(3)), keystore_io.load,
-                                   "not an ascending set"),
-        "node set repeats": (_edit(full, second + 10, u32(3)), keystore_io.load,
+        "node id beyond n": (_edit(full, first + 8, u32(9)), keystore_io.load,
+                             r"group \(1, 2, 9\) is not an ascending set"),
+        "node ids not ascending": (_edit(full, first, u32(3)), keystore_io.load,
+                                   r"group \(3, 2, 3\) is not an ascending set"),
+        "node set repeats": (_edit(full, second + 8, u32(3)), keystore_io.load,
                              "appears twice"),
         "index beyond u": (_edit(full, indices + 12, u32(100)), keystore_io.load,
                            "pool index 100 outside 0..15"),
@@ -622,23 +716,28 @@ def test_resealed_hybrid_edits_load_or_raise_value_error(as_view, tmp_path):
                                               tmp_path / "ks.npks")
 
 
-@pytest.mark.parametrize("field", ["group count", "set length", "bit count"])
+@pytest.mark.parametrize("field", ["group count", "set length", "length sum", "bit count"])
 @pytest.mark.parametrize("as_view", [False, True], ids=["full", "view"])
 def test_max_value_table_fields_raise_before_allocating(field, as_view, tmp_path):
-    """A resealed group count of 2^32-1, set length of 0xFFFF or bit count
-    of 2^64-1 is refused before anything is sized from it."""
+    """A resealed group count of 2^32-1, set length of 0xFFFF, set lengths
+    that each fit in the file but whose sum does not, or bit count of
+    2^64-1 is refused before anything is sized from it."""
     _, full, view = _comb_files(tmp_path)
     raw = view if as_view else full
-    first = _group_at(raw, (1, 2, 3))  # the first record; the count precedes it
-    at, new = {"group count": (first - 4, struct.pack("<I", 2**32 - 1)),
-               "set length": (first, struct.pack("<H", 0xFFFF)),
-               "bit count": (first + 14, struct.pack("<Q", 2**64 - 1))}[field]
+    tables = _tables(raw)
+    count = struct.unpack_from("<I", raw, tables["count"])[0]
+    fits = (len(raw) - tables["ids"]) // (4 * count) + 1
+    assert 4 * fits < len(raw) - tables["ids"] < 4 * fits * count
+    at, new = {"group count": (tables["count"], struct.pack("<I", 2**32 - 1)),
+               "set length": (tables["lens"], struct.pack("<H", 0xFFFF)),
+               "length sum": (tables["lens"], struct.pack(f"<{count}H", *[fits] * count)),
+               "bit count": (tables["sizes"], struct.pack("<Q", 2**64 - 1))}[field]
     path = tmp_path / "bad.npks"
     path.write_bytes(reseal(_edit(raw, at, new)))
     loader = keystore_io.load_node_view if as_view else keystore_io.load
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="overruns"):
             loader(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -22,7 +22,6 @@ def test_lanes_match_the_per_index_map(u):
         assert [fam.permute(k, node) for k in range(1, u + 1)] == forward
         assert fam.invert_all(node, u).tolist() == backward
         assert fam.invert_all(node, u // 2).tolist() == backward[:u // 2]
-        assert [fam.invert(s, node) for s in (1, u)] == [backward[0], backward[-1]]
     for node in (0, 4):
         with pytest.raises(ValueError, match="node"):
             fam.permute(1, node)
@@ -36,9 +35,10 @@ def test_lanes_match_the_per_index_map(u):
 def test_invert_undoes_permute():
     fam = PermutationFamily(500, 4, master_seed=5)
     for node in range(1, 5):
+        inverse = fam.invert_all(node, 500)
         for k in range(1, 501, 7):
-            assert fam.invert(fam.permute(k, node), node) == k
-            assert fam.permute(fam.invert(k, node), node) == k
+            assert inverse[fam.permute(k, node) - 1] == k
+            assert fam.permute(int(inverse[k - 1]), node) == k
 
 
 def test_deterministic_across_instances():

@@ -5,13 +5,14 @@ from math import comb
 import numpy as np
 import pytest
 
-from netpad import keystore_io
+from netpad import keystore_io, predistribution
 from netpad.gf2 import BitString
 from netpad.permutation import PermutationFamily
 from netpad.predistribution import (
     GroupIndex,
     KeyStore,
     SchemeSpec,
+    first_copies,
     generate,
     pool_size,
     random_regular_groups,
@@ -190,13 +191,15 @@ def test_random_scheme_locations_follow_permutation(tmp_path):
 @pytest.mark.parametrize("text", ["random:p=1/2", "hybrid:lambda=1/2,(comb:a=3),(random:p=1/2)"])
 def test_random_parts_keep_one_slot_table(text, tmp_path):
     """Each random part's family keeps the n x l inverse table that keygen
-    walked: its rows are F^-1(1..l, node), and a caller that writes into
-    one gets a copy, so the next call still reads the walk."""
+    walked: its rows are F^-1(1..l, node), as a fresh family walks them,
+    and a caller that writes into one gets a copy, so the next call still
+    reads the walk."""
     ks = generate(SchemeSpec.parse(text), 4, 12, seed=5)
     (part,) = [p for p in ks.parts if p.perm]
     assert part.start == (0 if text.startswith("random") else 8)
+    fresh = PermutationFamily(part.u, 4, part.perm.master_seed)
     for node in range(1, 5):
-        walked = [part.perm.invert(s, node) for s in range(1, part.l + 1)]
+        walked = fresh.invert_all(node, part.l).tolist()
         row = part.perm.invert_all(node, part.l)
         assert row.tolist() == walked
         row[:] = 0
@@ -311,7 +314,7 @@ def test_group_indexes_are_equal_as_their_groups_dicts():
     # record order; a renamed node set, a moved bit or an extra empty
     # group makes them differ, as it does their groups dicts.
     def index(node_sets, group_ids, indices=(0, 1, 2)):
-        return GroupIndex(node_sets, np.array(indices), np.array(group_ids))
+        return GroupIndex.of(node_sets, indices, group_ids)
 
     base = index([(1, 2), (1, 3)], [0, 1, 1])
     variants = [index([(1, 3), (1, 2)], [1, 0, 0]), index([(1, 2), (2, 3)], [0, 1, 1]),
@@ -321,3 +324,18 @@ def test_group_indexes_are_equal_as_their_groups_dicts():
         assert (base == other) == (base.groups() == other.groups())
         assert (other == base) == (base == other)
     assert base == variants[0] and not any(base == other for other in variants[1:])
+
+
+def test_first_copies_matches_a_tuple_oracle(monkeypatch):
+    # Node sets of 0 to 3 ids, some near 2^32, with many repeats; then again
+    # with every id mixed to 0, so that all sets of one length collide and
+    # only the comparison of the sets themselves decides.
+    rng = np.random.default_rng(5)
+    ids = np.array([1, 2, 3, 4, 5, 2**32 - 2, 2**32 - 1])
+    node_sets = [tuple(sorted(rng.choice(ids, size=rng.integers(0, 4), replace=False).tolist()))
+                 for _ in range(300)]
+    expected = [node_sets.index(nodes) for nodes in node_sets]
+    index = GroupIndex.of(node_sets, [], [])
+    assert first_copies(index.set_sizes, index.set_nodes).tolist() == expected
+    monkeypatch.setattr(predistribution, "_mixed", lambda ids: np.zeros(ids.size, np.uint64))
+    assert first_copies(index.set_sizes, index.set_nodes).tolist() == expected

@@ -420,6 +420,19 @@ def test_feasibility_never_claims_impossibility(four_node):
     assert verdict.witness is not None
 
 
+def test_feasibility_capacity_is_strict_at_the_boundary():
+    # same n=3 l=60: one group of 60 bits over three nodes.  At
+    # r_12 = 2^20/(2^20+1) the split inflated by 1+2^-20 fills the group's
+    # capacity exactly, which fits; 10^-12 more overflows it.  The exact
+    # criterion, l*r_12 < |u_12| = 60, holds for both.
+    ks = generate(SchemeSpec.parse("same"), 3, 60, seed=0)
+    edge = Fraction(2**20, 2**20 + 1)
+    for r, status in ((edge, Status.ACHIEVABLE), (edge + Fraction(1, 10**12), Status.UNDECIDED)):
+        profile = RateProfile(3, {(1, 2): r})
+        assert check_feasibility(ks, profile, 0).status is status
+        assert check_exact(ks, profile, 0).status is Status.ACHIEVABLE
+
+
 def test_verdict_json(four_node):
     import json
     verdict = check_exact(four_node, RateProfile.uniform(4, Fraction(1, 9)), 1)
