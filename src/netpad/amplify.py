@@ -72,6 +72,9 @@ class CipherText:
     body: BitString
 
     def to_bytes(self) -> bytes:
+        if not (0 <= self.i < 2**32 and 0 <= self.j < 2**32 and 0 <= self.counter < 2**64):
+            raise ValueError(f"NPCT holds node ids below 2^32 and counters below 2^64, "
+                             f"not ({self.i},{self.j}) counter {self.counter}")
         out = bytearray()
         out += MAGIC
         out += struct.pack("<HIIQ", VERSION, self.i, self.j, self.counter)

@@ -21,8 +21,9 @@ as a GroupIndex, whose flat arrays are what the tables hold: the writers
 read it and the loaders build it, so no ``groups`` dict is built unless
 something reads it.  A view's held pool indices are its groups' sorted
 union, and a full store's storage locations follow from the scheme's
-parts (``KeyStore.locations``).  The writers refuse u > 2^32, l >= 2^32
-and node sets of more than 65535 nodes.
+parts (``KeyStore.locations``).  The writers refuse u > 2^32, n or
+l >= 2^32, a view's node outside 1..n and node sets of more than 65535
+nodes.
 
 The loaders read the magic and version first, so that a file of another
 version (1 had variable-length tables and no seal, 2 a blake2b seal and
@@ -36,9 +37,13 @@ missing from one of its groups, slots repeated or outside 1..l, and
 trailing bytes.  A full store's header must agree with its file (u with
 the scheme's pool size, n with the nodes its groups name) before the
 groups in each random part's pool range are checked against its
-permutation.  A node view stores seed 0: the pool is drawn from the
-seed, so a view that carried it would give one hacked node every node's
-bits.
+permutation.  The check compares holdings, not groups: a range x n
+boolean table of each index's holders, read from the file's groups, must
+equal ``random_holders``, the permutation's.  Since no node set repeats
+and no index lies in two groups, equal holdings mean equal groups.  It
+costs O(range * n) bytes and one walk of the permutation.  A node view
+stores seed 0: the pool is drawn from the seed, so a view that carried
+it would give one hacked node every node's bits.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ import numpy as np
 
 from .gf2 import RNG_ALGORITHM, BitString
 from .predistribution import (GroupIndex, KeyStore, SchemeSpec, first_copies, pool_index_array,
-                              pool_size, random_groups)
+                              pool_size, random_holders)
 
 MAGIC = b"NPKS"
 VERSION = 3
@@ -119,13 +124,21 @@ def _write_text(out: bytearray, text: str) -> None:
     out += struct.pack("<H", len(raw)) + raw
 
 
-def _write_header(out: bytearray, ks: KeyStore, seed: int) -> None:
-    if ks.u > 2**32 or ks.l >= 2**32:
-        raise ValueError(f"NPKS holds u <= 2^32 and l < 2^32, not u={ks.u}, l={ks.l}")
+def _preamble(ks: KeyStore, node: int | None = None) -> bytearray:
+    """The magic, version, flags and header of a full store, or of node's
+    view (node id after the flags, seed 0), each field checked first."""
+    if ks.n >= 2**32 or ks.u > 2**32 or ks.l >= 2**32:
+        raise ValueError(f"NPKS holds n, l < 2^32 and u <= 2^32, not n={ks.n}, l={ks.l}, u={ks.u}")
+    if node is None:
+        out = bytearray(MAGIC + struct.pack("<HB", VERSION, 0))
+    else:
+        ks._check_node(node)
+        out = bytearray(MAGIC + struct.pack("<HBI", VERSION, 1, node))
     out += struct.pack("<IQQ", ks.n, ks.l, ks.u)
     _write_text(out, ks.scheme.canonical())
-    out += struct.pack("<Q", seed)
+    out += struct.pack("<Q", ks.seed if node is None else 0)
     _write_text(out, RNG_ALGORITHM)
+    return out
 
 
 def _write_groups(out: bytearray, index: GroupIndex, kept: np.ndarray) -> None:
@@ -194,8 +207,7 @@ def _read_groups(rd: _Reader, n: int, u: int, member: int | None = None) -> Grou
 
 
 def save(ks: KeyStore, path) -> None:
-    out = bytearray(MAGIC + struct.pack("<HB", VERSION, 0))
-    _write_header(out, ks, ks.seed)
+    out = _preamble(ks)
     _write_groups(out, ks.index, np.ones(ks.index.count, dtype=bool))
     out += ks.pool.to_bytes()
     _write_sealed(out, path)
@@ -252,8 +264,7 @@ class NodeView:
 
 
 def save_node_view(ks: KeyStore, node: int, path) -> None:
-    out = bytearray(MAGIC + struct.pack("<HBI", VERSION, 1, node))
-    _write_header(out, ks, 0)
+    out = _preamble(ks, node)
     _write_groups(out, ks.index, ks.index.holding(node))
     held, slots = ks.slots(node)
     out += _u32(slots)
@@ -294,10 +305,10 @@ def load(path) -> KeyStore:
     rd = _open(path, 0)
     n, l, u, scheme, seed = _read_header(rd)
     index = _read_groups(rd, n, u)
-    # Checking a random part against its permutation costs O(u + n*l), so
-    # first check u against the header and n against the nodes the file
-    # lists (every node of a store with bits holds some): the cost is then
-    # bounded by the file.
+    # Checking a random part against its permutation costs O(u*n) bytes and
+    # a walk of n*l lanes, so first check u against the header and n against
+    # the nodes the file lists (every node of a store with bits holds some):
+    # the cost is then bounded by the file.
     named = np.sort(index.set_nodes)
     if u and np.count_nonzero(named[1:] != named[:-1]) + (named.size > 0) != n:
         raise ValueError(f"keystore lists bits for fewer than its {n} nodes")
@@ -308,7 +319,14 @@ def load(path) -> KeyStore:
     rd.finish()
     ks = KeyStore(n=n, l=l, scheme=scheme, seed=seed, pool=pool, index=index)
     for _, part_l, _, start, part_u, perm in ks.parts:
-        if perm and random_groups(perm, part_l) != index.within(start, start + part_u):
+        if perm is None:
+            continue
+        member = np.zeros((index.count, n), dtype=bool)  # row g: group g's node set
+        member[index.set_of, index.set_nodes - 1] = True
+        lo, hi = np.searchsorted(index.indices, [start, start + part_u])
+        holds = np.zeros((part_u, n), dtype=bool)  # row k: the file's holders of start + k
+        holds[index.indices[lo:hi] - start] = member[index.group_ids[lo:hi]]
+        if not np.array_equal(holds, random_holders(perm, part_l)):
             raise ValueError("random keystore's groups do not follow its permutation")
     return ks
 

@@ -7,8 +7,10 @@ cryptographic primitive: the mapping is public anyway, it only needs to
 be a reproducible bijection.  The network runs on numpy lanes, one per
 input, each half in uint32 so that products wrap mod 2^32 as the round
 function needs; cycle walking repeats it on the lanes still out of range.
-A family keeps its round keys and its last n x l inverse table, which
-costs 8*n*l bytes, so each node's slots are walked once.
+At most _CHUNK lanes are in flight, so the walk's temporaries stay
+bounded however many lanes there are.  A family keeps its round keys and
+its last n x l inverse table, which costs 8*n*l bytes, so each node's
+slots are walked once.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 _ROUNDS = 4
+_CHUNK = 1 << 16  # lanes walked at once, bounding the walk's temporaries
 
 
 def _mix32(x: np.ndarray, key: np.uint32) -> np.ndarray:
@@ -40,6 +43,7 @@ class PermutationFamily:
         self.u = u
         self.n = n
         self.master_seed = master_seed
+        self._seed = _seed_int(master_seed)  # folded once, not once per node
         # Even bit width >= bit length of u-1, at least 2.
         half = max(1, -(-(max(u - 1, 1)).bit_length() // 2))
         self._half_bits = half
@@ -52,29 +56,32 @@ class PermutationFamily:
             raise ValueError(f"node {node} outside 1..{self.n}")
         keys = self._round_keys.get(node)
         if keys is None:
-            rng = np.random.default_rng([_seed_int(self.master_seed), node])
+            rng = np.random.default_rng([self._seed, node])
             keys = rng.integers(0, 1 << 32, size=_ROUNDS, dtype=np.uint64).astype(np.uint32)
             self._round_keys[node] = keys
         return keys
 
-    def _walk(self, x: np.ndarray, keys: np.ndarray, inverse: bool) -> np.ndarray:
-        """F(x, node), or F^-1(x, node), of each value of x in 1..u, where
-        keys holds node's round keys, or one row of them per lane of x."""
-        keys = np.broadcast_to(keys[..., ::-1] if inverse else keys, (x.size, _ROUNDS))
-        x = (x - 1).astype(np.uint64)
-        todo = np.arange(x.size)
-        while todo.size:
+    def _walk(self, x: np.ndarray, keys: np.ndarray, inverse: bool, per: int = 1) -> np.ndarray:
+        """x, with each value v in 0..u-1 mapped in place to F(v+1, node) - 1,
+        or to F^-1(v+1, node) - 1, where keys[j // per] holds the round keys
+        of lane j's node.  At most _CHUNK lanes are in flight: lanes that
+        land in range leave, and fresh ones take their place."""
+        keys = keys[:, ::-1] if inverse else keys
+        todo, fresh = np.zeros(0, np.int64), 0
+        while todo.size or fresh < x.size:
+            admit = min(_CHUNK - todo.size, x.size - fresh)
+            todo, fresh = np.concatenate([todo, np.arange(fresh, fresh + admit)]), fresh + admit
             lanes = x[todo]
             left = (lanes >> self._half_bits).astype(np.uint32)
             right = lanes.astype(np.uint32) & self._half_mask
-            for key in keys[todo].T:
+            for key in keys[todo // per].T:
                 if inverse:
                     left, right = right ^ (_mix32(left, key) & self._half_mask), left
                 else:
                     left, right = right, left ^ (_mix32(right, key) & self._half_mask)
-            x[todo] = lanes = left.astype(np.uint64) << self._half_bits | right
+            x[todo] = lanes = left.astype(np.int64) << self._half_bits | right
             todo = todo[lanes >= self.u]
-        return x.astype(np.int64) + 1
+        return x
 
     def invert_all(self, node, l: int) -> np.ndarray:
         """[F^-1(1, node), ..., F^-1(l, node)] as an int64 array, l <= u;
@@ -87,14 +94,16 @@ class PermutationFamily:
             raise ValueError(f"node {node} outside 1..{self.n}")
         if self._inverse.shape[1] != l:
             keys = np.stack([self._keys(i) for i in range(1, self.n + 1)])
-            self._inverse = self._walk(np.tile(np.arange(1, l + 1), self.n),
-                                       np.repeat(keys, l, axis=0), inverse=True).reshape(self.n, l)
+            table = np.tile(np.arange(l), self.n)  # lane row * l + s - 1: slot s of node row + 1
+            self._walk(table, keys, inverse=True, per=l)
+            table += 1
+            self._inverse = table.reshape(self.n, l)
         return np.take(self._inverse, rows, axis=0)
 
     def permute(self, k: int, i: int) -> int:
         if not 1 <= k <= self.u:
             raise ValueError(f"index {k} outside 1..{self.u}")
-        return int(self._walk(np.array([k]), self._keys(i), inverse=False)[0])
+        return int(self._walk(np.array([k - 1]), self._keys(i)[None], inverse=False)[0]) + 1
 
 
 def _seed_int(seed) -> int:

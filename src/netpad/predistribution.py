@@ -210,12 +210,7 @@ class GroupIndex:
         return [tuple(listed[a:b]) for a, b in zip([0] + ends, ends)]
 
     def __eq__(self, other) -> bool:
-        first = first_copies(np.concatenate([self.set_sizes, other.set_sizes]),
-                             np.concatenate([self.set_nodes, other.set_nodes]))
-        mine, theirs = first[:self.count], first[self.count:]
-        return (np.array_equal(self.indices, other.indices) and bool(np.all(theirs < self.count))
-                and bool(np.isin(mine, theirs).all())
-                and np.array_equal(mine[self.group_ids], theirs[other.group_ids]))
+        return self.groups() == other.groups()
 
     def _found(self, nodes) -> tuple[np.ndarray, int]:
         """How many of the distinct nodes each set holds, and their number."""
@@ -237,14 +232,6 @@ class GroupIndex:
     def indices_of(self, chosen: np.ndarray) -> np.ndarray:
         """The pool indices of the groups chosen (a mask over the records), ascending."""
         return self.indices[chosen[self.group_ids]]
-
-    def within(self, start: int, stop: int) -> "GroupIndex":
-        """The groups cut to pool indices start..stop-1 and shifted down by
-        start, in record order, without the groups left empty."""
-        lo, hi = np.searchsorted(self.indices, [start, stop])
-        kept = np.bincount(self.group_ids[lo:hi], minlength=self.count) > 0
-        return GroupIndex(self.set_sizes[kept], self.set_nodes[kept[self.set_of]],
-                          self.indices[lo:hi] - start, (np.cumsum(kept) - 1)[self.group_ids[lo:hi]])
 
     # The indices group by group in record order, ascending in each.
     table = cached_property(lambda self: self.indices[np.argsort(self.group_ids, kind="stable")])
@@ -455,14 +442,19 @@ def pool_size(spec: SchemeSpec, n: int, l: int) -> int:
     return sum(part.u for part in parts(spec, n, l, 0))
 
 
-def random_groups(perm: PermutationFamily, l: int) -> GroupIndex:
-    """The random scheme's groups: bit k is held by node i iff
-    F(k+1, i) <= l, so node i holds exactly the l bits F^-1(s, i) - 1 for
-    s = 1..l.  Each nonempty holder set is a group, in order of first
-    index."""
+def random_holders(perm: PermutationFamily, l: int) -> np.ndarray:
+    """Row k: which nodes hold bit k of the random scheme.  Node i holds it
+    iff F(k+1, i) <= l, so it holds the l bits F^-1(s, i) - 1, s = 1..l."""
     holds = np.zeros((perm.u, perm.n), dtype=bool)
     holds[perm.invert_all(np.arange(1, perm.n + 1), l) - 1, np.arange(perm.n)[:, None]] = True
-    bits, nodes = np.nonzero(holds)  # each held bit's holders, ascending
+    return holds
+
+
+def random_groups(perm: PermutationFamily, l: int) -> GroupIndex:
+    """The random scheme's groups: each nonempty holder set of a bit is a
+    group, in order of first index.  A loaded store is checked against
+    random_holders (u*n bytes and one Feistel walk), not against these."""
+    bits, nodes = np.nonzero(random_holders(perm, l))  # each held bit's holders, ascending
     counts = np.bincount(bits, minlength=perm.u)
     held = np.flatnonzero(counts)  # a bit no node holds is in no group
     return _merged(counts[held], nodes + 1, held, np.arange(held.size))

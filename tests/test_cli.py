@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import struct
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -215,7 +216,7 @@ def files(tmp_path_factory):
         "profile.json", "null_rate.json", "list.json", "int_edges.json",
         "str_node.json", "repeated_pair.json", "one_node.json", "profile_key.json",
         "rate_key.json", "topo_key.json", "repeated_edge.json", "reversed_edge.json",
-        "bad.npks", "missing")}
+        "bad.npks", "missing", "refused.out")}
     run("keygen", "--scheme", "comb:a=3", "--n", "4", "--l", "1260", "--seed", "7",
         "--out", str(paths["full.npks"]))
     for node in (1, 2):
@@ -321,6 +322,10 @@ SIMULATE = "simulate --scheme comb:a=3 --n 4 --l 120 --t 1 --d 8 --seed 2 --prof
     ("experiment full-rank --trials 0", 3),
     ("experiment cross-independence --trials 0", 3),
     (f"{MULTIPATH} --t 1 --message-bits -8", 3),
+    # Values past their file fields (u32 node ids, a u64 counter).
+    ("keygen --scheme comb:a=3 --n 4 --l 12 --node -1 --out {refused_out}", 3),
+    ("keygen --scheme comb:a=3 --n 4 --l 12 --node 4294967296 --out {refused_out}", 3),
+    (f"{ENCRYPT} {{refused_out}} --counter 18446744073709551616", 3),
 ])
 def test_exit_codes(command, code, files):
     """0, 1 and 2 only as a command's verdict; every other failure exits
@@ -330,6 +335,7 @@ def test_exit_codes(command, code, files):
     assert res.exception is None or isinstance(res.exception, SystemExit), res.output
     if code == 3:
         assert "Error: " in res.output or "Usage: " in res.output
+        assert not Path(files["refused_out"]).exists()
 
 
 def test_encrypt_refuses_more_key_bits_than_the_channel_shares(files, tmp_path):

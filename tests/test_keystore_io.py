@@ -516,6 +516,52 @@ def test_random_store_groups_must_follow_the_permutation(tmp_path):
         keystore_io.load(tmp_path / "moved.npks")
 
 
+@pytest.mark.parametrize("text", ["random:p=1/2", "hybrid:lambda=1/2,(comb:a=3),(random:p=1/2)"])
+def test_every_move_within_a_random_range_is_refused(text, tmp_path):
+    # Each pool index of the random part's range, moved to any other group
+    # (unless that empties its own), breaks the permutation's holdings.  In
+    # the hybrid some node sets hold bits of both parts, so one group's
+    # indices span both ranges, and a move can empty its share of the
+    # random range while the group lives on.
+    ks = generate(SchemeSpec.parse(text), 4, 12, seed=9)
+    (part,) = [part for part in ks.parts if part.perm]
+    index, path = ks.index, tmp_path / "moved.npks"
+    keystore_io.save(ks, path)
+    loaded = keystore_io.load(path)
+    assert loaded.index == index and loaded.pool == ks.pool
+    in_part = (index.indices >= part.start) & (index.indices < part.start + part.u)
+    share = np.bincount(index.group_ids[in_part], minlength=index.count)
+    spans = (share > 0) & (share < index.sizes)  # groups with bits of both parts
+    assert spans.any() == (part.start > 0)
+    moves = emptied = 0
+    for at in np.flatnonzero(in_part):
+        source = index.group_ids[at]
+        if index.sizes[source] == 1:
+            continue  # the move would leave a group with no pool index
+        emptied += spans[source] and share[source] == 1
+        for target in set(range(index.count)) - {source}:
+            group_ids = index.group_ids.copy()
+            group_ids[at] = target
+            keystore_io.save(dataclasses.replace(
+                ks, index=dataclasses.replace(index, group_ids=group_ids)), path)
+            with pytest.raises(ValueError) as refused:
+                keystore_io.load(path)
+            assert str(refused.value) == "random keystore's groups do not follow its permutation"
+            moves += 1
+    assert moves > 0 and (emptied > 0) == (part.start > 0)
+
+
+def test_random_store_with_bits_no_node_holds_loads(tmp_path):
+    # At p = 1/8 and n = 4 a bit is held by no node with probability
+    # (7/8)^4, so about 59% of the pool lies in no group.
+    ks = generate(SchemeSpec.parse("random:p=1/8"), 4, 20, seed=5)
+    assert 0 < ks.index.indices.size < ks.u
+    keystore_io.save(ks, tmp_path / "sparse.npks")
+    loaded = keystore_io.load(tmp_path / "sparse.npks")
+    assert loaded.index == ks.index and loaded.pool == ks.pool
+    assert all(loaded.locations(i) == ks.locations(i) for i in range(1, 5))
+
+
 @pytest.mark.parametrize("text,n,l", SCHEMES)
 def test_load_accepts_groups_in_any_record_order(text, n, l, tmp_path):
     # The random parts' checks compare node sets and their indices, not
@@ -632,6 +678,20 @@ def test_writers_refuse_values_past_u32(tmp_path, monkeypatch):
     for write in (keystore_io.save, lambda ks, path: keystore_io.save_node_view(ks, 1, path)):
         with pytest.raises(ValueError, match="l < 2\\^32"):
             write(ks, tmp_path / "bad.npks")
+
+
+def test_writers_refuse_n_and_nodes_past_their_fields(tmp_path):
+    # n and a view's node id are u32 fields: a node outside 1..n, or a store
+    # built by hand with n = 2^32, is a ValueError before anything is written.
+    ks, _, _ = _comb_files(tmp_path)
+    for node in (-1, 0, 5, 2**32):
+        with pytest.raises(ValueError, match=f"node {node} outside 1..4"):
+            keystore_io.save_node_view(ks, node, tmp_path / "bad.npks")
+    ks.n = 2**32
+    for write in (keystore_io.save, lambda ks, path: keystore_io.save_node_view(ks, 2**32, path)):
+        with pytest.raises(ValueError, match="n, l < 2\\^32"):
+            write(ks, tmp_path / "bad.npks")
+    assert not (tmp_path / "bad.npks").exists()
 
 
 def test_writers_refuse_a_node_set_past_u16(tmp_path):

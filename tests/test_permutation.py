@@ -1,5 +1,9 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 
+from netpad import permutation
 from netpad.permutation import PermutationFamily, _seed_int
 
 from helpers import feistel_map
@@ -90,3 +94,30 @@ def test_invert_all_over_many_nodes_is_one_row_per_node():
     assert fam.invert_all([1, 2], 0).shape == (2, 0)
     with pytest.raises(ValueError, match="node"):
         fam.invert_all([1, 5], 0)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_the_walk_does_not_depend_on_its_chunk(chunk, monkeypatch):
+    # Lanes admitted a few at a time, rows split across admissions, walk to
+    # the per-index map's values.
+    monkeypatch.setattr(permutation, "_CHUNK", chunk)
+    fam = PermutationFamily(100, 3, master_seed=11)
+    expected = [[feistel_map(100, 11, node, s, inverse=True) for s in range(1, 41)]
+                for node in (1, 2, 3)]
+    assert fam.invert_all([1, 2, 3], 40).tolist() == expected
+    assert [fam.permute(k, 2) for k in (1, 50, 100)] == [feistel_map(100, 11, 2, k)
+                                                          for k in (1, 50, 100)]
+
+
+def test_invert_all_memory_is_bounded_by_its_table():
+    # n*l = 640k lanes: the kept table and the returned copy are 5.12 MB
+    # each, and the walk's temporaries stay within a fixed number of lanes.
+    fam = PermutationFamily(40000, 32, master_seed=3)
+    tracemalloc.start()
+    try:
+        table = fam.invert_all(np.arange(1, 33), 20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (32, 20000)
+    assert peak <= 3 * table.nbytes + 8 * 2**20

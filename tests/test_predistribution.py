@@ -261,7 +261,10 @@ def test_hybrid_concatenates_parts():
     assert len(ks.node_bits(1)) == sum(len(child.node_bits(1)) for child in children)
     start = 0
     for child in children:
-        assert ks.index.within(start, start + child.u) == child.index
+        # The hybrid's groups cut to the child's pool range are the child's.
+        cut = {nodes: [k - start for k in idx if start <= k < start + child.u]
+               for nodes, idx in ks.groups.items()}
+        assert {nodes: idx for nodes, idx in cut.items() if idx} == child.groups
         start += child.u
     # Pairwise part: 6 bits over pairs; comb part: 6 bits over triples.
     pair_groups = [g for g in ks.groups if len(g) == 2]
