@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import secrets
 import sys
 from fractions import Fraction
@@ -25,7 +24,6 @@ import numpy as np
 
 from . import adversary, amplify, keystore_io, multipath, rates
 from .gf2 import RNG_ALGORITHM, BitString
-from .permutation import _seed_int
 from .predistribution import SchemeSpec, generate, parse_fraction
 from .secure_check import (
     RateProfile,
@@ -51,13 +49,15 @@ def frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator} (~{float(x):.4g})"
 
 
+# --seed, else NETPAD_SEED, in 0..2^63-1, where no two seeds fold to one.
+seed_option = click.option("--seed", type=click.IntRange(0, 2**63 - 1), envvar="NETPAD_SEED",
+                           show_envvar=True)
+
+
 def _resolve_seed(seed) -> int:
-    """--seed, else NETPAD_SEED, else a fresh seed: a fixed default would
-    make every default keystore public and reuse one pad across runs."""
-    if seed is None:
-        env = os.environ.get("NETPAD_SEED")
-        seed = secrets.randbits(63) if env is None else int(env)
-    return _seed_int(seed)
+    """seed, else a fresh one: a fixed default would make every default
+    keystore public and reuse one pad across runs."""
+    return secrets.randbits(63) if seed is None else seed
 
 
 def _parse_profile(text: str, n: int) -> RateProfile:
@@ -132,7 +132,7 @@ def rates_cmd(scheme_text, n, t, sweep_a):
 @click.option("--scheme", "scheme_text", required=True)
 @click.option("--n", type=int, required=True)
 @click.option("--l", type=int, required=True, help="Per-node secret-bit budget.")
-@click.option("--seed", type=int, default=None)
+@seed_option
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--node", type=int, default=None,
               help="Export only this node's view (what a deployed node carries).")
@@ -168,7 +168,7 @@ def _load_or_generate(store, scheme_text, n, l, seed):
               help="Profile JSON file or uniform:<rate>.")
 @click.option("--method", type=click.Choice(["exact", "relaxed", "feasibility"]),
               default="exact")
-@click.option("--seed", type=int, default=None)
+@seed_option
 @click.option("--out", type=click.Path(), default=None, help="Write verdict JSON here.")
 def check(store, scheme_text, n, l, t, profile_text, method, seed, out):
     """Decide achievability of a rate profile (exit 0/1/2)."""
@@ -200,7 +200,7 @@ def check(store, scheme_text, n, l, t, profile_text, method, seed, out):
 @click.option("--t", type=int, required=True)
 @click.option("--profile", "profile_text", required=True)
 @click.option("--d", type=int, default=amplify.DEFAULT_WEIGHT)
-@click.option("--seed", type=int, default=None)
+@seed_option
 def simulate(store, scheme_text, n, l, t, profile_text, d, seed):
     """One end-to-end run: encrypt at the profile's rates with the last t
     nodes hacked, then report the rank-based secrecy witness."""
@@ -225,7 +225,9 @@ def simulate(store, scheme_text, n, l, t, profile_text, d, seed):
                f"seed={seed} rng={RNG_ALGORITHM}")
     click.echo(f"messages={len(cts)} key_rows={witness.a_matrix.n_rows} "
                f"unhacked_cols={witness.a_matrix.n_cols} rank={witness.rank}")
-    if witness.full_rank:
+    if not cts:
+        click.echo("no messages: nothing to certify")
+    elif witness.full_rank:
         click.echo("witness: FULL RANK — perfect secrecy certified for this transcript")
     else:
         click.echo("witness: RANK DEFICIENT — transcript is NOT perfectly secret")
@@ -245,7 +247,7 @@ def simulate(store, scheme_text, n, l, t, profile_text, d, seed):
 @click.option("--l", "l_values", type=int, multiple=True, default=(4000,))
 @click.option("--d", type=int, default=amplify.DEFAULT_WEIGHT)
 @click.option("--trials", type=int, default=100)
-@click.option("--seed", type=int, default=None)
+@seed_option
 @click.option("--out", type=click.Path(), default=None, help="CSV output path.")
 def experiment(name, r, ratio, mode, scheme_text, n, t, profile_text, l_values,
                d, trials, seed, out):
@@ -295,8 +297,8 @@ def experiment(name, r, ratio, mode, scheme_text, n, t, profile_text, l_values,
 @click.option("--in", "in_path", type=click.Path(), required=True)
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--d", type=int, default=amplify.DEFAULT_WEIGHT)
-@click.option("--counter", type=int, default=1)
-@click.option("--seed", type=int, default=None)
+@click.option("--counter", type=click.IntRange(1, 2**64 - 1), default=1)
+@seed_option
 def encrypt_cmd(store_path, peer, in_path, out, d, counter, seed):
     """One-time-pad encrypt a file to a peer node (magic NPCT)."""
     seed = _resolve_seed(seed)

@@ -1,10 +1,11 @@
 """Binary keystore persistence.
 
-Layout (little-endian), NPKS version 3:
+Layout (little-endian), NPKS version 4:
   magic "NPKS", version u16, flags u8 (0 = full store, 1 = node view)
   [node id u32 when flags = 1]
   header: n u32, l u64, u u64, scheme canonical text (u16 len + utf8),
-          seed u64 (0 in a node view), RNG algorithm id (u16 len + utf8)
+          seed u64 (0 in a node view), pool source u8 (0: the pool is
+          drawn from the recorded seed), RNG algorithm id (u16 len + utf8)
   group table: count u32, then four tables in record order: each node
           set's length (u16), every set's node ids (u32, ascending within
           a set), each group's bit count (u64) and every group's pool
@@ -27,23 +28,24 @@ nodes.
 
 The loaders read the magic and version first, so that a file of another
 version (1 had variable-length tables and no seal, 2 a blake2b seal and
-one record per group) is named as such, then check the seal before any
-other field.  The digest detects corruption and truncation; it is not a
-MAC, since anyone who can write the file can re-seal it.  Then they
-raise ValueError (CLI exit 3) on group node ids not strictly ascending
-in 1..n, a repeated node set, a group with no pool index, a pool index
+one record per group, 3 Feistel slots and no pool source) is named as
+such, then check the seal before any other field.  The digest detects
+corruption and truncation; it is not a MAC, since anyone who can write
+the file can re-seal it.  Then they raise ValueError (CLI exit 3) on a
+pool source other than 0, group node ids not strictly ascending in
+1..n, a repeated node set, a group with no pool index, a pool index
 >= u, repeated in a group or in two groups, a view node outside 1..n or
 missing from one of its groups, slots repeated or outside 1..l, and
 trailing bytes.  A full store's header must agree with its file (u with
 the scheme's pool size, n with the nodes its groups name) before the
-groups in each random part's pool range are checked against its
-permutation.  The check compares holdings, not groups: a range x n
-boolean table of each index's holders, read from the file's groups, must
-equal ``random_holders``, the permutation's.  Since no node set repeats
-and no index lies in two groups, equal holdings mean equal groups.  It
-costs O(range * n) bytes and one walk of the permutation.  A node view
-stores seed 0: the pool is drawn from the seed, so a view that carried
-it would give one hacked node every node's bits.
+groups in each random part's pool range are checked against its slot
+table, drawn again from the seed.  The check compares holdings, not
+groups: a range x n boolean table of each index's holders, read from the
+file's groups, must equal ``random_holders``, the table's.  Since no
+node set repeats and no index lies in two groups, equal holdings mean
+equal groups.  It costs O(range * n) bytes and one slot draw.  A node
+view stores seed 0: the pool is drawn from the seed, so a view that
+carried it would give one hacked node every node's bits.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from .predistribution import (GroupIndex, KeyStore, SchemeSpec, first_copies, po
                               pool_size, random_holders)
 
 MAGIC = b"NPKS"
-VERSION = 3
+VERSION = 4
 SEAL_BYTES = 32
 
 _struct = lru_cache(maxsize=64)(struct.Struct)
@@ -136,7 +138,7 @@ def _preamble(ks: KeyStore, node: int | None = None) -> bytearray:
         out = bytearray(MAGIC + struct.pack("<HBI", VERSION, 1, node))
     out += struct.pack("<IQQ", ks.n, ks.l, ks.u)
     _write_text(out, ks.scheme.canonical())
-    out += struct.pack("<Q", ks.seed if node is None else 0)
+    out += struct.pack("<QB", ks.seed if node is None else 0, 0)  # pool source 0: the seed
     _write_text(out, RNG_ALGORITHM)
     return out
 
@@ -293,7 +295,9 @@ def _read_header(rd: _Reader):
     n, l, u = rd.unpack("IQQ")
     scheme = SchemeSpec.parse(rd.text())
     scheme.validate(n)
-    (seed,) = rd.unpack("Q")
+    seed, source = rd.unpack("QB")
+    if source:
+        raise ValueError(f"keystore pool source {source} is not 0 (drawn from the recorded seed)")
     rng_id = rd.text()
     if rng_id != RNG_ALGORITHM:
         raise ValueError(f"keystore was produced with RNG {rng_id!r}, "
@@ -305,8 +309,8 @@ def load(path) -> KeyStore:
     rd = _open(path, 0)
     n, l, u, scheme, seed = _read_header(rd)
     index = _read_groups(rd, n, u)
-    # Checking a random part against its permutation costs O(u*n) bytes and
-    # a walk of n*l lanes, so first check u against the header and n against
+    # Checking a random part against its slot table costs O(u*n) bytes and
+    # a draw of n*l slots, so first check u against the header and n against
     # the nodes the file lists (every node of a store with bits holds some):
     # the cost is then bounded by the file.
     named = np.sort(index.set_nodes)
@@ -318,7 +322,7 @@ def load(path) -> KeyStore:
     pool = BitString.from_bytes(rd.read(-(-u // 8)), u)
     rd.finish()
     ks = KeyStore(n=n, l=l, scheme=scheme, seed=seed, pool=pool, index=index)
-    for _, part_l, _, start, part_u, perm in ks.parts:
+    for _, _, _, start, part_u, perm in ks.parts:
         if perm is None:
             continue
         member = np.zeros((index.count, n), dtype=bool)  # row g: group g's node set
@@ -326,8 +330,10 @@ def load(path) -> KeyStore:
         lo, hi = np.searchsorted(index.indices, [start, start + part_u])
         holds = np.zeros((part_u, n), dtype=bool)  # row k: the file's holders of start + k
         holds[index.indices[lo:hi] - start] = member[index.group_ids[lo:hi]]
-        if not np.array_equal(holds, random_holders(perm, part_l)):
-            raise ValueError("random keystore's groups do not follow its permutation")
+        if not np.array_equal(holds, random_holders(perm)):
+            raise ValueError("random keystore's groups do not follow its permutation, the "
+                             "slot table drawn from its seed: the file may come from another "
+                             "numpy release")
     return ks
 
 

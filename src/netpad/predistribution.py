@@ -1,8 +1,10 @@
 """Key pre-distribution: global secret pool generation, per-node
 assignment under each scheme, and common-bit / group queries.
 
-Node ids are 1-based; pool-bit indices are 0-based.  Storage locations
-within a node's l slots are 1-based to match the permutation domain.
+Node ids are 1-based; pool-bit indices are 0-based; storage slots are
+1..l.  A random part gives each node a uniform ordered l-subset of its
+pool range, one numpy ``choice`` per node (``PermutationFamily.table``),
+so its keygen and load cost O(n*l) time and 8*n*l bytes.
 """
 
 from __future__ import annotations
@@ -331,8 +333,8 @@ class KeyStore:
     def slots(self, node: int) -> tuple[np.ndarray, np.ndarray]:
         """The pool indices node holds, ascending, and the storage slot
         (1..l) of each, as int64 arrays.  Each part's slots follow the
-        earlier parts' l: F(k+1, node) in a random part (found by
-        inverting its l slots), 1, 2, ... in index order in any other."""
+        earlier parts' l: a random part's slot table row, 1, 2, ... in
+        index order in any other."""
         held, slots, offset = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], 0
         self._check_node(node)
         for part in self.parts:
@@ -341,7 +343,7 @@ class KeyStore:
                 lo, hi = np.searchsorted(mine, [part.start, part.start + part.u])
                 part_held, order = mine[lo:hi], np.arange(hi - lo)
             else:
-                part_held = part.perm.invert_all(node, part.l) - 1 + part.start
+                part_held = part.perm.table[node - 1] + part.start
                 order = np.argsort(part_held)
             held.append(part_held[order])
             slots.append(order + 1 + offset)
@@ -364,7 +366,7 @@ def generate(spec: SchemeSpec, n: int, l: int, seed, strict: bool = False) -> Ke
     seed = _seed_int(seed)
     tables, pools, records = [], [], 0
     for part in (layout := parts(spec, n, l, seed)):
-        index = (random_groups(part.perm, part.l) if part.perm
+        index = (random_groups(part.perm) if part.perm
                  else _sequential_groups(part.scheme, n, part.l, part.seed, strict))
         tables.append((index.set_sizes, index.set_nodes, index.indices + part.start,
                        index.group_ids + records))
@@ -373,7 +375,7 @@ def generate(spec: SchemeSpec, n: int, l: int, seed, strict: bool = False) -> Ke
     if len(tables) > 1:  # a node set that two parts use is one group
         index = _merged(*map(np.concatenate, zip(*tables)))
     ks = KeyStore(n, l, spec, seed, BitString(np.concatenate(pools)), index)
-    ks.parts = layout  # keeps each random part's family and its round keys
+    ks.parts = layout  # keeps each random part's slot table
     return ks
 
 
@@ -411,11 +413,11 @@ Part = namedtuple("Part", "scheme l seed start u perm")
 
 def parts(spec: SchemeSpec, n: int, l: int, seed) -> list[Part]:
     """A store's non-hybrid parts in pool order: budget l, seed, first pool
-    index, pool size u and, for a random part with u >= 1, its permutation.
+    index, pool size u and, for a random part with u >= 1, its slot table.
     A hybrid's are its children with l >= 1, the k-th seeded [seed, 2 + k]."""
     if spec.kind == "random":
         u = round(Fraction(l) / spec.p)
-        return [Part(spec, l, seed, 0, u, PermutationFamily(u, n, [seed, 0]) if u else None)]
+        return [Part(spec, l, seed, 0, u, PermutationFamily(u, n, l, [seed, 0]) if u else None)]
     if spec.kind != "hybrid":
         count, quota = _layout(spec, n)
         return [Part(spec, l, seed, 0, l // quota * count, None)]
@@ -442,19 +444,19 @@ def pool_size(spec: SchemeSpec, n: int, l: int) -> int:
     return sum(part.u for part in parts(spec, n, l, 0))
 
 
-def random_holders(perm: PermutationFamily, l: int) -> np.ndarray:
-    """Row k: which nodes hold bit k of the random scheme.  Node i holds it
-    iff F(k+1, i) <= l, so it holds the l bits F^-1(s, i) - 1, s = 1..l."""
+def random_holders(perm: PermutationFamily) -> np.ndarray:
+    """Row k: which nodes hold bit k of the random scheme, the bits in
+    their rows of the slot table."""
     holds = np.zeros((perm.u, perm.n), dtype=bool)
-    holds[perm.invert_all(np.arange(1, perm.n + 1), l) - 1, np.arange(perm.n)[:, None]] = True
+    holds[perm.table, np.arange(perm.n)[:, None]] = True
     return holds
 
 
-def random_groups(perm: PermutationFamily, l: int) -> GroupIndex:
+def random_groups(perm: PermutationFamily) -> GroupIndex:
     """The random scheme's groups: each nonempty holder set of a bit is a
     group, in order of first index.  A loaded store is checked against
-    random_holders (u*n bytes and one Feistel walk), not against these."""
-    bits, nodes = np.nonzero(random_holders(perm, l))  # each held bit's holders, ascending
+    random_holders (u*n bytes), not against these."""
+    bits, nodes = np.nonzero(random_holders(perm))  # each held bit's holders, ascending
     counts = np.bincount(bits, minlength=perm.u)
     held = np.flatnonzero(counts)  # a bit no node holds is in no group
     return _merged(counts[held], nodes + 1, held, np.arange(held.size))

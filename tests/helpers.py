@@ -1,7 +1,7 @@
 """Independent oracles used across the test suite.
 
 Everything here is deliberately naive and shares no code with the
-library: pure-Python elimination, a per-index Feistel network, the NPKS
+library: pure-Python elimination, a per-index slot map, the NPKS
 seal, tuple predicates for group membership, pool scans over per-node storage locations, brute-force
 graph/subset enumeration, the key sampler's earlier int64 loop and the
 group-flow checker's earlier Fraction arithmetic.
@@ -66,36 +66,15 @@ def reference_sample_indices(n_rows: int, n_cols: int, d: int, seed,
         idx[rows] = sub
 
 
-def feistel_map(u: int, seed: int, node: int, x: int, inverse: bool = False) -> int:
-    """F(x, node) on 1..u (or F^-1) of PermutationFamily(u, n, seed), for
-    an int seed, one Python-int Feistel round and cycle-walking step at a
-    time: the per-index map that the library's numpy lanes must match."""
-    mask32 = 0xFFFFFFFF
-
-    def mix32(x: int, key: int) -> int:
-        x = (374761397 + key + x * 3266489917) & mask32
-        x = ((x << 17 | x >> 15) * 668265263) & mask32
-        x ^= x >> 15
-        x = (x * 2246822519) & mask32
-        x ^= x >> 13
-        x = (x * 3266489917) & mask32
-        return x ^ (x >> 16)
-
-    half = max(1, -(-(max(u - 1, 1)).bit_length() // 2))
-    half_mask = (1 << half) - 1
-    rng = np.random.default_rng([seed & (2**63 - 1), node])
-    keys = [int(k) for k in rng.integers(0, 1 << 32, size=4, dtype=np.uint64)]
-    x -= 1
-    while True:
-        left, right = x >> half, x & half_mask
-        for key in (reversed(keys) if inverse else keys):
-            if inverse:
-                left, right = right ^ (mix32(left, key) & half_mask), left
-            else:
-                left, right = right, left ^ (mix32(right, key) & half_mask)
-        x = (left << half) | right
-        if x < u:
-            return x + 1
+def slot_map(row: list[int], u: int) -> list[int]:
+    """[F(1, node), ..., F(u, node)] for a node whose slots 1..l hold the
+    0-based pool indices in row, built by listing: each held index gets its
+    slot, and the others, in ascending order, get l + 1, l + 2, ..., u."""
+    image = [0] * u
+    for slot, k in enumerate(row, start=1):
+        image[k] = slot
+    rest = iter(range(len(row) + 1, u + 1))
+    return [slot or next(rest) for slot in image]
 
 
 def reseal(raw: bytes) -> bytes:

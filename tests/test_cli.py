@@ -152,6 +152,15 @@ def test_simulate_command():
     assert "FULL RANK" in res.output
 
 
+def test_simulate_with_no_messages_certifies_nothing():
+    res = run("simulate", "--scheme", "comb:a=3", "--n", "4", "--l", "120",
+              "--t", "1", "--profile", "uniform:0", "--d", "8", "--seed", "2")
+    assert res.exit_code == 0, res.output
+    assert "messages=0" in res.output
+    assert res.output.splitlines()[-1] == "no messages: nothing to certify"
+    assert "FULL RANK" not in res.output
+
+
 def test_experiment_csv_output(tmp_path):
     res = run("experiment", "lemma-rank", "--r", "200", "--ratio", "0.5",
               "--mode", "fixed:16", "--trials", "5", "--seed", "1")
@@ -193,6 +202,42 @@ def test_seed_env_var(tmp_path, monkeypatch):
     res = run("keygen", "--scheme", "pairwise", "--n", "3", "--l", "6",
               "--out", str(tmp_path / "s.npks"))
     assert res.exit_code == 0 and "seed=99" in res.output
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**63), str(10**23)])
+def test_seeds_outside_63_bits_are_refused(seed, files, monkeypatch):
+    # -1 was masked to 2^63 - 1 and 10^23 folded to 200376420520689663, so
+    # each wrote the same store as a seed in range.
+    commands = [
+        "keygen --scheme comb:a=3 --n 4 --l 12 --out {refused_out}",
+        "check --scheme comb:a=3 --n 4 --l 12 --t 1 --profile uniform:1/18",
+        "simulate --scheme comb:a=3 --n 4 --l 120 --t 1 --profile uniform:1/18",
+        "experiment full-rank --trials 1",
+        "encrypt --keystore {n1_npks} --peer 2 --in {msg_bin} --out {refused_out}",
+    ]
+    for command in commands:
+        args = [arg.format(**files) for arg in command.split() + ["--seed", seed]]
+        res = run(*args)
+        assert res.exit_code == 3 and "Invalid value for '--seed'" in res.output, res.output
+        monkeypatch.setenv("NETPAD_SEED", seed)
+        res = run(*args[:-2])
+        monkeypatch.delenv("NETPAD_SEED")
+        assert res.exit_code == 3 and "NETPAD_SEED" in res.output, res.output
+    assert not Path(files["refused_out"]).exists()
+
+
+def test_the_largest_seed_no_longer_aliases_a_negative_one(tmp_path):
+    res = run("keygen", "--scheme", "random:p=1/2", "--n", "3", "--l", "6",
+              "--seed", str(2**63 - 1), "--out", str(tmp_path / "s.npks"))
+    assert res.exit_code == 0 and f"seed={2**63 - 1}" in res.output
+    assert keystore_io.load(tmp_path / "s.npks").seed == 2**63 - 1
+
+
+@pytest.mark.parametrize("counter", ["-3", "0"])
+def test_counter_outside_1_to_2_64_names_the_option(counter, files):
+    res = run("encrypt", "--keystore", files["n1_npks"], "--peer", "2", "--in", files["msg_bin"],
+              "--seed", "5", "--counter", counter, "--out", files["refused_out"])
+    assert res.exit_code == 3 and "Invalid value for '--counter'" in res.output, res.output
 
 
 def test_default_seed_is_fresh(tmp_path, monkeypatch):
@@ -326,6 +371,9 @@ SIMULATE = "simulate --scheme comb:a=3 --n 4 --l 120 --t 1 --d 8 --seed 2 --prof
     ("keygen --scheme comb:a=3 --n 4 --l 12 --node -1 --out {refused_out}", 3),
     ("keygen --scheme comb:a=3 --n 4 --l 12 --node 4294967296 --out {refused_out}", 3),
     (f"{ENCRYPT} {{refused_out}} --counter 18446744073709551616", 3),
+    # Counters start at 1; a negative one reached numpy's seeding.
+    (f"{ENCRYPT} {{refused_out}} --counter -3", 3),
+    (f"{ENCRYPT} {{refused_out}} --counter 0", 3),
 ])
 def test_exit_codes(command, code, files):
     """0, 1 and 2 only as a command's verdict; every other failure exits

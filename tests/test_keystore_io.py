@@ -27,6 +27,10 @@ SCHEMES = [
     ("hybrid:lambda=1/2,(pairwise),(comb:a=3)", 4, 12),
 ]
 
+# keystore_io.load's refusal of random groups that its slot table does not give.
+REFUSAL = ("random keystore's groups do not follow its permutation, the slot table drawn "
+           "from its seed: the file may come from another numpy release")
+
 
 @pytest.mark.parametrize("text,n,l", SCHEMES)
 def test_full_store_roundtrip(text, n, l, tmp_path):
@@ -239,10 +243,10 @@ def test_resealed_hybrid_pool_edit_loads(tmp_path):
                          + HYBRID_ORDERS)
 @pytest.mark.parametrize("seed", [9, [3, 9]])
 def test_hybrid_load_never_generates(text, seed, tmp_path, monkeypatch):
-    # A seed sequence folds to a 64-bit store seed; each part's seed is
+    # A seed sequence folds to a 63-bit store seed; each part's seed is
     # derived from the stored value as it is.
     ks = generate(SchemeSpec.parse(text), 4, 12, seed=seed)
-    assert isinstance(seed, int) or ks.seed >= 2**63
+    assert 0 <= ks.seed < 2**63
     keystore_io.save(ks, tmp_path / "hybrid.npks")
 
     def fail(*args, **kwargs):
@@ -286,12 +290,38 @@ def test_huge_group_count_raises_value_error(tmp_path):
         keystore_io.load_node_view(path)
 
 
-# NPKS version 3 bytes (seed 5, n=4): the comb:a=3 l=6 full store and
+# NPKS version 4 bytes (seed 5, n=4): the comb:a=3 l=6 full store and
 # node 2's view, and node 2's view of the random:p=1/2 l=4 store.  Storage
 # locations are not stored in a full store, so these pin that the slot
-# rule still gives the slots that version 1 files gave.  The version 2
-# loaders read the same pools, groups and locations from FROZEN_V2.
+# rule still gives a comb store the slots that version 1 files gave.
 FROZEN = {
+    "comb_full": (
+        "4e504b5304000004000000060000000000000008000000000000000800636f6d623a613d33"
+        "0500000000000000000b006e756d70792d7063673634040000000300030003000300010000"
+        "00020000000300000001000000020000000400000001000000030000000400000002000000"
+        "03000000040000000200000000000000020000000000000002000000000000000200000000"
+        "00000000000000010000000200000003000000040000000500000006000000070000009797"
+        "b21ad236ec757770d8ec145fe81d38b8ce9231a2614001f450555602acc0bf"),
+    "comb_view": (
+        "4e504b530400010200000004000000060000000000000008000000000000000800636f6d62"
+        "3a613d330000000000000000000b006e756d70792d70636736340300000003000300030001"
+        "00000002000000030000000100000002000000040000000200000003000000040000000200"
+        "00000000000002000000000000000200000000000000000000000100000002000000030000"
+        "000600000007000000010000000200000003000000040000000500000006000000276144b1"
+        "fc9dd11c0f85331cd86cd11369268997ae8dcfba91d0e1f04c97ea0597"),
+    "random_view": (
+        "4e504b530400010200000004000000040000000000000008000000000000000c0072616e64"
+        "6f6d3a703d312f320000000000000000000b006e756d70792d706367363403000000030002"
+        "00020001000000020000000300000002000000040000000200000003000000010000000000"
+        "00000200000000000000010000000000000000000000010000000200000005000000010000"
+        "0002000000030000000400000007dd090c4878d5a813e58f4e37c00d30a14959b3743ed74c"
+        "87636b4d5a17e6cced"),
+}
+
+# Version 3 bytes of the same three files and of the random:p=1/2 l=4
+# full store, whose groups followed a Feistel permutation: the version 4
+# holdings check would refuse it, but the version is refused first.
+FROZEN_V3 = {
     "comb_full": (
         "4e504b5303000004000000060000000000000008000000000000000800636f6d623a613d33"
         "05000000000000000b006e756d70792d706367363404000000030003000300030001000000"
@@ -313,10 +343,19 @@ FROZEN = {
         "00000001000000000000000100000000000000010000000000000001000000000000000000"
         "000003000000040000000600000004000000010000000200000003000000053e5428ea2257"
         "a92a1556af70dce209446f5b764cfa8e94c987dbe9228984f2ed"),
+    "random_full": (
+        "4e504b5303000004000000040000000000000008000000000000000c0072616e646f6d3a70"
+        "3d312f3205000000000000000b006e756d70792d7063673634070000000300020003000300"
+        "01000100020001000000020000000400000001000000040000000100000003000000040000"
+        "00020000000300000004000000020000000300000001000000020000000100000000000000"
+        "01000000000000000100000000000000010000000000000001000000000000000200000000"
+        "00000001000000000000000000000001000000020000000300000004000000050000000700"
+        "00000600000097b722b4462607ed0a0725dcfb261e4d17793675bcf6f52c4e7b2c82bf5104"
+        "84c9"),
 }
 
 # The same three files as version 2 wrote them (one record per group, a
-# blake2b seal).  Version 3 loaders refuse them.
+# blake2b seal).  Later loaders refuse them.
 FROZEN_V2 = {
     "comb_full": (
         "4e504b5302000004000000060000000000000008000000000000000800636f6d623a613d33"
@@ -375,7 +414,7 @@ def test_frozen_files_load_with_the_same_locations(tmp_path):
     assert full.locations(2) == {0: 1, 1: 2, 2: 3, 3: 4, 6: 5, 7: 6}
     assert keystore_io.load_node_view(tmp_path / "comb_view").locations == full.locations(2)
     view = keystore_io.load_node_view(tmp_path / "random_view")
-    assert view.locations == rand.locations(2) == {0: 4, 3: 1, 4: 2, 6: 3}
+    assert view.locations == rand.locations(2) == {0: 1, 1: 2, 2: 3, 5: 4}
     assert view.values == {k: rand.pool[k] for k in view.locations}
     # The writers still produce these bytes.
     keystore_io.save(comb, tmp_path / "again")
@@ -409,6 +448,37 @@ def test_version_2_files_are_refused(tmp_path):
     _refused(FROZEN_V2, 2, tmp_path)
 
 
+def test_version_3_files_are_refused(tmp_path):
+    _refused(FROZEN_V3, 3, tmp_path)
+    # The random store, relabelled version 4 with a pool source byte,
+    # reaches the holdings check, which refuses its Feistel groups.
+    raw = bytearray(bytes.fromhex(FROZEN_V3["random_full"]))
+    raw[4:6] = struct.pack("<H", 4)
+    (text_len,) = struct.unpack_from("<H", raw, 27)
+    raw[29 + text_len + 8:29 + text_len + 8] = bytes(1)
+    (tmp_path / "relabelled.npks").write_bytes(reseal(bytes(raw)))
+    with pytest.raises(ValueError) as refused:
+        keystore_io.load(tmp_path / "relabelled.npks")
+    assert str(refused.value) == REFUSAL
+
+
+@pytest.mark.parametrize("node", [None, 2])
+def test_loaders_refuse_a_pool_source_other_than_the_seed(node, tmp_path):
+    ks = generate(SchemeSpec.parse("random:p=1/2"), 4, 10, seed=3)
+    path = tmp_path / "ks.npks"
+    if node is None:
+        keystore_io.save(ks, path)
+    else:
+        keystore_io.save_node_view(ks, node, path)
+    raw = path.read_bytes()
+    at = 7 + 4 * raw[6] + 20  # past the preamble, a view's node id and n, l, u
+    at += 2 + struct.unpack_from("<H", raw, at)[0] + 8  # the scheme text and the seed
+    assert raw[at] == 0
+    path.write_bytes(reseal(_edit(raw, at, bytes([1]))))
+    with pytest.raises(ValueError, match="pool source 1 is not 0"):
+        (keystore_io.load if node is None else keystore_io.load_node_view)(path)
+
+
 def _seedless(view: bytes) -> bytes:
     """A node view's bytes with its seed field zeroed: it follows the
     preamble (11 bytes), n, l, u (20 bytes) and the scheme text."""
@@ -429,36 +499,35 @@ def test_node_view_does_not_carry_the_seed(tmp_path):
 
 
 # sha256 of the bytes `save` writes and of the concatenated bytes of every
-# `save_node_view` (nodes 1..n in order), at seed 17, in NPKS version 3.
-# The version 3 loaders read the same pools, groups and storage locations
-# from these files as the version 2 loaders read from the version 2 files
-# pinned here before, and each file has the same length.
+# `save_node_view` (nodes 1..n in order), at seed 17, in NPKS version 4.
+# The random and hybrid stores pin numpy's Generator.choice stream, which
+# NEP 19 leaves free to change between numpy releases.
 FROZEN_DIGESTS = {
     ("pairwise", 6, 300): (
-        "64cf56551ba422b581362676cfc1e22377d23db9f30d6b672afc6b800c8409bd",
-        "7509497e71202e503b4c0e50d9ef56eb0510a5ece2fb15e8ff742d819ff94f46"),
+        "407f16312e5c383651ae52301deb458ac1a4ee72db1b60b8432e28dad53ec49c",
+        "f87240946f33e96786b25813aa3b6ce458746cf8ea1d73c747d873fe90bb2e0d"),
     ("same", 6, 300): (
-        "9f2821554e4105a0a5a9570d81b11cb1b871968e74f0b4c6252945437b55f593",
-        "e563ffe5806fa65c4135dc8a5a464fd12c17d32edf5f1e5fcb9638c8dce2f598"),
+        "aa4095a177b6809bb96d6ab4e0e645aafc76a8734fa68262fc9401a948250a3a",
+        "05132adec3ccbbc5d2b60c771411c79a5b73c55b643fa85307841311ed6d6658"),
     ("comb:a=3", 6, 300): (
-        "9d92bb1fd3245aa64e126ad39c67593bdfe7bbe111dcbfcfdc4135ec29f7178a",
-        "185978a53c555e67644f26b479b1bfe602f1f660f5e18ff1cedbd71c8eb6908b"),
+        "37ca2042506405aa226c26b871d25f071164f89c49066d1d5f6847640675ff5a",
+        "d5e13c484eff8512977ca68f50f0fbc4a04c3fa8fffb8ebea16fbe5d83419cf7"),
     ("sampled:a=3,m=4", 6, 300): (
-        "748d2ff9e685ee7880fb9ffe57e3d12d3577a6f652c1b975e6366824981f8810",
-        "25ee9ae123798d2ff6db848be1ec542bf2e83cadb57a27876bb3678b4c41f9bc"),
+        "78408d756c2d813aa7a2a44c5d186ea2adb59c6e7eba3920cf55e389403c0561",
+        "9b9264c9da59aae4838ae266436e64f86507636d0dbbd90ddbf4ef04018e09df"),
     ("random:p=1/2", 6, 300): (
-        "12c0050dfc1dba8aab74e25b893091eabb61cf68c35ccf161eb19a4fa8c507d3",
-        "cfb62a9761a202d114be9a5fa11f8328804c08cc54234dd472598e29073742d3"),
+        "630b7ddf27a2105827fe91c09f6d03fee86fc3954db62ef8906cdadbde09750f",
+        "f00f116d445575b06cfdfbecd55cf36e8004c41db1e74363d956ae7b90ef2f2c"),
     ("random:p=1/3", 6, 300): (
-        "c4640ced12d44b27885161d49ddfeef35998bfa7a52ea38f4d3c050790d85195",
-        "4199368d143de82d9ad79d5066cf03e99bf7ee96fe922ae3c367a53ed982a7d2"),
+        "aa030ab19fa4fc3ff920be6b9c2ff26bad810cc69bd7416ae6e0b4fce6999c77",
+        "681770a2bc4586486376207d90ae99ac40413652783461f0a4ea91310c57f1ba"),
     ("hybrid:lambda=1/2,(random:p=1/2),(comb:a=3)", 6, 300): (
-        "11de889cd0f7d3274dbd4c6d51741c4bdb26b49f341d4f0eca6f7865a111d7ff",
-        "c80547a600156d1162d3dd2e6ac7b82fae6d0e050b0f2932e7d2fad54045903e"),
+        "2e56ff2e6c3b755f988c7ab813f825d6be4dffde0480f59176a8ecb675bf7e63",
+        "9651e15eb7ba0417063f693735582f605e8c08256e3b1a295d3f594454484751"),
     # u = 40000: pool indices past 2^16.
     ("comb:a=3", 4, 30000): (
-        "d773a8cfaccb5e59c7d4b10e6c5ecf526917fa12e6cbcc55cbb96a994d8402d3",
-        "5d7836376e75ab0c83c2a5150172ea7ed2d890df20a39f16f61d3cd63c6b4877"),
+        "945f3a21058d65a25de50cfdbb080a8645690fa4f13fb783358f61529d624aba",
+        "82ac502aea4b2dbd2eebf17162e812c7ba5463c0e5ea8348ba9a93b905dd444b"),
 }
 
 
@@ -546,7 +615,7 @@ def test_every_move_within_a_random_range_is_refused(text, tmp_path):
                 ks, index=dataclasses.replace(index, group_ids=group_ids)), path)
             with pytest.raises(ValueError) as refused:
                 keystore_io.load(path)
-            assert str(refused.value) == "random keystore's groups do not follow its permutation"
+            assert str(refused.value) == REFUSAL
             moves += 1
     assert moves > 0 and (emptied > 0) == (part.start > 0)
 
@@ -591,7 +660,7 @@ def _tables(raw: bytes) -> dict[str, int]:
     """Offsets of a saved file's group count and of its four tables, read
     past the preamble (and a view's node id) and the header."""
     at = 7 + 4 * raw[6] + 20  # n, l, u
-    at += 2 + struct.unpack_from("<H", raw, at)[0] + 8  # the scheme text, the seed
+    at += 2 + struct.unpack_from("<H", raw, at)[0] + 9  # the scheme text, seed, pool source
     at += 2 + struct.unpack_from("<H", raw, at)[0]  # the RNG id
     (count,) = struct.unpack_from("<I", raw, at)
     ids = at + 4 + 2 * count

@@ -170,12 +170,14 @@ def test_floor_quota_when_not_strict():
 def test_random_scheme_locations_follow_permutation(tmp_path):
     ks = generate(SchemeSpec.parse("random:p=1/2"), 4, 20, seed=3)
     assert ks.u == 40
-    # A family rebuilt from the public seed gives every storage slot.
-    perm = PermutationFamily(ks.u, ks.n, [ks.seed, 0])
+    # A family rebuilt from the public seed gives every storage slot: slot s
+    # of node i holds the table's entry (i, s), and F maps it back to s.
+    perm = PermutationFamily(ks.u, ks.n, ks.l, [ks.seed, 0])
     for node in range(1, 5):
+        row = perm.table[node - 1].tolist()
+        assert ks.locations(node) == {k: slot for slot, k in enumerate(row, start=1)}
         for k, loc in ks.locations(node).items():
-            assert perm.permute(k + 1, node) == loc
-            assert loc <= ks.l
+            assert perm.permute(k + 1, node) == loc <= ks.l
     # Every pool bit held ~ p of the time.
     total = sum(len(ks.locations(i)) for i in range(1, 5))
     assert abs(total / (4 * 40) - 0.5) < 0.15
@@ -190,24 +192,36 @@ def test_random_scheme_locations_follow_permutation(tmp_path):
 
 @pytest.mark.parametrize("text", ["random:p=1/2", "hybrid:lambda=1/2,(comb:a=3),(random:p=1/2)"])
 def test_random_parts_keep_one_slot_table(text, tmp_path):
-    """Each random part's family keeps the n x l inverse table that keygen
-    walked: its rows are F^-1(1..l, node), as a fresh family walks them,
-    and a caller that writes into one gets a copy, so the next call still
-    reads the walk."""
+    """Each random part's family keeps the read-only n x l slot table that
+    keygen drew, the table a fresh family draws from the part's seed, so
+    a caller cannot change it and slots reads it without a second draw."""
     ks = generate(SchemeSpec.parse(text), 4, 12, seed=5)
     (part,) = [p for p in ks.parts if p.perm]
     assert part.start == (0 if text.startswith("random") else 8)
-    fresh = PermutationFamily(part.u, 4, part.perm.master_seed)
+    table = part.perm.table
+    assert table.shape == (4, part.l) and not table.flags.writeable
+    fresh = PermutationFamily(part.u, 4, part.l, part.perm.master_seed)
+    assert np.array_equal(fresh.table, table)
     for node in range(1, 5):
-        walked = fresh.invert_all(node, part.l).tolist()
-        row = part.perm.invert_all(node, part.l)
-        assert row.tolist() == walked
-        row[:] = 0
-        assert part.perm.invert_all(node, part.l).tolist() == walked
+        held, slots = ks.slots(node)
+        mine = (held >= part.start) & (held < part.start + part.u)
+        assert np.array_equal(held[mine][np.argsort(slots[mine])], table[node - 1] + part.start)
+    assert part.perm.table is table
     keystore_io.save(ks, tmp_path / "ks.npks")
     loaded = keystore_io.load(tmp_path / "ks.npks")
     for node in range(1, 5):
         assert all(map(np.array_equal, loaded.slots(node), ks.slots(node)))
+
+
+@pytest.mark.parametrize("text", ["random:p=1/2", "sampled:a=3,m=4",
+                                  "hybrid:lambda=1/2,(comb:a=3),(random:p=1/2)"])
+def test_a_store_made_from_a_seed_sequence_replays_from_its_seed(text):
+    # The sequence folds to a 63-bit seed, which generate keeps as it is.
+    spec = SchemeSpec.parse(text)
+    ks = generate(spec, 4, 12, seed=[3, 9])
+    again = generate(spec, 4, 12, ks.seed)
+    assert 0 <= ks.seed < 2**63 and again.seed == ks.seed
+    assert again.pool == ks.pool and again.index == ks.index
 
 
 @pytest.mark.parametrize("text,n,l", GRID + [
