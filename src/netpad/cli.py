@@ -46,7 +46,10 @@ _STATUS_EXIT = {
 
 def frac(x: Fraction) -> str:
     x = Fraction(x)
-    return f"{x.numerator}/{x.denominator} (~{float(x):.4g})"
+    try:
+        return f"{x.numerator}/{x.denominator} (~{float(x):.4g})"
+    except ValueError:  # an int past sys.get_int_max_str_digits() digits
+        return f"~{float(x):.4g} (too many digits to print exactly)"
 
 
 # --seed, else NETPAD_SEED, in 0..2^63-1, where no two seeds fold to one.
@@ -151,18 +154,22 @@ def keygen(scheme_text, n, l, seed, out, node, strict):
 
 
 def _load_or_generate(store, scheme_text, n, l, seed):
+    """--store, whose file fixes scheme, n and l, or a store generated from those three."""
+    given = [f"--{k}" for k, v in (("scheme", scheme_text), ("n", n), ("l", l)) if v is not None]
     if store is not None:
+        if given:
+            raise click.UsageError(f"--store defines the keystore; drop {', '.join(given)}")
         return keystore_io.load(store)
-    if scheme_text is None or n is None or l is None:
+    if scheme_text is None or n is None:
         raise click.ClickException("need either --store or --scheme/--n/--l")
-    return generate(SchemeSpec.parse(scheme_text), n, l, seed)
+    return generate(SchemeSpec.parse(scheme_text), n, 1260 if l is None else l, seed)
 
 
 @main.command()
 @click.option("--store", type=click.Path(), default=None)
 @click.option("--scheme", "scheme_text", default=None)
 @click.option("--n", type=int, default=None)
-@click.option("--l", type=int, default=1260)
+@click.option("--l", type=int, default=None, help="Per-node budget [default: 1260].")
 @click.option("--t", type=int, required=True)
 @click.option("--profile", "profile_text", required=True,
               help="Profile JSON file or uniform:<rate>.")
@@ -196,10 +203,10 @@ def check(store, scheme_text, n, l, t, profile_text, method, seed, out):
 @click.option("--store", type=click.Path(), default=None)
 @click.option("--scheme", "scheme_text", default=None)
 @click.option("--n", type=int, default=None)
-@click.option("--l", type=int, default=1260)
+@click.option("--l", type=int, default=None, help="Per-node budget [default: 1260].")
 @click.option("--t", type=int, required=True)
 @click.option("--profile", "profile_text", required=True)
-@click.option("--d", type=int, default=amplify.DEFAULT_WEIGHT)
+@click.option("--d", type=click.IntRange(1), default=amplify.DEFAULT_WEIGHT)
 @seed_option
 def simulate(store, scheme_text, n, l, t, profile_text, d, seed):
     """One end-to-end run: encrypt at the profile's rates with the last t
@@ -236,8 +243,9 @@ def simulate(store, scheme_text, n, l, t, profile_text, d, seed):
 
 @main.command()
 @click.argument("name", type=click.Choice(["lemma-rank", "cross-independence", "full-rank"]))
-@click.option("--r", type=int, default=2000, help="Columns for lemma-rank.")
-@click.option("--ratio", type=float, default=0.9, help="Row/column ratio k/r.")
+@click.option("--r", type=click.IntRange(1), default=2000, help="Columns for lemma-rank.")
+@click.option("--ratio", type=click.FloatRange(0, float("inf"), min_open=True, max_open=True),
+              default=0.9, help="Row/column ratio k/r.")
 @click.option("--mode", default="bernoulli:1",
               help="bernoulli:<c> (density c*log r/r) or fixed:<d>.")
 @click.option("--scheme", "scheme_text", default="comb:a=3")
@@ -245,8 +253,8 @@ def simulate(store, scheme_text, n, l, t, profile_text, d, seed):
 @click.option("--t", type=int, default=1)
 @click.option("--profile", "profile_text", default=None)
 @click.option("--l", "l_values", type=int, multiple=True, default=(4000,))
-@click.option("--d", type=int, default=amplify.DEFAULT_WEIGHT)
-@click.option("--trials", type=int, default=100)
+@click.option("--d", type=click.IntRange(1), default=amplify.DEFAULT_WEIGHT)
+@click.option("--trials", type=click.IntRange(1), default=100)
 @seed_option
 @click.option("--out", type=click.Path(), default=None, help="CSV output path.")
 def experiment(name, r, ratio, mode, scheme_text, n, t, profile_text, l_values,
@@ -296,7 +304,7 @@ def experiment(name, r, ratio, mode, scheme_text, n, t, profile_text, l_values,
 @click.option("--peer", type=int, required=True)
 @click.option("--in", "in_path", type=click.Path(), required=True)
 @click.option("--out", type=click.Path(), required=True)
-@click.option("--d", type=int, default=amplify.DEFAULT_WEIGHT)
+@click.option("--d", type=click.IntRange(1), default=amplify.DEFAULT_WEIGHT)
 @click.option("--counter", type=click.IntRange(1, 2**64 - 1), default=1)
 @seed_option
 def encrypt_cmd(store_path, peer, in_path, out, d, counter, seed):
@@ -315,7 +323,7 @@ def encrypt_cmd(store_path, peer, in_path, out, d, counter, seed):
 @click.option("--keystore", "store_path", type=click.Path(), required=True)
 @click.option("--in", "in_path", type=click.Path(), required=True)
 @click.option("--out", type=click.Path(), required=True)
-@click.option("--d", type=int, default=amplify.DEFAULT_WEIGHT)
+@click.option("--d", type=click.IntRange(1), default=amplify.DEFAULT_WEIGHT)
 def decrypt_cmd(store_path, in_path, out, d):
     """Decrypt an NPCT ciphertext file."""
     view = keystore_io.load_node_view(store_path)

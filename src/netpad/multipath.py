@@ -2,7 +2,7 @@
 paths plus an additive (t+1)-packet secret-sharing code, for channels
 whose end-to-end rates are at their limit.  The paths, or a Menger
 separator when there are too few, come from one run of the package's
-max-flow routine (`maxflow.max_flow`) on a node-split graph.
+max-flow routine (`maxflow.FlowNetwork`) on a node-split graph.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf2 import BitString
-from .maxflow import max_flow
+from .maxflow import FlowNetwork
 from .permutation import _seed_int
 
 
@@ -74,7 +74,7 @@ def disjoint_paths(topo: Topology, s: int, dst: int, count: int) -> PathSearchRe
     """Find *count* internally-node-disjoint s-dst paths, or report the
     best achievable count with a minimum separating node set as witness.
 
-    One `maxflow.max_flow` runs on the named nodes, each but s and dst
+    One `maxflow.FlowNetwork` runs on the named nodes, each but s and dst
     split into in_v -> out_v of capacity 1, with an arc out_u -> in_v per
     edge direction except the direct s-dst edge, a path of its own.  Edge
     arcs hold more than any node cut, so the nodes split by the minimum
@@ -92,10 +92,11 @@ def disjoint_paths(topo: Topology, s: int, dst: int, count: int) -> PathSearchRe
     index = {v: k for k, v in enumerate(nodes)}  # in_v = 2k, out_v = 2k + 1
     direct = (min(s, dst), max(s, dst))
     hops = [(u, v) for e in sorted(topo.edges - {direct}) for u, v in (e, e[::-1])]
-    arcs = [(2 * index[u] + 1, 2 * index[v], len(nodes)) for u, v in hops]
-    arcs += [(2 * k, 2 * k + 1, 1) for k, v in enumerate(nodes) if v not in (s, dst)]
-    value, flow, reached = max_flow(2 * len(nodes), arcs, 2 * index[s] + 1,
-                                    2 * index[dst])
+    arcs = [(2 * index[u] + 1, 2 * index[v]) for u, v in hops]
+    arcs += [(2 * k, 2 * k + 1) for k, v in enumerate(nodes) if v not in (s, dst)]
+    value, flow, reached = FlowNetwork(2 * len(nodes), arcs).max_flow(
+        [len(nodes)] * len(hops) + [1] * (len(arcs) - len(hops)),
+        2 * index[s] + 1, 2 * index[dst])
 
     # Walk flow units out of s, to the smallest next node first.  The flow
     # may contain circulation cycles, so erase any loops the walk picks up

@@ -185,9 +185,9 @@ class GroupIndex:
     pool indices the groups cover in ascending order and group_ids,
     aligned with it, each one's record.  holding and touching answer
     membership with one bincount over set_of, as a boolean mask over the
-    records, and mask[group_ids] selects their bits.  node_sets and
-    groups() are tuple views of the arrays, built when first read.  Equal
-    indexes give the same node sets the same indices, in any record order."""
+    records, and mask[group_ids] selects their bits.  groups() is the one
+    tuple view of the arrays, built on each call.  Equal indexes give the
+    same node sets the same indices, in any record order."""
 
     set_sizes: np.ndarray  # int64: the node count of each set, in record order
     set_nodes: np.ndarray  # int64: every set's node ids, ascending within a set
@@ -204,12 +204,6 @@ class GroupIndex:
     count = property(lambda self: self.set_sizes.size)
     set_of = cached_property(lambda self: np.repeat(np.arange(self.count), self.set_sizes))
     sizes = cached_property(lambda self: np.bincount(self.group_ids, minlength=self.count))
-    size_of = cached_property(lambda self: dict(zip(self.node_sets, self.sizes.tolist())))
-
-    @cached_property
-    def node_sets(self) -> list[tuple[int, ...]]:
-        listed, ends = self.set_nodes.tolist(), np.cumsum(self.set_sizes).tolist()
-        return [tuple(listed[a:b]) for a, b in zip([0] + ends, ends)]
 
     def __eq__(self, other) -> bool:
         return self.groups() == other.groups()
@@ -240,9 +234,10 @@ class GroupIndex:
 
     def groups(self) -> dict[tuple[int, ...], list[int]]:
         """Node set -> its pool indices, ascending, in record order."""
-        listed = self.table.tolist()
-        ends = np.cumsum(self.sizes).tolist()
-        return {nodes: listed[a:b] for nodes, a, b in zip(self.node_sets, [0] + ends, ends)}
+        nodes, set_ends = self.set_nodes.tolist(), np.cumsum(self.set_sizes).tolist()
+        listed, ends = self.table.tolist(), np.cumsum(self.sizes).tolist()
+        return {tuple(nodes[a:b]): listed[c:d] for a, b, c, d
+                in zip([0] + set_ends, set_ends, [0] + ends, ends)}
 
 
 @dataclass

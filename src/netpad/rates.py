@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from .predistribution import SchemeSpec
 
@@ -57,13 +57,13 @@ def capacity(params: NetworkParams) -> MaxRates:
     """Network and channel capacity over all symmetric schemes.
 
     The channel capacity is C(n-t-2, a-2) / C(n-1, a-1) maximized over the
-    group size a; the maximizer is ceil(n / (t+1)) clamped into [2, n-t],
-    which the brute-force sweep below realizes directly.
+    group size a.  The maximizer is a = capacity_group_size(params), where
+    it equals (a-1) * prod_{j<t} (n-a-j) / prod_{j=1..t+1} (n-j): O(t)
+    multiplications, whatever n is.
     """
-    n, t = params.n, params.t
-    channel = max(
-        Fraction(comb(n - t - 2, a - 2), comb(n - 1, a - 1)) for a in range(2, n - t + 1)
-    )
+    n, t, a = params.n, params.t, capacity_group_size(params)
+    channel = Fraction((a - 1) * prod(n - a - j for j in range(t)),
+                       prod(n - j for j in range(1, t + 2)))
     return MaxRates(net=Fraction(n, 2), channel=channel)
 
 

@@ -1,9 +1,11 @@
 """Achievability checkers for a set of channel rates.
 
 Three routes:
-  * check_exact      — iff-criterion, one `maxflow.max_flow` per hacked
-                       set: every channel subset with positive rate sum
-                       must stay strictly below its shared unhacked-bit rate.
+  * check_exact      — iff-criterion: every channel subset with positive
+                       rate sum must stay strictly below its shared
+                       unhacked-bit rate.  One flow network per call, over
+                       channel and group ids; each hacked set and each
+                       forced or excluded rerun only sets its capacities.
   * check_relaxed    — per-subset-size criterion with closed forms for
                        symmetric schemes; a pass is sufficient, a fail is
                        advisory only.
@@ -25,8 +27,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb
 
-from .maxflow import max_flow
-from .predistribution import KeyStore, SchemeSpec, parse_fraction
+from .maxflow import FlowNetwork
+from .predistribution import GroupIndex, KeyStore, SchemeSpec, parse_fraction
 from .rates import NetworkParams, alpha
 
 DEFAULT_EPSILON = Fraction(1, 2**20)
@@ -165,120 +167,112 @@ def _hacked_sets(n: int, t: int):
         yield from itertools.combinations(range(1, n + 1), size)
 
 
-def _covering_groups(ks: KeyStore, channels) -> dict:
-    """Channel -> the group tuples holding both its endpoints, in record
-    order: the channel x group incidence of one check."""
-    covers: dict = {e: [] for e in channels}
-    for nodes in ks.index.node_sets:
-        for e in itertools.combinations(nodes, 2):
+def _incidence(index: GroupIndex, channels) -> tuple[list[list[int]], list[tuple[int, ...]]]:
+    """For each channel, the ids of the groups holding both its endpoints,
+    in record order; and each group's node tuple, by id."""
+    covers, nodes = {e: [] for e in channels}, index.set_nodes.tolist()
+    ends = list(itertools.accumulate(index.set_sizes.tolist()))
+    sets = [tuple(nodes[a:b]) for a, b in zip([0] + ends, ends)]
+    for g, group in enumerate(sets):
+        for e in itertools.combinations(group, 2):
             if e in covers:
-                covers[e].append(nodes)
-    return covers
+                covers[e].append(g)
+    return list(covers.values()), sets
 
 
-def _heaviest_closure(weight, covers, cost):
-    """Max-flow over source -> channel -> group -> sink.
+def _closures(covers, groups: int):
+    """heaviest(weight, cost, forced) on one network, source -> channel k ->
+    each group id in covers[k] -> sink, built once.  Channel k weighs
+    weight[k] (0 keeps it out), and is in if forced; group g costs cost[g].
+    Each call only sets capacities, and returns the weight of a heaviest
+    closure, sum(weight) - flow, and the channels the last BFS reaches
+    from the source, which form one (Picard, 1976)."""
+    first = 2 + len(covers)  # group g is node first + g
+    spans = [(2 + k, first + g) for k, gs in enumerate(covers) for g in gs]
+    network = FlowNetwork(first + groups, [(0, 2 + k) for k in range(len(covers))] + spans
+                          + [(first + g, 1) for g in range(groups)])
 
-    weight[k] caps channel k's source arc (None: unbounded, the channel
-    is forced), covers[k] lists its groups, each an unbounded arc, and
-    cost maps a group to its sink capacity.  Returns the flow value and
-    the channels the last BFS reaches from the source: the channels of
-    a heaviest closure, weighing sum(weight) - flow (Picard, 1976).
+    def heaviest(weight, cost, forced=()):
+        unbounded = sum(cost) + 1  # above every finite cut
+        source = [unbounded if k in forced else w for k, w in enumerate(weight)]
+        flow, _, reached = network.max_flow(source + [unbounded] * len(spans) + cost, 0, 1)
+        return sum(weight) - flow, [k for k in range(len(covers)) if reached[2 + k]]
+    return heaviest
+
+
+def _lex_min_violation(l: int, heaviest, covers, rates, sizes, below=None):
+    """The lexicographically smallest tuple of channel ids violating the
+    criterion under one hacked set, or None if there is none below *below*.
+
+    rates[k] is channel k's rate (0: it has a hacked endpoint) and sizes[g]
+    is |G| (0: G touches the hacked set).  Channel k weighs K*D*l*r_k + 1
+    and group G costs K*D*|G| (D: lcm of the rate denominators, K: one more
+    than the number of rates).  A channel set P with the groups covering it
+    then weighs K*D*(l*r(P) - f_h(P)) + |P|, positive iff P is nonempty
+    and l*r(P) >= f_h(P), and one max-flow finds a heaviest P.  Then
+    channels are fixed in id order: one inside the last violating set
+    found joins for free, any other costs one flow that forces it in.
     """
-    unbounded = sum(cost.values()) + 1  # above every finite cut
-    node = {g: 2 + len(weight) + k for k, g in enumerate(cost)}
-    arcs = []
-    for k, (w, groups) in enumerate(zip(weight, covers)):
-        arcs.append((0, 2 + k, unbounded if w is None else w))
-        arcs.extend((2 + k, node[g], unbounded) for g in groups)
-    arcs.extend((node[g], 1, c) for g, c in cost.items())
-    flow, _, reached = max_flow(2 + len(weight) + len(cost), arcs, 0, 1)
-    return flow, [k for k in range(len(weight)) if reached[2 + k]]
+    live = [k for k, r in enumerate(rates) if r]
+    scale = (len(live) + 1) * math.lcm(*[rates[k].denominator for k in live])
+    weight = [scale * l * r.numerator // r.denominator + 1 if r else 0 for r in rates]
+    cost = [scale * size for size in sizes]
 
+    def violating(forced=()):
+        value, reached = heaviest(weight, cost, forced)
+        return set(reached) if value > 0 else None
 
-def _lex_min_violation(l: int, pairs, covers, sizes, below=None):
-    """The lexicographically smallest channel tuple violating the criterion
-    under one hacked set, or None if there is none below the tuple *below*.
-
-    *pairs* are the unhacked channels with their rates, *covers* maps each
-    to its unhacked groups and *sizes* maps a group to |G|.  Channel e
-    weighs K*D*l*r_e + 1 and each group G costs K*D*|G| (D: lcm of the
-    rate denominators, K = len(pairs) + 1).  A channel set P with the
-    groups that hold both endpoints of one of its channels then weighs
-    K*D*(l*r(P) - f_h(P)) + |P|, positive iff P is nonempty and
-    l*r(P) >= f_h(P), and one max-flow finds a heaviest P.  Then channels
-    are fixed in sorted order: one inside the last violating set found
-    joins for free, any other costs one flow that forces it in.
-    """
-    scale = (len(pairs) + 1) * math.lcm(*[r.denominator for _, r in pairs])
-    weight = {e: scale * l * r.numerator // r.denominator + 1 for e, r in pairs}
-    cost = {g: scale * sizes[g] for e in weight for g in covers[e]}
-
-    def gain(channels) -> int:
-        groups = {g for e in channels for g in covers[e]}
-        return sum(map(weight.get, channels)) - sum(map(cost.get, groups))
-
-    def heaviest(forced, excluded):
-        live = [e for e in weight if e not in excluded]
-        flow, reached = _heaviest_closure(
-            [None if e in forced else weight[e] for e in live],
-            [covers[e] for e in live],
-            {g: cost[g] for e in live for g in covers[e]})
-        total = sum(weight[e] for e in live)
-        return {live[k] for k in reached} if total > flow else None
-
-    found = heaviest(set(), set())
+    found, chosen = violating(), []
     if found is None:
         return None
-    chosen, excluded = [], set()
-    for e in weight:
-        if chosen and gain(chosen) > 0:
-            break
-        if below is not None and (*chosen, e) >= below:
+    for k in live:
+        covered = {g for c in chosen for g in covers[c]}
+        if chosen and sum(weight[c] for c in chosen) > sum(cost[g] for g in covered):
+            break  # chosen itself violates
+        if below is not None and (*chosen, k) >= below:
             return None
-        if e not in found:
-            larger = heaviest({*chosen, e}, excluded)
-            if larger is None:
-                excluded.add(e)
+        if k not in found:
+            larger = violating((*chosen, k))
+            if larger is None:  # no violating set holds chosen and k: leave k out
+                weight[k] = 0
                 continue
             found = larger
-        chosen.append(e)
+        chosen.append(k)
     return tuple(chosen)
 
 
 def check_exact(ks: KeyStore, profile: RateProfile, t: int) -> SecurityVerdict:
-    """Iff-criterion, decided by one max-flow per hacked set.
-
-    Under a hacked set h, f_h(P) = |union of u_ij over P, minus u_h| is a
-    weighted coverage function over the groups, so finding a channel set
-    P with l*r(P) >= f_h(P) is a max-weight closure problem (Picard, 1976),
-    solved by `maxflow.max_flow` over the channel x group incidence, which
-    is built once per call.  Strict inequality at the boundary: privacy
-    amplification is always applied, so a rate sum equal to the bound is
-    already insecure.  The witness is the lexicographically smallest
-    (channels, hacked) pair.
+    """Iff-criterion.  Under a hacked set h, f_h(P) = |union of u_ij over
+    P, minus u_h| is a weighted coverage function over the groups, so a
+    channel set P with l*r(P) >= f_h(P) is found as a max-weight closure
+    (Picard, 1976) on one `maxflow.FlowNetwork` per call, over the positive
+    channels and their groups.  Each hacked set and each forced rerun only
+    set capacities: a channel with a hacked endpoint weighs 0 and a group
+    `touching` h costs 0, which changes no closure's weight.  Strict
+    inequality at the boundary: privacy amplification is always applied,
+    so a rate sum equal to the bound is already insecure.  The witness is
+    the lexicographically smallest (channels, hacked) pair.
     """
     if profile.n != ks.n:
         raise ValueError(f"profile is for n={profile.n}, keystore has n={ks.n}")
     NetworkParams(ks.n, t)
 
     positive = sorted((p, r) for p, r in profile.rates.items() if r > 0)
-    covering = _covering_groups(ks, [p for p, _ in positive])
-    sizes = ks.index.size_of
-    best = None  # (channels, hacked); hacked sets run in lex order
+    covers, _ = _incidence(ks.index, [p for p, _ in positive])
+    heaviest, sizes = _closures(covers, ks.index.count), ks.index.sizes.tolist()
+    best = None  # (channel ids, in channel order; hacked), hacked sets in lex order
     for hacked in sorted(_hacked_sets(ks.n, t)):
         hset = set(hacked)
-        pairs = [(p, r) for p, r in positive if hset.isdisjoint(p)]
-        if not pairs:
-            continue
-        covers = {e: [g for g in covering[e] if hset.isdisjoint(g)] for e, _ in pairs}
-        channels = _lex_min_violation(ks.l, pairs, covers, sizes, best and best[0])
-        if channels is not None:
-            best = (channels, hacked)
+        rates = [r if hset.isdisjoint(p) else 0 for p, r in positive]
+        if any(rates):
+            touched = ks.index.touching(hacked).tolist()
+            sizes_h = [0 if hit else size for size, hit in zip(sizes, touched)]
+            ids = _lex_min_violation(ks.l, heaviest, covers, rates, sizes_h, best and best[0])
+            best = (ids, hacked) if ids is not None else best
 
     if best is None:
         return SecurityVerdict(status=Status.ACHIEVABLE, method="exact")
-    channels, hacked = best
+    channels, hacked = tuple(positive[k][0] for k in best[0]), best[1]
     rate_sum = sum((profile.rate(*c) for c in channels), Fraction(0))
     bound = Fraction(ks.unhacked_union_size(channels, hacked), ks.l)
     return SecurityVerdict(status=Status.NOT_ACHIEVABLE, method="exact",
@@ -380,27 +374,25 @@ def check_feasibility(ks: KeyStore, profile: RateProfile, t: int) -> SecurityVer
     if profile.n != ks.n:
         raise ValueError(f"profile is for n={profile.n}, keystore has n={ks.n}")
     NetworkParams(ks.n, t)
-    if not ks.index.node_sets:
+    if not ks.index.count:
         raise ValueError("feasibility check needs a group-structured keystore")
 
     # share_G = |G| / |nodes of G|, kept as an integer over one denominator.
-    sizes = ks.index.size_of
-    den = math.lcm(*map(len, sizes))
+    positive = [(p, r) for p, r in profile.rates.items() if r > 0]
+    covers, sets = _incidence(ks.index, [p for p, _ in positive])
+    sizes, den = dict(zip(sets, ks.index.sizes.tolist())), math.lcm(*ks.index.set_sizes.tolist())
     scaled = {nodes: size * (den // len(nodes)) for nodes, size in sizes.items()}
     boost = 1 + DEFAULT_EPSILON
-    positive = [(p, r) for p, r in profile.rates.items() if r > 0]
-    covering = _covering_groups(ks, [p for p, _ in positive])
     assignments = []
     for hacked in _hacked_sets(ks.n, t):
         hset = set(hacked)
         live = []  # (channel, rate, its unhacked groups, their scaled sum)
-        for e, r in positive:
+        for (e, r), groups in zip(positive, covers):
             if hset.isdisjoint(e):
-                groups = [g for g in covering[e] if hset.isdisjoint(g)]
+                groups = [sets[g] for g in groups if hset.isdisjoint(sets[g])]
                 if not groups:
-                    return SecurityVerdict(status=Status.UNDECIDED, method="feasibility",
-                                           witness=Witness(hacked=hacked, channels=(e,),
-                                                           rate_sum=r, bound=Fraction(0)))
+                    return SecurityVerdict(Status.UNDECIDED, "feasibility",
+                                           Witness(hacked, (e,), r, Fraction(0)))
                 live.append((e, r, groups, sum(scaled[g] for g in groups)))
         q = math.lcm(*[r.denominator * s for _, r, _, s in live])
         shares = tuple((e, r.numerator * (q // (r.denominator * s)), groups)
@@ -409,18 +401,11 @@ def check_feasibility(ks: KeyStore, profile: RateProfile, t: int) -> SecurityVer
         for _, c, groups in shares:
             for g in groups:
                 load[g] = load.get(g, 0) + c
-        limit = boost.denominator * q
         for g, w in load.items():
-            if boost.numerator * den * w * ks.l > len(g) * limit:
-                return SecurityVerdict(
-                    status=Status.UNDECIDED, method="feasibility",
-                    witness=Witness(
-                        hacked=hacked,
-                        channels=tuple(sorted(e for e, _, groups in shares if g in groups)),
-                        rate_sum=boost * Fraction(scaled[g] * w, q),
-                        bound=Fraction(sizes[g], ks.l),
-                    ),
-                )
+            if boost.numerator * den * w * ks.l > len(g) * boost.denominator * q:
+                channels = tuple(sorted(e for e, _, groups in shares if g in groups))
+                return SecurityVerdict(Status.UNDECIDED, "feasibility", Witness(
+                    hacked, channels, boost * Fraction(scaled[g] * w, q), Fraction(sizes[g], ks.l)))
         assignments.append(FlowAssignment(hacked, shares, q, scaled))
     return SecurityVerdict(status=Status.ACHIEVABLE, method="feasibility",
                            assignments=tuple(assignments))

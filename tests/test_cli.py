@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import struct
+import time
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,17 @@ def test_capacity_command():
     assert res.exit_code == 0
     assert "1/3" in res.output
     assert run("capacity", "--n", "4", "--t", "5").exit_code != 0
+
+
+@pytest.mark.parametrize("t,channel", [(1, "~0.25"), (1000, "~0.0003677")])
+def test_capacity_of_a_huge_network_returns_at_once(t, channel):
+    # The capacity comes from a closed form at the maximizing group size,
+    # O(t) multiplications; a sweep over every group size would not end.
+    start = time.perf_counter()
+    res = run("capacity", "--n", "100000000000", "--t", str(t))
+    assert time.perf_counter() - start < 1
+    assert res.exit_code == 0, res.output
+    assert "channel capacity: " in res.output and channel in res.output
 
 
 def test_rates_command_and_sweep():
@@ -59,6 +71,11 @@ def test_keygen_and_check_exit_codes(tmp_path):
     missing = run("check", "--store", str(store), "--t", "1",
                   "--profile", str(tmp_path / "nope.json"))
     assert missing.exit_code == 3
+
+    # Without --store or --l, the generated store has l = 1260.
+    generated = run("check", "--scheme", "comb:a=3", "--n", "4", "--seed", "7", "--t", "1",
+                    "--profile", "uniform:1/18")
+    assert generated.exit_code == 0 and json.loads(generated.output)["config"]["l"] == 1260
 
 
 def test_check_with_profile_file(tmp_path):
@@ -129,7 +146,7 @@ def test_encrypt_rejects_zero_weight(tmp_path):
               "--in", str(tmp_path / "msg.bin"), "--out", str(tmp_path / "msg.npct"),
               "--d", "0", "--seed", "5")
     assert res.exit_code != 0
-    assert "at least 1" in res.output
+    assert "Invalid value for '--d'" in res.output
     assert not (tmp_path / "msg.npct").exists()
 
 
@@ -374,6 +391,16 @@ SIMULATE = "simulate --scheme comb:a=3 --n 4 --l 120 --t 1 --d 8 --seed 2 --prof
     # Counters start at 1; a negative one reached numpy's seeding.
     (f"{ENCRYPT} {{refused_out}} --counter -3", 3),
     (f"{ENCRYPT} {{refused_out}} --counter 0", 3),
+    # Experiment sizes outside their declared ranges (see NAMED).
+    ("experiment lemma-rank --ratio inf --trials 1", 3),
+    ("experiment lemma-rank --r -5 --trials 1", 3),
+    ("experiment lemma-rank --r 0 --trials 1", 3),
+    ("experiment full-rank --d 0 --trials 2", 3),
+    # A store file defines scheme, n and l; giving one of them too is refused.
+    (f"{STORE} uniform:1/18 --scheme comb:a=3", 3),
+    (f"{STORE} uniform:1/18 --n 5", 3),
+    (f"{STORE} uniform:1/18 --l 1260", 3),
+    ("simulate --store {full_npks} --n 4 --t 1 --profile uniform:1/18", 3),
 ])
 def test_exit_codes(command, code, files):
     """0, 1 and 2 only as a command's verdict; every other failure exits
@@ -384,6 +411,21 @@ def test_exit_codes(command, code, files):
     if code == 3:
         assert "Error: " in res.output or "Usage: " in res.output
         assert not Path(files["refused_out"]).exists()
+    if command in NAMED:
+        assert NAMED[command] in res.output, res.output
+
+
+# Rows of test_exit_codes whose message must name the offending option.
+NAMED = {
+    "experiment lemma-rank --ratio inf --trials 1": "'--ratio'",
+    "experiment lemma-rank --r -5 --trials 1": "'--r'",
+    "experiment lemma-rank --r 0 --trials 1": "'--r'",
+    "experiment full-rank --d 0 --trials 2": "'--d'",
+    f"{STORE} uniform:1/18 --scheme comb:a=3": "drop --scheme",
+    f"{STORE} uniform:1/18 --n 5": "drop --n",
+    f"{STORE} uniform:1/18 --l 1260": "drop --l",
+    "simulate --store {full_npks} --n 4 --t 1 --profile uniform:1/18": "drop --n",
+}
 
 
 def test_encrypt_refuses_more_key_bits_than_the_channel_shares(files, tmp_path):

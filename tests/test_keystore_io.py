@@ -115,7 +115,7 @@ def test_membership_queries_match_a_tuple_oracle(text, n, l, tmp_path):
         keystore_io.save_node_view(ks, node, tmp_path / "view.npks")
         indexes.append(keystore_io.load_node_view(tmp_path / "view.npks").index)
     for index in indexes:
-        node_sets = index.node_sets
+        node_sets = list(index.groups())
         assert node_sets and len(set(node_sets)) == len(node_sets)
         for size in range(n + 1):
             for nodes in itertools.combinations(range(1, n + 1), size):
@@ -123,7 +123,7 @@ def test_membership_queries_match_a_tuple_oracle(text, n, l, tmp_path):
                 assert index.touching(nodes).tolist() == touching_oracle(node_sets, nodes)
     if text == SHARED_SETS:
         # Each part gives each triple 3 bits; the store holds each triple once.
-        assert ks.index.node_sets == list(itertools.combinations(range(1, 5), 3))
+        assert list(ks.index.groups()) == list(itertools.combinations(range(1, 5), 3))
         assert ks.index.sizes.tolist() == [6] * 4
 
 
@@ -149,7 +149,7 @@ def test_node_ids_up_to_u32_cost_memory_bounded_by_the_file(tmp_path):
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-    assert loaded.n == 2**32 - 1 and loaded.index.node_sets[-1] == (2, 3, 2**32 - 1)
+    assert loaded.n == 2**32 - 1 and list(loaded.index.groups())[-1] == (2, 3, 2**32 - 1)
 
 
 def test_node_view_rejects_foreign_channels():
@@ -263,11 +263,12 @@ def test_loaders_refuse_a_group_with_no_pool_index(text, tmp_path):
     # No writer emits an empty group, and a random part's check cuts the
     # index to its pool range, which drops empty groups.
     ks = generate(SchemeSpec.parse(text), 4, 12, seed=3)
+    node_sets = list(ks.index.groups())
     extra = next(nodes for size in range(1, 5)
                  for nodes in itertools.combinations(range(1, 5), size)
-                 if 2 in nodes and nodes not in ks.index.node_sets)
+                 if 2 in nodes and nodes not in node_sets)
     ks = dataclasses.replace(ks, index=GroupIndex.of(
-        ks.index.node_sets + [extra], ks.index.indices, ks.index.group_ids))
+        node_sets + [extra], ks.index.indices, ks.index.group_ids))
     keystore_io.save(ks, tmp_path / "full.npks")
     keystore_io.save_node_view(ks, 2, tmp_path / "view.npks")
     with pytest.raises(ValueError, match="a group holds no pool index"):
@@ -639,12 +640,12 @@ def test_load_accepts_groups_in_any_record_order(text, n, l, tmp_path):
     rebuilt = generate(ks.scheme, n, l, seed=37)
     last = ks.index.count - 1
     ks = dataclasses.replace(ks, index=GroupIndex.of(
-        ks.index.node_sets[::-1], ks.index.indices, last - ks.index.group_ids))
+        list(ks.index.groups())[::-1], ks.index.indices, last - ks.index.group_ids))
     keystore_io.save(ks, tmp_path / "reversed.npks")
     loaded = keystore_io.load(tmp_path / "reversed.npks")
     assert loaded.index == ks.index == rebuilt.index and loaded.pool == ks.pool
     assert list(loaded.groups.items()) == list(ks.groups.items())
-    assert list(ks.groups) == rebuilt.index.node_sets[::-1]
+    assert list(ks.groups) == list(rebuilt.index.groups())[::-1]
 
 
 def _comb_files(tmp_path):

@@ -242,8 +242,9 @@ def test_pool_size_matches_generate(text, n, l):
 ])
 def test_node_ids_are_python_ints(text):
     ks = generate(SchemeSpec.parse(text), 4, 24, seed=6)
-    assert ks.index.node_sets
-    assert all(type(node) is int for nodes in ks.index.node_sets for node in nodes)
+    node_sets = list(ks.index.groups())
+    assert node_sets
+    assert all(type(node) is int for nodes in node_sets for node in nodes)
 
 
 def test_random_scheme_determinism():

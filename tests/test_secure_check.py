@@ -17,7 +17,7 @@ from netpad.secure_check import (
     lex_prefix_pairs,
     r_secrecy_w,
     r_secrecy_w_closed,
-    _heaviest_closure,
+    _closures,
 )
 
 from helpers import achievable_oracle, feasibility_oracle, pair_index_sets, union_size_oracle
@@ -240,30 +240,34 @@ def test_exact_beyond_enumeration_reach():
 def test_heaviest_closure_matches_brute_force():
     """Each channel subset P (forced channels in, excluded ones out) weighs
     its channel weights minus the cost of every group one of them covers;
-    the flow must give the heaviest weight and reach a set that has it."""
+    on one shared network, several runs with excluded channels (weight 0)
+    and hacked groups (cost 0) must each give the heaviest weight and reach
+    a set that has it."""
     rng = np.random.default_rng(808)
-    for _ in range(300):
+    for _ in range(100):
         channels, groups = int(rng.integers(1, 11)), int(rng.integers(0, 8))
-        weight = [int(w) for w in rng.integers(0, 30, channels)]
-        cost = {g: int(c) for g, c in enumerate(rng.integers(0, 40, groups))}
-        covers = [[g for g in cost if rng.random() < 0.4] for _ in range(channels)]
-        role = rng.choice(["free", "forced", "excluded"], channels, p=[0.6, 0.2, 0.2])
-        live = [k for k in range(channels) if role[k] != "excluded"]
-        forced = {k for k in live if role[k] == "forced"}
+        covers = [[g for g in range(groups) if rng.random() < 0.4] for _ in range(channels)]
+        heaviest = _closures(covers, groups)
+        for _ in range(3):
+            role = rng.choice(["free", "forced", "excluded"], channels, p=[0.6, 0.2, 0.2])
+            live = [k for k in range(channels) if role[k] != "excluded"]
+            forced = {k for k in live if role[k] == "forced"}
+            hacked = {g for g in range(groups) if rng.random() < 0.2}
+            weight = [int(w) if role[k] != "excluded" else 0
+                      for k, w in enumerate(rng.integers(0, 30, channels))]
+            cost = [0 if g in hacked else int(c) for g, c in enumerate(rng.integers(0, 40, groups))]
 
-        def value(subset):
-            covered = {g for k in subset for g in covers[k]}
-            return sum(weight[k] for k in subset) - sum(cost[g] for g in covered)
+            def value(subset):
+                covered = {g for k in subset for g in covers[k]} - hacked
+                return sum(weight[k] for k in subset) - sum(cost[g] for g in covered)
 
-        best = max(value({*forced, *extra})
-                   for size in range(len(live) + 1)
-                   for extra in itertools.combinations(sorted(set(live) - forced), size))
-        flow, reached = _heaviest_closure(
-            [None if k in forced else weight[k] for k in live],
-            [covers[k] for k in live], cost)
-        closure = {live[k] for k in reached}
-        assert sum(weight[k] for k in live) - flow == best
-        assert forced <= closure and value(closure) == best
+            best = max(value({*forced, *extra})
+                       for size in range(len(live) + 1)
+                       for extra in itertools.combinations(sorted(set(live) - forced), size))
+            heaviest_weight, reached = heaviest(weight, cost, sorted(forced))
+            closure = set(reached)
+            assert heaviest_weight == best
+            assert forced <= closure <= set(live) and value(closure) == best
 
 
 # ---------------------------------------------------------------------------
