@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .amplify import DEFAULT_WEIGHT, CipherText, sampling_matrix, seed_to_int
+from .amplify import DEFAULT_WEIGHT, CipherText, sampling_matrix
 from .gf2 import BitMatrix
 from .permutation import _seed_int
 from .predistribution import KeyStore, SchemeSpec, generate
@@ -56,29 +56,30 @@ def _unhacked_columns(ks: KeyStore, hacked) -> tuple[np.ndarray, int]:
     return col_of, ks.u - int(np.count_nonzero(hacked))
 
 
-def _key_rows(ks: KeyStore, col_of: np.ndarray, n_cols: int, i: int, j: int,
-              m_bits: int, d: int, seed) -> BitMatrix:
-    """The m_bits sampled key rows of one message on channel (i, j), moved
-    into the unhacked pool columns through u_ij's slice of col_of."""
+def _channel_columns(ks: KeyStore, col_of: np.ndarray, i: int, j: int,
+                     d: int) -> np.ndarray:
+    """u_ij's slice of col_of: the column of each common bit of channel
+    (i, j) in the eavesdropper's system."""
     columns = col_of[ks.common_indices(i, j)]
     if d > columns.size:
         raise ShortChannelError(f"channel ({i},{j}) has |u_ij| = {columns.size} common "
                                 f"bits, fewer than the sampling weight d = {d}")
-    return BitMatrix.from_rows(gf2.sample_indices(m_bits, columns.size, d, seed),
-                               columns, n_cols)
+    return columns
 
 
 def build_security_matrix(ks: KeyStore, tr: Transcript) -> SecrecyWitness:
     """Stack all key rows over the columns the eavesdropper cannot read;
-    full row rank proves perfect secrecy for this realized transcript."""
+    full row rank proves perfect secrecy for this realized transcript.
+    Each message's rows come from ``CipherText.rows``, so a ciphertext
+    that encrypt returned is not drawn again."""
     hset = set(tr.hacked)
     col_of, n_cols = _unhacked_columns(ks, tr.hacked)
     blocks = [BitMatrix.zeros(0, n_cols)]
     for ct in tr.ciphertexts:
         if ct.i in hset or ct.j in hset:
             raise ValueError(f"ciphertext on hacked channel ({ct.i},{ct.j})")
-        blocks.append(_key_rows(ks, col_of, n_cols, ct.i, ct.j, len(ct.body), tr.d,
-                                seed_to_int(ct.sampling_seed)))
+        columns = _channel_columns(ks, col_of, ct.i, ct.j, tr.d)
+        blocks.append(BitMatrix.from_rows(ct.rows(columns.size, tr.d), columns, n_cols))
     a = BitMatrix.vstack(blocks)
     r = a.rank()
     return SecrecyWitness(a_matrix=a, rank=r, full_rank=r == a.n_rows)
@@ -282,8 +283,9 @@ def _profile_blocks(ks: KeyStore, profile: RateProfile, hacked, d: int, seed):
             continue
         m_bits = int(r * ks.l)
         if m_bits:
-            blocks.append(_key_rows(ks, col_of, n_cols, i, j, m_bits, d,
-                                    rng.integers(0, 2**63)))
+            columns = _channel_columns(ks, col_of, i, j, d)
+            idx = gf2.sample_indices(m_bits, columns.size, d, rng.integers(0, 2**63))
+            blocks.append(BitMatrix.from_rows(idx, columns, n_cols))
     return blocks
 
 

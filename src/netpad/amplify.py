@@ -7,7 +7,12 @@ rests on the pool bits, not on the sampler.  Both endpoints and the
 auditor draw the d positions of every key bit from one sampler,
 ``gf2.sample_indices``, in O(m*d) time and memory for m key bits: the
 endpoints XOR the pool bits at those positions, and an auditor rebuilds
-the same rows as a sampling matrix, bit-for-bit.
+the same rows as a sampling matrix, bit-for-bit.  An in-memory
+``CipherText`` keeps the rows of its key (``CipherText.rows``), so each
+message is drawn once: ``encrypt`` stores the rows it gathered and the
+auditor reads them back.  A ciphertext decoded from bytes, or a
+``dataclasses.replace`` copy, starts without rows and draws them again
+from its header.
 
 The endpoints read the values of u_ij by one group mask
 (``common_values``), with no Python list of pool indices.
@@ -70,6 +75,23 @@ class CipherText:
     counter: int
     sampling_seed: bytes  # 16 bytes, public
     body: BitString
+    # (sampler arguments, rows) of the last rows() call; not part of the message.
+    _rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def rows(self, n_common: int, d: int) -> np.ndarray:
+        """Row r holds the d positions in u_ij that key bit r XORs, as
+        sample_indices draws them from this header for |u_ij| = n_common:
+        read-only, in the narrowest unsigned dtype that holds them.  Drawn
+        on first use and kept for the same sampler arguments."""
+        args = (len(self.body), n_common, d, self.sampling_seed)
+        if self._rows is None or self._rows[0] != args:
+            self._keep(args, sample_indices(*args[:3], seed_to_int(self.sampling_seed)))
+        return self._rows[1]
+
+    def _keep(self, args: tuple, idx: np.ndarray) -> None:
+        rows = idx.astype(np.min_scalar_type(max(args[1] - 1, 0)))
+        rows.setflags(write=False)
+        object.__setattr__(self, "_rows", (args, rows))
 
     def to_bytes(self) -> bytes:
         if not (0 <= self.i < 2**32 and 0 <= self.j < 2**32 and 0 <= self.counter < 2**64):
@@ -132,9 +154,9 @@ def _shared_bits(ks, state: ChannelCipherState) -> np.ndarray:
     return common
 
 
-def _key(common: np.ndarray, d: int, n_bits: int, sampling_seed: bytes) -> BitString:
-    idx = sample_indices(n_bits, len(common), d, seed_to_int(sampling_seed))
-    return BitString(np.bitwise_xor.reduce(common[idx], axis=1))
+def _key(common: np.ndarray, idx: np.ndarray) -> BitString:
+    """Key bit r is the XOR of the common bits at idx[r]."""
+    return BitString(np.bitwise_xor.reduce(np.take(common, idx), axis=1))
 
 
 def derive_key(ks, state: ChannelCipherState, n_bits: int,
@@ -146,7 +168,9 @@ def derive_key(ks, state: ChannelCipherState, n_bits: int,
     Deterministic: both endpoints derive identical keys from the same
     keystore views and header.
     """
-    return _key(_shared_bits(ks, state), state.d, n_bits, sampling_seed)
+    common = _shared_bits(ks, state)
+    return _key(common, sample_indices(n_bits, len(common), state.d,
+                                       seed_to_int(sampling_seed)))
 
 
 def _derive_sampling_seed(seed, counter: int) -> bytes:
@@ -166,11 +190,14 @@ def encrypt(ks, state: ChannelCipherState, plaintext: BitString, seed) -> Cipher
         )
     counter = state.counter + 1
     sampling_seed = _derive_sampling_seed(seed, counter)
-    key = _key(common, state.d, len(plaintext), sampling_seed)
+    args = (len(plaintext), len(common), state.d, sampling_seed)
+    idx = sample_indices(*args[:3], seed_to_int(sampling_seed))
+    ct = CipherText(i=state.i, j=state.j, counter=counter,
+                    sampling_seed=sampling_seed, body=plaintext ^ _key(common, idx))
+    ct._keep(args, idx)
     state.counter = counter
     state.consumed += len(plaintext)
-    return CipherText(i=state.i, j=state.j, counter=counter,
-                      sampling_seed=sampling_seed, body=plaintext ^ key)
+    return ct
 
 
 def decrypt(ks, state: ChannelCipherState, ct: CipherText) -> BitString:
@@ -178,6 +205,7 @@ def decrypt(ks, state: ChannelCipherState, ct: CipherText) -> BitString:
         raise ValueError(f"ciphertext for channel ({ct.i},{ct.j}), state is {state.pair}")
     if ct.counter in state.seen_counters:
         raise ReplayError(f"counter {ct.counter} already seen on channel {state.pair}")
-    key = derive_key(ks, state, len(ct.body), ct.sampling_seed)
+    common = _shared_bits(ks, state)
+    key = _key(common, ct.rows(len(common), state.d))
     state.seen_counters.add(ct.counter)
     return ct.body ^ key

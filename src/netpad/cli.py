@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import secrets
 import sys
 from fractions import Fraction
@@ -241,13 +242,43 @@ def simulate(store, scheme_text, n, l, t, profile_text, d, seed):
         sys.exit(EXIT_NOT_ACHIEVABLE)
 
 
+def _not_nan(_ctx, _param, x: float) -> float:
+    """FloatRange lets NaN through: it fails no comparison."""
+    if math.isnan(x):
+        raise click.BadParameter("nan is not a number")
+    return x
+
+
+def _density_mode(mode: str, r: int) -> tuple:
+    """--mode as lemma_rank_experiment's density mode: bernoulli:<c> with a
+    row density c*ln(r)/r in (0, 1], or fixed:<d> with 1 <= d <= r."""
+    kind, _, param = mode.partition(":")
+    try:
+        if kind == "bernoulli":
+            c = float(param or 1)
+            density = c * math.log(r) / r
+            if not 0 < density <= 1:  # NaN fails too
+                raise ValueError(f"density c*ln(r)/r = {density:.4g} at r={r} "
+                                 "is not in (0, 1]")
+            return ("bernoulli", c)
+        if kind == "fixed":
+            d = int(param or amplify.DEFAULT_WEIGHT)
+            if not 1 <= d <= r:
+                raise ValueError(f"fixed weight {d} is not in 1..r={r}")
+            return ("fixed_weight", d)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="--mode") from None
+    raise click.BadParameter(f"unknown mode {mode!r}", param_hint="--mode")
+
+
 @main.command()
 @click.argument("name", type=click.Choice(["lemma-rank", "cross-independence", "full-rank"]))
 @click.option("--r", type=click.IntRange(1), default=2000, help="Columns for lemma-rank.")
 @click.option("--ratio", type=click.FloatRange(0, float("inf"), min_open=True, max_open=True),
+              callback=_not_nan,
               default=0.9, help="Row/column ratio k/r.")
 @click.option("--mode", default="bernoulli:1",
-              help="bernoulli:<c> (density c*log r/r) or fixed:<d>.")
+              help="bernoulli:<c> (density c*ln(r)/r in (0, 1]) or fixed:<d> (1 <= d <= r).")
 @click.option("--scheme", "scheme_text", default="comb:a=3")
 @click.option("--n", type=int, default=4)
 @click.option("--t", type=int, default=1)
@@ -262,14 +293,7 @@ def experiment(name, r, ratio, mode, scheme_text, n, t, profile_text, l_values,
     """Monte Carlo experiments; results as CSV rows."""
     seed = _resolve_seed(seed)
     if name == "lemma-rank":
-        kind, _, param = mode.partition(":")
-        if kind == "bernoulli":
-            density_mode = ("bernoulli", float(param or 1))
-        elif kind == "fixed":
-            density_mode = ("fixed_weight", int(param or amplify.DEFAULT_WEIGHT))
-        else:
-            raise click.BadParameter(f"unknown mode {mode!r}", param_hint="--mode")
-        results = [adversary.lemma_rank_experiment(r, ratio, density_mode,
+        results = [adversary.lemma_rank_experiment(r, ratio, _density_mode(mode, r),
                                                    trials, seed)]
     else:
         spec = SchemeSpec.parse(scheme_text)

@@ -1,11 +1,14 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from netpad import amplify
+from click.testing import CliRunner
+
+from netpad import amplify, gf2
 from netpad.adversary import (
     ShortChannelError,
     Transcript,
@@ -18,6 +21,7 @@ from netpad.adversary import (
     lemma_rank_experiment,
     wilson_interval,
 )
+from netpad.cli import main
 from netpad.gf2 import BitMatrix, BitString
 from netpad.predistribution import SchemeSpec, generate
 from netpad.rates import NetworkParams, capacity
@@ -157,6 +161,86 @@ def test_security_matrix_rank_matches_the_elimination_oracle():
     assert w.a_matrix.shape == (180, 200)
     assert not w.full_rank
     assert w.rank == py_rank(w.a_matrix.to_dense()) <= 150
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The (n_rows, n_cols, d) of every gf2.sample_indices call, under every
+    name a netpad module binds the sampler to."""
+    real = gf2.sample_indices
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[:3])
+        return real(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "netpad" and getattr(module, "sample_indices", None) is real:
+            monkeypatch.setattr(module, "sample_indices", counted)
+    return calls
+
+
+def encrypted_transcript(ks, hacked, d, m_bits, seed):
+    """One encrypt of m_bits on every unhacked channel with at least
+    max(d, m_bits) common bits, and its plaintexts."""
+    rng = np.random.default_rng(seed)
+    cts, plain = [], []
+    for i, j in itertools.combinations(range(1, ks.n + 1), 2):
+        if i in hacked or j in hacked or len(ks.common_bits(i, j)) < max(d, m_bits):
+            continue
+        plain.append(BitString.random(m_bits, rng))
+        cts.append(amplify.encrypt(ks, amplify.ChannelCipherState(i, j, d=d), plain[-1],
+                                   seed=[seed, i, j]))
+    return Transcript(ciphertexts=tuple(cts), hacked=tuple(hacked), d=d), plain
+
+
+def decoded(tr):
+    return Transcript(tuple(amplify.CipherText.from_bytes(ct.to_bytes())
+                            for ct in tr.ciphertexts), tr.hacked, tr.d)
+
+
+@pytest.mark.parametrize("text", [
+    "pairwise", "same", "comb:a=3", "sampled:a=3,m=5", "random:p=1/2",
+    "hybrid:lambda=1/2,(comb:a=3),(random:p=1/2)"])
+@pytest.mark.parametrize("d", [1, 3])
+def test_witness_of_encrypted_ciphertexts_equals_that_of_their_decoded_copies(text, d):
+    # encrypt hands its sampling rows to the witness; a decoded copy has
+    # none and draws them again from its header.
+    ks = generate(SchemeSpec.parse(text), 5, 120, seed=4)
+    tr, plain = encrypted_transcript(ks, (5,), d, m_bits=8, seed=d)
+    copies = decoded(tr)
+    assert len(tr.ciphertexts) >= 3
+    fresh, again = build_security_matrix(ks, tr), build_security_matrix(ks, copies)
+    assert fresh.a_matrix == again.a_matrix == BitMatrix.from_dense(dense_security_matrix(ks, tr))
+    assert fresh.rank == again.rank and fresh.full_rank == again.full_rank
+    for ct, copy, msg in zip(tr.ciphertexts, copies.ciphertexts, plain):
+        for received in (ct, copy):
+            assert amplify.decrypt(ks, amplify.ChannelCipherState(ct.i, ct.j, d=d),
+                                   received) == msg
+
+
+def test_encrypt_then_witness_draws_once_per_message(draws):
+    ks = generate(SchemeSpec.parse("comb:a=3"), 7, 1500, seed=4)
+    tr, _ = encrypted_transcript(ks, (7,), 128, m_bits=70, seed=1)
+    assert len(draws) == len(tr.ciphertexts) == 15
+    build_security_matrix(ks, tr)
+    assert len(draws) == 15
+    # A transcript read from bytes draws once per message too, and a
+    # decrypt of the same objects draws nothing more.
+    copies = decoded(tr)
+    build_security_matrix(ks, copies)
+    build_security_matrix(ks, copies)
+    for ct in copies.ciphertexts:
+        amplify.decrypt(ks, amplify.ChannelCipherState(ct.i, ct.j), ct)
+    assert len(draws) == 30
+
+
+def test_simulate_draws_once_per_message(draws):
+    res = CliRunner().invoke(main, ["simulate", "--scheme", "comb:a=3", "--n", "5",
+                                    "--l", "600", "--t", "1", "--profile", "uniform:1/30",
+                                    "--d", "32", "--seed", "2"])
+    assert res.exit_code == 0, res.output
+    assert "messages=6 " in res.output and "FULL RANK" in res.output
+    assert draws == [(20, 300, 32)] * 6
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from netpad.amplify import (
     sampling_matrix,
     seed_to_int,
 )
-from netpad.gf2 import BitString
+from netpad.gf2 import BitString, sample_indices
 from netpad.predistribution import SchemeSpec, generate
 
 
@@ -186,6 +188,59 @@ def test_ciphertext_bytes_are_frozen(ks):
     msg = BitString.random(64, np.random.default_rng(5))
     ct = encrypt(ks, ChannelCipherState(1, 2), msg, seed=21)
     assert ct.to_bytes().hex() == FROZEN_CT
+
+
+def test_ciphertext_keeps_the_rows_its_key_was_made_from(ks):
+    # |u_12| = 400: the rows fit uint16, are read-only, and equal the
+    # sampler's draw for the header, on the sent and on the decoded copy.
+    msg = BitString.random(64, np.random.default_rng(5))
+    ct = encrypt(ks, ChannelCipherState(1, 2), msg, seed=21)
+    copy = CipherText.from_bytes(ct.to_bytes())
+    expected = sample_indices(64, 400, 128, seed_to_int(ct.sampling_seed))
+    for c in (ct, copy):
+        rows = c.rows(400, 128)
+        assert rows.dtype == np.uint16 and np.array_equal(rows, expected)
+        assert c.rows(400, 128) is rows
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1
+    # Positions 0..255 fit uint8.
+    assert ct.rows(256, 3).dtype == np.uint8 and ct.rows(257, 3).dtype == np.uint16
+
+
+def test_kept_rows_are_not_part_of_the_message(ks):
+    msg = BitString.random(64, np.random.default_rng(5))
+    ct = encrypt(ks, ChannelCipherState(1, 2), msg, seed=21)
+    bare = CipherText.from_bytes(ct.to_bytes())
+    assert ct._rows is not None and bare._rows is None
+    for _ in range(2):
+        assert ct == bare and hash(ct) == hash(bare) and repr(ct) == repr(bare)
+        assert ct.to_bytes() == bare.to_bytes() == bytes.fromhex(FROZEN_CT)
+        assert "rows" not in repr(ct)
+        bare.rows(400, 7)  # a memo for other arguments changes nothing either
+
+
+def test_replaced_or_reread_ciphertext_never_returns_stale_rows(ks):
+    msg = BitString.random(64, np.random.default_rng(5))
+    ct = encrypt(ks, ChannelCipherState(1, 2), msg, seed=21)
+    other_seed = b"\x05" * 16
+    cases = [
+        (dataclasses.replace(ct, sampling_seed=other_seed), (64, other_seed)),
+        (dataclasses.replace(ct, body=ct.body[:40]), (40, ct.sampling_seed)),
+        (dataclasses.replace(ct, counter=9), (64, ct.sampling_seed)),
+    ]
+    for copy, (m, seed) in cases:
+        assert np.array_equal(copy.rows(400, 128),
+                              sample_indices(m, 400, 128, seed_to_int(seed)))
+    # Other sampler arguments on the same object draw again, then back.
+    first = ct.rows(400, 128)
+    assert np.array_equal(ct.rows(300, 128),
+                          sample_indices(64, 300, 128, seed_to_int(ct.sampling_seed)))
+    assert ct.rows(400, 16).shape == (64, 16)
+    assert np.array_equal(ct.rows(400, 128), first)
+    # The receiver of the replaced body decrypts with the replaced rows.
+    short = dataclasses.replace(ct, body=ct.body[:40])
+    assert decrypt(ks, ChannelCipherState(1, 2), short) == \
+        short.body ^ derive_key(ks, ChannelCipherState(1, 2), 40, ct.sampling_seed)
 
 
 def test_state_normalizes_endpoints():

@@ -396,6 +396,13 @@ SIMULATE = "simulate --scheme comb:a=3 --n 4 --l 120 --t 1 --d 8 --seed 2 --prof
     ("experiment lemma-rank --r -5 --trials 1", 3),
     ("experiment lemma-rank --r 0 --trials 1", 3),
     ("experiment full-rank --d 0 --trials 2", 3),
+    ("experiment lemma-rank --ratio nan --trials 1", 3),
+    # Lemma-rank densities outside (0, 1] and fixed weights outside 1..r.
+    ("experiment lemma-rank --mode bernoulli:0 --trials 1", 3),
+    ("experiment lemma-rank --mode bernoulli:-1 --trials 1", 3),
+    ("experiment lemma-rank --mode bernoulli:nan --trials 1", 3),
+    ("experiment lemma-rank --r 20 --mode fixed:0 --trials 1", 3),
+    ("experiment lemma-rank --r 20 --mode fixed:21 --trials 1", 3),
     # A store file defines scheme, n and l; giving one of them too is refused.
     (f"{STORE} uniform:1/18 --scheme comb:a=3", 3),
     (f"{STORE} uniform:1/18 --n 5", 3),
@@ -421,6 +428,12 @@ NAMED = {
     "experiment lemma-rank --r -5 --trials 1": "'--r'",
     "experiment lemma-rank --r 0 --trials 1": "'--r'",
     "experiment full-rank --d 0 --trials 2": "'--d'",
+    "experiment lemma-rank --ratio nan --trials 1": "'--ratio'",
+    "experiment lemma-rank --mode bernoulli:0 --trials 1": "for --mode:",
+    "experiment lemma-rank --mode bernoulli:-1 --trials 1": "for --mode:",
+    "experiment lemma-rank --mode bernoulli:nan --trials 1": "for --mode:",
+    "experiment lemma-rank --r 20 --mode fixed:0 --trials 1": "for --mode:",
+    "experiment lemma-rank --r 20 --mode fixed:21 --trials 1": "for --mode:",
     f"{STORE} uniform:1/18 --scheme comb:a=3": "drop --scheme",
     f"{STORE} uniform:1/18 --n 5": "drop --n",
     f"{STORE} uniform:1/18 --l 1260": "drop --l",
