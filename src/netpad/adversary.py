@@ -3,6 +3,10 @@ eavesdropper sees, certify perfect secrecy by a rank witness, validate
 the rank criterion against an exhaustive mutual-information oracle at
 tiny scale, and run Monte Carlo rank experiments.
 
+``netpad simulate`` and the full-rank and cross-independence experiments
+take the endpoint path: ``profile_transcript`` encrypts with
+``amplify.encrypt``, and the witness reads the rows it drew back.
+
 Certification is deterministic rank arithmetic; the enumeration oracle
 exists only to validate the rank criterion itself and never shares code
 with it.
@@ -16,8 +20,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .amplify import DEFAULT_WEIGHT, CipherText, sampling_matrix
-from .gf2 import BitMatrix
+from .amplify import (
+    DEFAULT_WEIGHT,
+    BudgetError,
+    ChannelCipherState,
+    CipherText,
+    ShortChannelError,
+    encrypt,
+    sampling_matrix,
+)
+from .gf2 import BitMatrix, BitString
 from .permutation import _seed_int
 from .predistribution import KeyStore, SchemeSpec, generate
 from .rates import NetworkParams
@@ -42,9 +54,20 @@ class SecrecyWitness:
     full_rank: bool  # True is a proof of perfect secrecy
 
 
-class ShortChannelError(ValueError):
-    """A channel's endpoints share fewer than d bits, so none of its key
-    bits can be sampled."""
+def profile_transcript(ks: KeyStore, profile: RateProfile, hacked, d: int,
+                       seed) -> Transcript:
+    """One encrypt of floor(r_ij * l) random bits, drawn from [seed, 1], on
+    each positive-rate channel with no hacked endpoint, in channel order;
+    channel (i, j) encrypts with seed [seed, i, j]."""
+    seed, hacked = _seed_int(seed), tuple(hacked)
+    rng = np.random.default_rng([seed, 1])
+    cts = []
+    for (i, j), r in sorted(profile.rates.items()):
+        m_bits = int(r * ks.l)
+        if m_bits and i not in hacked and j not in hacked:
+            cts.append(encrypt(ks, ChannelCipherState(i, j, d=d),
+                               BitString.random(m_bits, rng), seed=[seed, i, j]))
+    return Transcript(ciphertexts=tuple(cts), hacked=hacked, d=d)
 
 
 def _unhacked_columns(ks: KeyStore, hacked) -> tuple[np.ndarray, int]:
@@ -56,31 +79,29 @@ def _unhacked_columns(ks: KeyStore, hacked) -> tuple[np.ndarray, int]:
     return col_of, ks.u - int(np.count_nonzero(hacked))
 
 
-def _channel_columns(ks: KeyStore, col_of: np.ndarray, i: int, j: int,
-                     d: int) -> np.ndarray:
-    """u_ij's slice of col_of: the column of each common bit of channel
-    (i, j) in the eavesdropper's system."""
-    columns = col_of[ks.common_indices(i, j)]
-    if d > columns.size:
-        raise ShortChannelError(f"channel ({i},{j}) has |u_ij| = {columns.size} common "
-                                f"bits, fewer than the sampling weight d = {d}")
-    return columns
+def _message_blocks(ks: KeyStore, tr: Transcript) -> tuple[list[BitMatrix], int]:
+    """Each message's key rows (``CipherText.rows``) over the n_cols pool
+    columns the eavesdropper cannot read, and n_cols.  Refuses a message on
+    a hacked channel, or one that encrypt keyed with another d."""
+    hset = set(tr.hacked)
+    col_of, n_cols = _unhacked_columns(ks, tr.hacked)
+    blocks = []
+    for ct in tr.ciphertexts:
+        if ct.i in hset or ct.j in hset:
+            raise ValueError(f"ciphertext on hacked channel ({ct.i},{ct.j})")
+        if ct._d not in (None, tr.d):
+            raise ValueError(f"ciphertext on ({ct.i},{ct.j}) was encrypted with d = {ct._d}, "
+                             f"not the transcript's d = {tr.d}")
+        columns = col_of[ks.common_indices(ct.i, ct.j)]
+        blocks.append(BitMatrix.from_rows(ct.rows(columns.size, tr.d), columns, n_cols))
+    return blocks, n_cols
 
 
 def build_security_matrix(ks: KeyStore, tr: Transcript) -> SecrecyWitness:
     """Stack all key rows over the columns the eavesdropper cannot read;
-    full row rank proves perfect secrecy for this realized transcript.
-    Each message's rows come from ``CipherText.rows``, so a ciphertext
-    that encrypt returned is not drawn again."""
-    hset = set(tr.hacked)
-    col_of, n_cols = _unhacked_columns(ks, tr.hacked)
-    blocks = [BitMatrix.zeros(0, n_cols)]
-    for ct in tr.ciphertexts:
-        if ct.i in hset or ct.j in hset:
-            raise ValueError(f"ciphertext on hacked channel ({ct.i},{ct.j})")
-        columns = _channel_columns(ks, col_of, ct.i, ct.j, tr.d)
-        blocks.append(BitMatrix.from_rows(ct.rows(columns.size, tr.d), columns, n_cols))
-    a = BitMatrix.vstack(blocks)
+    full row rank proves perfect secrecy for this realized transcript."""
+    blocks, n_cols = _message_blocks(ks, tr)
+    a = BitMatrix.vstack([BitMatrix.zeros(0, n_cols), *blocks])
     r = a.rank()
     return SecrecyWitness(a_matrix=a, rank=r, full_rank=r == a.n_rows)
 
@@ -212,81 +233,65 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
     return (max(0.0, center - half), min(1.0, center + half))
 
 
+def _estimate(name: str, params: dict, trials: int, seed: int, success) -> ExperimentResult:
+    """The rate of success(trial) over the trials, with its Wilson interval."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    successes = sum(1 for trial in range(trials) if success(trial))
+    low, high = wilson_interval(successes, trials)
+    return ExperimentResult(name=name, params=params, trials=trials, successes=successes,
+                            p_hat=successes / trials, ci_low=low, ci_high=high, seed=seed)
+
+
 def lemma_rank_experiment(r: int, ratio: float, density_mode, trials: int,
                           seed) -> ExperimentResult:
     """Empirical probability that a k x r random matrix (k = round(ratio*r))
     has independent rows, under bernoulli(c*log r/r) or fixed-weight rows."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
     k = round(ratio * r)
-    mode = density_mode[0]
+    mode, param = density_mode
+    if mode not in ("bernoulli", "fixed_weight"):
+        raise ValueError(f"unknown density mode {mode!r}")
     seed = _seed_int(seed)
-    successes = 0
-    for trial in range(trials):
+
+    def independent(trial):
         if k > r:
-            break  # more rows than columns can never be independent
+            return False  # more rows than columns can never be independent
         if mode == "bernoulli":
-            c = density_mode[1]
-            m = gf2.random_bernoulli_matrix(k, r, min(1.0, c * math.log(r) / r),
+            m = gf2.random_bernoulli_matrix(k, r, min(1.0, param * math.log(r) / r),
                                             [seed, trial])
-        elif mode == "fixed_weight":
-            m = gf2.random_fixed_weight_matrix(k, r, density_mode[1], [seed, trial])
         else:
-            raise ValueError(f"unknown density mode {mode!r}")
-        if m.rank() == k:
-            successes += 1
-    low, high = wilson_interval(successes, trials)
-    return ExperimentResult(
-        name=f"lemma_rank_{mode}", params={"r": r, "k": k, "mode": density_mode},
-        trials=trials, successes=successes, p_hat=successes / trials,
-        ci_low=low, ci_high=high, seed=seed,
-    )
+            m = gf2.random_fixed_weight_matrix(k, r, param, [seed, trial])
+        return m.rank() == k
+    return _estimate(f"lemma_rank_{mode}", {"r": r, "k": k, "mode": density_mode},
+                     trials, seed, independent)
+
+
+def _profile_rate(name: str, holds, spec: SchemeSpec, n: int, t: int, profile: RateProfile,
+                  l: int, d: int, trials: int, seed: int, *prefix) -> ExperimentResult:
+    """The rate of holds(ks, transcript) for the store ks generated from
+    [*prefix, trial] and its profile transcript from [*prefix, trial, 1],
+    with the last t nodes hacked."""
+    hacked = NetworkParams(n, t).last_t_nodes
+
+    def success(trial):
+        ks = generate(spec, n, l, [*prefix, trial])
+        try:
+            tr = profile_transcript(ks, profile, hacked, d, [*prefix, trial, 1])
+        except (ShortChannelError, BudgetError):
+            return False  # this store cannot key the profile
+        return holds(ks, tr)
+    return _estimate(name, {"scheme": spec.canonical(), "n": n, "t": t, "l": l, "d": d},
+                     trials, seed, success)
 
 
 def full_rank_experiment(spec: SchemeSpec, n: int, t: int, profile: RateProfile,
                          l: int, d: int, trials: int, seed) -> ExperimentResult:
     """Empirical probability of a full-rank secrecy witness for fresh
     keystores and fresh sampling, with the last t nodes hacked."""
-    hacked = NetworkParams(n, t).last_t_nodes
-    if trials < 1:
-        raise ValueError("need at least one trial")
     seed = _seed_int(seed)
-    successes = 0
-    for trial in range(trials):
-        ks = generate(spec, n, l, [seed, trial])
-        try:
-            blocks = _profile_blocks(ks, profile, hacked, d, [seed, trial, 1])
-        except ShortChannelError:
-            continue  # this store cannot key the profile: a failed trial
-        stacked = BitMatrix.vstack(blocks) if blocks else None
-        if stacked is None or stacked.rank() == stacked.n_rows:
-            successes += 1
-    low, high = wilson_interval(successes, trials)
-    return ExperimentResult(
-        name="full_rank_witness",
-        params={"scheme": spec.canonical(), "n": n, "t": t, "l": l, "d": d},
-        trials=trials, successes=successes, p_hat=successes / trials,
-        ci_low=low, ci_high=high, seed=seed,
-    )
-
-
-def _profile_blocks(ks: KeyStore, profile: RateProfile, hacked, d: int, seed):
-    """One sampling block per positive-rate unhacked channel, with
-    m_ij = floor(r_ij * l) key rows, over the unhacked pool columns.
-    Raises ShortChannelError for such a channel with fewer than d common bits."""
-    col_of, n_cols = _unhacked_columns(ks, hacked)
-    rng = np.random.default_rng(seed)
-    blocks = []
-    hset = set(hacked)
-    for (i, j), r in sorted(profile.rates.items()):
-        if r == 0 or i in hset or j in hset:
-            continue
-        m_bits = int(r * ks.l)
-        if m_bits:
-            columns = _channel_columns(ks, col_of, i, j, d)
-            idx = gf2.sample_indices(m_bits, columns.size, d, rng.integers(0, 2**63))
-            blocks.append(BitMatrix.from_rows(idx, columns, n_cols))
-    return blocks
+    return _profile_rate("full_rank_witness",
+                         lambda ks, tr: build_security_matrix(ks, tr).full_rank,
+                         spec, n, t, profile, l, d, trials, seed, seed)
 
 
 def cross_independence_experiment(spec: SchemeSpec, n: int, t: int,
@@ -294,33 +299,17 @@ def cross_independence_experiment(spec: SchemeSpec, n: int, t: int,
                                   seed, d: int = DEFAULT_WEIGHT) -> list[ExperimentResult]:
     """Empirical probability that the per-channel key blocks are linearly
     cross-independent, swept over pool budgets l."""
-    hacked = NetworkParams(n, t).last_t_nodes
-    if trials < 1:
-        raise ValueError("need at least one trial")
     seed = _seed_int(seed)
     results = []
     for l in l_values:
-        ks0 = generate(spec, n, l, [seed, l, 0])
-        verdict = check_exact(ks0, profile, t)
-        if verdict.status is not Status.ACHIEVABLE:
+        if check_exact(generate(spec, n, l, [seed, l, 0]), profile, t).status \
+                is not Status.ACHIEVABLE:
             raise ValueError(
                 f"profile violates the achievability region at l={l}; "
                 "the cross-independence experiment is meaningless there"
             )
-        successes = 0
-        for trial in range(trials):
-            ks = generate(spec, n, l, [seed, l, trial])
-            try:
-                blocks = _profile_blocks(ks, profile, hacked, d, [seed, l, trial, 1])
-            except ShortChannelError:
-                continue  # this store cannot key the profile: a failed trial
-            if not blocks or gf2.cross_independent(blocks):
-                successes += 1
-        low, high = wilson_interval(successes, trials)
-        results.append(ExperimentResult(
-            name="cross_independence",
-            params={"scheme": spec.canonical(), "n": n, "t": t, "l": l, "d": d},
-            trials=trials, successes=successes, p_hat=successes / trials,
-            ci_low=low, ci_high=high, seed=seed,
-        ))
+        results.append(_profile_rate(
+            "cross_independence",
+            lambda ks, tr: not tr.ciphertexts or gf2.cross_independent(_message_blocks(ks, tr)[0]),
+            spec, n, t, profile, l, d, trials, seed, seed, l))
     return results

@@ -44,6 +44,11 @@ class ReplayError(ValueError):
     """Message counter reuse on a channel."""
 
 
+class ShortChannelError(ValueError):
+    """A channel's endpoints share fewer than d bits, so none of its key
+    bits can be sampled."""
+
+
 @dataclass
 class ChannelCipherState:
     """Per-endpoint state of one channel.  Single writer per endpoint."""
@@ -75,8 +80,10 @@ class CipherText:
     counter: int
     sampling_seed: bytes  # 16 bytes, public
     body: BitString
-    # (sampler arguments, rows) of the last rows() call; not part of the message.
+    # Not part of the message: (sampler arguments, rows) of the last rows()
+    # call, and the d of encrypt's key.
     _rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _d: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def rows(self, n_common: int, d: int) -> np.ndarray:
         """Row r holds the d positions in u_ij that key bit r XORs, as
@@ -145,12 +152,9 @@ def sampling_matrix(n_key_bits: int, n_common: int, d: int,
 def _shared_bits(ks, state: ChannelCipherState) -> np.ndarray:
     """The values of u_ij, the pool bits both endpoints hold; at least d."""
     common = ks.common_values(state.i, state.j)
-    if not common.size:
-        raise ValueError(f"nodes {state.i} and {state.j} share no secret bits")
     if state.d > len(common):
-        raise ValueError(
-            f"sampling weight d={state.d} exceeds |u_ij|={len(common)}"
-        )
+        raise ShortChannelError(f"channel ({state.i},{state.j}) has |u_ij| = {len(common)} "
+                                f"common bits, fewer than the sampling weight d = {state.d}")
     return common
 
 
@@ -195,6 +199,7 @@ def encrypt(ks, state: ChannelCipherState, plaintext: BitString, seed) -> Cipher
     ct = CipherText(i=state.i, j=state.j, counter=counter,
                     sampling_seed=sampling_seed, body=plaintext ^ _key(common, idx))
     ct._keep(args, idx)
+    object.__setattr__(ct, "_d", state.d)
     state.counter = counter
     state.consumed += len(plaintext)
     return ct

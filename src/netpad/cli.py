@@ -21,7 +21,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import adversary, amplify, keystore_io, multipath, rates
 from .gf2 import RNG_ALGORITHM, BitString
@@ -135,10 +134,10 @@ def rates_cmd(scheme_text, n, t, sweep_a):
 @main.command()
 @click.option("--scheme", "scheme_text", required=True)
 @click.option("--n", type=int, required=True)
-@click.option("--l", type=int, required=True, help="Per-node secret-bit budget.")
+@click.option("--l", type=click.IntRange(1), required=True, help="Per-node secret-bit budget.")
 @seed_option
 @click.option("--out", type=click.Path(), required=True)
-@click.option("--node", type=int, default=None,
+@click.option("--node", type=click.IntRange(1, 2**32 - 1), default=None,
               help="Export only this node's view (what a deployed node carries).")
 @click.option("--strict", is_flag=True, help="Error when quotas do not divide l.")
 def keygen(scheme_text, n, l, seed, out, node, strict):
@@ -170,7 +169,7 @@ def _load_or_generate(store, scheme_text, n, l, seed):
 @click.option("--store", type=click.Path(), default=None)
 @click.option("--scheme", "scheme_text", default=None)
 @click.option("--n", type=int, default=None)
-@click.option("--l", type=int, default=None, help="Per-node budget [default: 1260].")
+@click.option("--l", type=click.IntRange(1), default=None, help="Per-node budget [default: 1260].")
 @click.option("--t", type=int, required=True)
 @click.option("--profile", "profile_text", required=True,
               help="Profile JSON file or uniform:<rate>.")
@@ -204,7 +203,7 @@ def check(store, scheme_text, n, l, t, profile_text, method, seed, out):
 @click.option("--store", type=click.Path(), default=None)
 @click.option("--scheme", "scheme_text", default=None)
 @click.option("--n", type=int, default=None)
-@click.option("--l", type=int, default=None, help="Per-node budget [default: 1260].")
+@click.option("--l", type=click.IntRange(1), default=None, help="Per-node budget [default: 1260].")
 @click.option("--t", type=int, required=True)
 @click.option("--profile", "profile_text", required=True)
 @click.option("--d", type=click.IntRange(1), default=amplify.DEFAULT_WEIGHT)
@@ -215,25 +214,14 @@ def simulate(store, scheme_text, n, l, t, profile_text, d, seed):
     seed = _resolve_seed(seed)
     ks = _load_or_generate(store, scheme_text, n, l, seed)
     profile = _parse_profile(profile_text, ks.n)
-    hacked = rates.NetworkParams(ks.n, t).last_t_nodes
-    cts = []
-    rng = np.random.default_rng([seed, 1])
-    for (i, j), r in sorted(profile.rates.items()):
-        if r == 0 or i in hacked or j in hacked:
-            continue
-        m_bits = int(r * ks.l)
-        if m_bits == 0:
-            continue
-        state = amplify.ChannelCipherState(i, j, d=d)
-        msg = BitString.random(m_bits, rng)
-        cts.append(amplify.encrypt(ks, state, msg, seed=[seed, i, j]))
-    witness = adversary.build_security_matrix(
-        ks, adversary.Transcript(ciphertexts=tuple(cts), hacked=hacked, d=d))
+    tr = adversary.profile_transcript(ks, profile, rates.NetworkParams(ks.n, t).last_t_nodes,
+                                      d, seed)
+    witness = adversary.build_security_matrix(ks, tr)
     click.echo(f"scheme={ks.scheme.canonical()} n={ks.n} t={t} l={ks.l} d={d} "
                f"seed={seed} rng={RNG_ALGORITHM}")
-    click.echo(f"messages={len(cts)} key_rows={witness.a_matrix.n_rows} "
+    click.echo(f"messages={len(tr.ciphertexts)} key_rows={witness.a_matrix.n_rows} "
                f"unhacked_cols={witness.a_matrix.n_cols} rank={witness.rank}")
-    if not cts:
+    if not tr.ciphertexts:
         click.echo("no messages: nothing to certify")
     elif witness.full_rank:
         click.echo("witness: FULL RANK — perfect secrecy certified for this transcript")
@@ -283,7 +271,7 @@ def _density_mode(mode: str, r: int) -> tuple:
 @click.option("--n", type=int, default=4)
 @click.option("--t", type=int, default=1)
 @click.option("--profile", "profile_text", default=None)
-@click.option("--l", "l_values", type=int, multiple=True, default=(4000,))
+@click.option("--l", "l_values", type=click.IntRange(1), multiple=True, default=(4000,))
 @click.option("--d", type=click.IntRange(1), default=amplify.DEFAULT_WEIGHT)
 @click.option("--trials", type=click.IntRange(1), default=100)
 @seed_option
@@ -363,7 +351,7 @@ def decrypt_cmd(store_path, in_path, out, d):
 @click.option("--s", type=int, required=True)
 @click.option("--dst", type=int, required=True)
 @click.option("--t", type=int, required=True)
-@click.option("--message-bits", type=int, default=1)
+@click.option("--message-bits", type=click.IntRange(1), default=1)
 def multipath_cmd(topo_path, s, dst, t, message_bits):
     """Plan t+1 node-disjoint secret-sharing paths (JSON plan)."""
     topo = multipath.Topology.from_json(Path(topo_path).read_text())

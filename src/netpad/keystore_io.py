@@ -59,8 +59,8 @@ from pathlib import Path
 import numpy as np
 
 from .gf2 import RNG_ALGORITHM, BitString
-from .predistribution import (GroupIndex, KeyStore, SchemeSpec, first_copies, pool_index_array,
-                              pool_size, random_holders)
+from .predistribution import (GroupIndex, KeyStore, SchemeSpec, check_widths, first_copies,
+                              pool_index_array, pool_size, random_holders)
 
 MAGIC = b"NPKS"
 VERSION = 4
@@ -129,8 +129,7 @@ def _write_text(out: bytearray, text: str) -> None:
 def _preamble(ks: KeyStore, node: int | None = None) -> bytearray:
     """The magic, version, flags and header of a full store, or of node's
     view (node id after the flags, seed 0), each field checked first."""
-    if ks.n >= 2**32 or ks.u > 2**32 or ks.l >= 2**32:
-        raise ValueError(f"NPKS holds n, l < 2^32 and u <= 2^32, not n={ks.n}, l={ks.l}, u={ks.u}")
+    check_widths(ks.n, ks.l, ks.u)
     if node is None:
         out = bytearray(MAGIC + struct.pack("<HB", VERSION, 0))
     else:

@@ -359,8 +359,10 @@ def generate(spec: SchemeSpec, n: int, l: int, seed, strict: bool = False) -> Ke
         raise ValueError("per-node budget must be at least one bit")
     spec.validate(n)
     seed = _seed_int(seed)
+    layout = parts(spec, n, l, seed)
+    check_widths(n, l, sum(part.u for part in layout))  # before any allocation
     tables, pools, records = [], [], 0
-    for part in (layout := parts(spec, n, l, seed)):
+    for part in layout:
         index = (random_groups(part.perm) if part.perm
                  else _sequential_groups(part.scheme, n, part.l, part.seed, strict))
         tables.append((index.set_sizes, index.set_nodes, index.indices + part.start,
@@ -372,6 +374,12 @@ def generate(spec: SchemeSpec, n: int, l: int, seed, strict: bool = False) -> Ke
     ks = KeyStore(n, l, spec, seed, BitString(np.concatenate(pools)), index)
     ks.parts = layout  # keeps each random part's slot table
     return ks
+
+
+def check_widths(n: int, l: int, u: int) -> None:
+    """Refuse a store that NPKS cannot hold."""
+    if n >= 2**32 or u > 2**32 or l >= 2**32:
+        raise ValueError(f"NPKS holds n, l < 2^32 and u <= 2^32, not n={n}, l={l}, u={u}")
 
 
 def _merged(set_sizes, set_nodes, indices, group_ids) -> GroupIndex:

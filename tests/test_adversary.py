@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import sys
@@ -12,13 +13,13 @@ from netpad import amplify, gf2
 from netpad.adversary import (
     ShortChannelError,
     Transcript,
-    _profile_blocks,
     build_security_matrix,
     conditional_mi,
     cross_independence_experiment,
     exact_mi_oracle,
     full_rank_experiment,
     lemma_rank_experiment,
+    profile_transcript,
     wilson_interval,
 )
 from netpad.cli import main
@@ -163,20 +164,25 @@ def test_security_matrix_rank_matches_the_elimination_oracle():
     assert w.rank == py_rank(w.a_matrix.to_dense()) <= 150
 
 
+def recorded(monkeypatch, real, keep) -> list:
+    """keep(args) of every call to real, under every name a netpad module
+    binds it to."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(keep(args))
+        return real(*args, **kwargs)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "netpad" and getattr(module, real.__name__, None) is real:
+            monkeypatch.setattr(module, real.__name__, counted)
+    return calls
+
+
 @pytest.fixture
 def draws(monkeypatch):
     """The (n_rows, n_cols, d) of every gf2.sample_indices call, under every
     name a netpad module binds the sampler to."""
-    real = gf2.sample_indices
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[:3])
-        return real(*args, **kwargs)
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "netpad" and getattr(module, "sample_indices", None) is real:
-            monkeypatch.setattr(module, "sample_indices", counted)
-    return calls
+    return recorded(monkeypatch, gf2.sample_indices, lambda args: args[:3])
 
 
 def encrypted_transcript(ks, hacked, d, m_bits, seed):
@@ -241,6 +247,62 @@ def test_simulate_draws_once_per_message(draws):
     assert res.exit_code == 0, res.output
     assert "messages=6 " in res.output and "FULL RANK" in res.output
     assert draws == [(20, 300, 32)] * 6
+
+
+def test_experiments_encrypt_each_message_once(draws, monkeypatch):
+    # Both experiments key a trial's profile through encrypt, and the
+    # witness reads back the rows encrypt drew: one draw per message.
+    encrypts = recorded(monkeypatch, amplify.encrypt,
+                        lambda args: (args[1].pair, args[1].d, len(args[2])))
+    spec, profile = SchemeSpec.parse("comb:a=3"), RateProfile.uniform(4, Fraction(1, 18))
+    res = full_rank_experiment(spec, 4, 1, profile, l=600, d=32, trials=3, seed=4)
+    assert res.successes == 3
+    assert encrypts == [((1, 2), 32, 33), ((1, 3), 32, 33), ((2, 3), 32, 33)] * 3
+    assert draws == [(33, 400, 32)] * 9
+    encrypts.clear()
+    draws.clear()
+    [res] = cross_independence_experiment(spec, 4, 1, profile, [300], 3, seed=0, d=32)
+    assert res.successes == 3
+    assert encrypts == [((1, 2), 32, 16), ((1, 3), 32, 16), ((2, 3), 32, 16)] * 3
+    assert draws == [(16, 200, 32)] * 9
+
+
+# sha256 of the NPCT bytes of profile_transcript's ciphertexts, in order:
+# the messages and sampling seeds simulate has always encrypted with.
+TRANSCRIPT_DIGESTS = [
+    ("comb:a=3", 5, 600, 1, Fraction(1, 30), 32, 2,
+     "4a5edc6c63ee2f123455a8860f37fb37dc07fece66090f1acb6010a1a304327a"),
+    ("random:p=1/2", 5, 300, 1, Fraction(1, 40), 16, 3,
+     "5169980fd9a715fd51c83e338fcead023c294187ccd9d52a061647b95504df3e"),
+    ("hybrid:lambda=1/2,(comb:a=3),(random:p=1/2)", 6, 400, 2, Fraction(1, 50), 8, 9,
+     "f88fffe70d2a90a97a9071be88cccdc7a91d1a14315e90c5d6469129a1d384eb"),
+]
+
+
+@pytest.mark.parametrize("text,n,l,t,r,d,seed,digest", TRANSCRIPT_DIGESTS)
+def test_profile_transcript_is_frozen(text, n, l, t, r, d, seed, digest):
+    ks = generate(SchemeSpec.parse(text), n, l, seed)
+    tr = profile_transcript(ks, RateProfile.uniform(n, r), NetworkParams(n, t).last_t_nodes,
+                            d, seed)
+    assert len(tr.ciphertexts) == 6 and tr.d == d
+    assert hashlib.sha256(b"".join(ct.to_bytes() for ct in tr.ciphertexts)).hexdigest() == digest
+
+
+def test_witness_refuses_a_ciphertext_keyed_with_another_d():
+    # An in-memory ciphertext knows the d encrypt keyed it with; a
+    # transcript with another d would certify rows that made no key.
+    ks = generate(SchemeSpec.parse("comb:a=3"), 4, 1260, seed=7)
+    msg = BitString.random(100, np.random.default_rng(0))
+    ct = amplify.encrypt(ks, amplify.ChannelCipherState(1, 2, d=8), msg, seed=1)
+    with pytest.raises(ValueError, match=r"encrypted with d = 8, not the transcript's d = 128"):
+        build_security_matrix(ks, Transcript((ct,), (4,)))
+    ct.rows(len(ks.common_bits(1, 2)), 128)  # a redraw for another d changes nothing
+    w = build_security_matrix(ks, Transcript((ct,), (4,), d=8))
+    assert w.a_matrix.n_rows == 100
+    assert w.a_matrix.to_dense().sum(axis=1).max() <= 8
+    # NPCT carries no d, so a decoded copy is certified with the transcript's.
+    copy = amplify.CipherText.from_bytes(ct.to_bytes())
+    assert build_security_matrix(ks, Transcript((copy,), (4,))).a_matrix.n_rows == 100
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +492,7 @@ def test_experiments_count_a_short_channel_as_a_failure():
     ks = generate(spec, 6, 60, [6, short[0]])
     with pytest.raises(ShortChannelError,
                        match=r"channel \(\d,\d\) has \|u_ij\| = [0-2] common bits, .* d = 3"):
-        _profile_blocks(ks, profile, (), 3, 0)
+        profile_transcript(ks, profile, (), 3, 0)
 
     [res] = cross_independence_experiment(spec, 6, 0, RateProfile.uniform(6, Fraction(1, 100)),
                                           [120], 12, 6, d=3)

@@ -4,6 +4,7 @@ import itertools
 import json
 import struct
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -191,6 +192,51 @@ def test_experiment_csv_output(tmp_path):
               "--trials", "4", "--seed", "1", "--out", str(out))
     assert res.exit_code == 0
     assert "0.000000" in out.read_text()
+
+
+# Outputs at pinned seeds.  They stay byte-identical however the path
+# from a rate profile to its key rows is arranged.
+SIMULATE_GOLDEN = [
+    ("--scheme comb:a=3 --n 5 --l 600 --t 1 --profile uniform:1/30 --d 32 --seed 7", 0,
+     "scheme=comb:a=3 n=5 t=1 l=600 d=32 seed=7 rng=numpy-pcg64\n"
+     "messages=6 key_rows=120 unhacked_cols=400 rank=120\n"
+     "witness: FULL RANK — perfect secrecy certified for this transcript\n"),
+    ("--scheme random:p=1/2 --n 5 --l 300 --t 1 --profile uniform:1/40 --d 16 --seed 3", 0,
+     "scheme=random:p=1/2 n=5 t=1 l=300 d=16 seed=3 rng=numpy-pcg64\n"
+     "messages=6 key_rows=42 unhacked_cols=300 rank=42\n"
+     "witness: FULL RANK — perfect secrecy certified for this transcript\n"),
+    ("--scheme comb:a=3 --n 4 --l 120 --t 1 --d 8 --seed 2 --profile uniform:1/3", 1,
+     "scheme=comb:a=3 n=4 t=1 l=120 d=8 seed=2 rng=numpy-pcg64\n"
+     "messages=3 key_rows=120 unhacked_cols=40 rank=40\n"
+     "witness: RANK DEFICIENT — transcript is NOT perfectly secret\n"),
+]
+
+
+@pytest.mark.parametrize("options,code,stdout", SIMULATE_GOLDEN,
+                         ids=["comb", "random", "deficient"])
+def test_simulate_output_is_frozen(options, code, stdout):
+    res = run("simulate", *options.split())
+    assert res.exit_code == code, res.output
+    assert res.output == stdout
+
+
+LEMMA_RANK_GOLDEN = [
+    ("--r 300 --ratio 0.9 --trials 20 --seed 4",
+     'lemma_rank_bernoulli,"{""k"": 270, ""mode"": [""bernoulli"", 1.0], ""r"": 300}",'
+     "20,7,0.350000,0.181190,0.567149,4\r\n"),
+    ("--r 200 --mode fixed:16 --trials 10 --seed 5",
+     'lemma_rank_fixed_weight,"{""k"": 180, ""mode"": [""fixed_weight"", 16], ""r"": 200}",'
+     "10,10,1.000000,0.722460,1.000000,5\r\n"),
+]
+
+
+@pytest.mark.parametrize("options,row", LEMMA_RANK_GOLDEN, ids=["bernoulli", "fixed"])
+def test_lemma_rank_csv_is_frozen(options, row, tmp_path):
+    out = tmp_path / "r.csv"
+    res = run("experiment", "lemma-rank", *options.split(), "--out", str(out))
+    assert res.exit_code == 0, res.output
+    assert out.read_bytes() == (
+        "experiment,params,trials,successes,p_hat,ci_low,ci_high,seed\r\n" + row).encode()
 
 
 def test_multipath_command(tmp_path):
@@ -387,6 +433,11 @@ SIMULATE = "simulate --scheme comb:a=3 --n 4 --l 120 --t 1 --d 8 --seed 2 --prof
     # Values past their file fields (u32 node ids, a u64 counter).
     ("keygen --scheme comb:a=3 --n 4 --l 12 --node -1 --out {refused_out}", 3),
     ("keygen --scheme comb:a=3 --n 4 --l 12 --node 4294967296 --out {refused_out}", 3),
+    ("keygen --scheme comb:a=3 --n 4 --l 12 --node 0 --out {refused_out}", 3),
+    # Stores past the NPKS widths (u <= 2^32, l < 2^32), refused before
+    # generate allocates (see PEAK_MB).
+    ("keygen --scheme random:p=1/1000000000000 --n 4 --l 6 --out {refused_out}", 3),
+    ("keygen --scheme comb:a=2 --n 4 --l 4294967296 --out {refused_out}", 3),
     (f"{ENCRYPT} {{refused_out}} --counter 18446744073709551616", 3),
     # Counters start at 1; a negative one reached numpy's seeding.
     (f"{ENCRYPT} {{refused_out}} --counter -3", 3),
@@ -397,6 +448,11 @@ SIMULATE = "simulate --scheme comb:a=3 --n 4 --l 120 --t 1 --d 8 --seed 2 --prof
     ("experiment lemma-rank --r 0 --trials 1", 3),
     ("experiment full-rank --d 0 --trials 2", 3),
     ("experiment lemma-rank --ratio nan --trials 1", 3),
+    ("keygen --scheme comb:a=3 --n 4 --l 0 --out {refused_out}", 3),
+    ("check --scheme comb:a=3 --n 4 --l 0 --t 1 --profile uniform:1/18", 3),
+    ("simulate --scheme comb:a=3 --n 4 --l -5 --t 1 --profile uniform:1/18", 3),
+    ("experiment full-rank --l 0 --trials 1", 3),
+    (f"{MULTIPATH} --t 1 --message-bits 0", 3),
     # Lemma-rank densities outside (0, 1] and fixed weights outside 1..r.
     ("experiment lemma-rank --mode bernoulli:0 --trials 1", 3),
     ("experiment lemma-rank --mode bernoulli:-1 --trials 1", 3),
@@ -412,7 +468,13 @@ SIMULATE = "simulate --scheme comb:a=3 --n 4 --l 120 --t 1 --d 8 --seed 2 --prof
 def test_exit_codes(command, code, files):
     """0, 1 and 2 only as a command's verdict; every other failure exits
     3 with a message, never a traceback."""
+    if command in PEAK_MB:
+        tracemalloc.start()
     res = run(*(arg.format(**files) for arg in command.split()))
+    if command in PEAK_MB:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < PEAK_MB[command] * 2**20, peak
     assert res.exit_code == code, res.output
     assert res.exception is None or isinstance(res.exception, SystemExit), res.output
     if code == 3:
@@ -438,6 +500,27 @@ NAMED = {
     f"{STORE} uniform:1/18 --n 5": "drop --n",
     f"{STORE} uniform:1/18 --l 1260": "drop --l",
     "simulate --store {full_npks} --n 4 --t 1 --profile uniform:1/18": "drop --n",
+    "keygen --scheme comb:a=3 --n 4 --l 12 --node -1 --out {refused_out}": "'--node'",
+    "keygen --scheme comb:a=3 --n 4 --l 12 --node 4294967296 --out {refused_out}": "'--node'",
+    "keygen --scheme comb:a=3 --n 4 --l 12 --node 0 --out {refused_out}": "'--node'",
+    "keygen --scheme comb:a=3 --n 4 --l 0 --out {refused_out}": "'--l'",
+    "check --scheme comb:a=3 --n 4 --l 0 --t 1 --profile uniform:1/18": "'--l'",
+    "simulate --scheme comb:a=3 --n 4 --l -5 --t 1 --profile uniform:1/18": "'--l'",
+    "experiment full-rank --l 0 --trials 1": "'--l'",
+    f"{MULTIPATH} --t 1 --message-bits -8": "'--message-bits'",
+    f"{MULTIPATH} --t 1 --message-bits 0": "'--message-bits'",
+    "keygen --scheme random:p=1/1000000000000 --n 4 --l 6 --out {refused_out}":
+        "NPKS holds n, l < 2^32 and u <= 2^32",
+    "keygen --scheme comb:a=2 --n 4 --l 4294967296 --out {refused_out}":
+        "NPKS holds n, l < 2^32 and u <= 2^32",
+}
+
+# Rows of test_exit_codes refused before they allocate: a tracemalloc peak
+# in MB that they stay under.  Without the check, the first asks numpy for
+# 21.8 TiB and the second for 64 GiB.
+PEAK_MB = {
+    "keygen --scheme random:p=1/1000000000000 --n 4 --l 6 --out {refused_out}": 4,
+    "keygen --scheme comb:a=2 --n 4 --l 4294967296 --out {refused_out}": 4,
 }
 
 
