@@ -79,19 +79,24 @@ def _unhacked_columns(ks: KeyStore, hacked) -> tuple[np.ndarray, int]:
     return col_of, ks.u - int(np.count_nonzero(hacked))
 
 
+def _check_message(ct: CipherText, tr: Transcript) -> None:
+    """Refuse a message on a hacked channel, or one that encrypt keyed with
+    a d other than the transcript's."""
+    if ct.i in tr.hacked or ct.j in tr.hacked:
+        raise ValueError(f"ciphertext on hacked channel ({ct.i},{ct.j})")
+    if ct._d not in (None, tr.d):
+        raise ValueError(f"ciphertext on ({ct.i},{ct.j}) was encrypted with d = {ct._d}, "
+                         f"not the transcript's d = {tr.d}")
+
+
 def _message_blocks(ks: KeyStore, tr: Transcript) -> tuple[list[BitMatrix], int]:
     """Each message's key rows (``CipherText.rows``) over the n_cols pool
-    columns the eavesdropper cannot read, and n_cols.  Refuses a message on
-    a hacked channel, or one that encrypt keyed with another d."""
-    hset = set(tr.hacked)
+    columns the eavesdropper cannot read, and n_cols; every message passes
+    ``_check_message``."""
     col_of, n_cols = _unhacked_columns(ks, tr.hacked)
     blocks = []
     for ct in tr.ciphertexts:
-        if ct.i in hset or ct.j in hset:
-            raise ValueError(f"ciphertext on hacked channel ({ct.i},{ct.j})")
-        if ct._d not in (None, tr.d):
-            raise ValueError(f"ciphertext on ({ct.i},{ct.j}) was encrypted with d = {ct._d}, "
-                             f"not the transcript's d = {tr.d}")
+        _check_message(ct, tr)
         columns = col_of[ks.common_indices(ct.i, ct.j)]
         blocks.append(BitMatrix.from_rows(ct.rows(columns.size, tr.d), columns, n_cols))
     return blocks, n_cols
@@ -138,15 +143,13 @@ def exact_mi_oracle(ks: KeyStore, tr: Transcript, channel) -> float:
             f"pool of {ks.u} bits exceeds the 2^{MI_ORACLE_MAX_POOL} enumeration cap"
         )
     i, j = min(channel), max(channel)
-    hset = set(tr.hacked)
-    if i in hset or j in hset:
+    if i in tr.hacked or j in tr.hacked:
         raise ValueError(f"channel ({i},{j}) touches a hacked node")
 
     target_masks: list[int] = []
     other_masks: list[int] = []
     for ct in tr.ciphertexts:
-        if ct.i in hset or ct.j in hset:
-            raise ValueError(f"ciphertext on hacked channel ({ct.i},{ct.j})")
+        _check_message(ct, tr)
         masks = _row_masks(ks, ct, tr.d)
         if (ct.i, ct.j) == (i, j):
             target_masks.extend(masks)

@@ -1,16 +1,16 @@
-"""Exact GF(2) arithmetic: bit strings, packed bit matrices, rank and
-random matrix generation.
+"""Exact GF(2) arithmetic: bit strings, bit matrices, rank and random
+matrix generation.
 
-Bits are addressed logically (bit 0 = first column); the packed uint64
-word layout is an implementation detail.  Rank, left nullspace and
-cross-independence share one XOR-basis elimination over Python-int rows
-(`_eliminate`), with a tracking bit per row for the nullspace.  All
-values are immutable after construction and safe to share across threads.
+A matrix row is one Python int, column c at bit c, from the moment a
+constructor builds it.  Rank, left nullspace and cross-independence pass
+those ints to one XOR-basis elimination (`_eliminate`), with a tracking
+bit per row for the nullspace.  All values are immutable after
+construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
-import sys
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -20,11 +20,7 @@ import numpy as np
 # be replayed bit-for-bit.
 RNG_ALGORITHM = "numpy-pcg64"
 
-_WORD = 64
 _SCATTER_BYTES = 1 << 20  # byte buffer of one BitMatrix.from_rows chunk
-
-if sys.byteorder != "little":  # pragma: no cover - packed layout assumes LE
-    raise ImportError("netpad.gf2 requires a little-endian platform")
 
 
 def _as_bit_array(bits) -> np.ndarray:
@@ -34,21 +30,6 @@ def _as_bit_array(bits) -> np.ndarray:
     if arr.size and arr.max() > 1:
         raise ValueError("bit values must be 0 or 1")
     return arr
-
-
-def _pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack a 0/1 uint8 array into little-endian uint64 words."""
-    n_words = max(1, -(-bits.size // _WORD)) if bits.size else 0
-    packed = np.packbits(bits, bitorder="little")
-    out = np.zeros(n_words * 8, dtype=np.uint8)
-    out[: packed.size] = packed
-    return out.view(np.uint64)
-
-
-def _unpack_bits(words: np.ndarray, n_bits: int) -> np.ndarray:
-    if n_bits == 0:
-        return np.zeros(0, dtype=np.uint8)
-    return np.unpackbits(words.view(np.uint8), bitorder="little", count=n_bits)
 
 
 class BitString:
@@ -122,22 +103,31 @@ class BitString:
 
 
 class BitMatrix:
-    """Dense bit matrix over GF(2), rows packed into uint64 words."""
+    """Dense bit matrix over GF(2); row r is the Python int ``_rows[r]``,
+    column c at bit c, with no bit at or past n_cols."""
 
-    __slots__ = ("n_rows", "n_cols", "_words")
+    __slots__ = ("n_rows", "n_cols", "_rows")
 
-    def __init__(self, n_rows: int, n_cols: int, words: np.ndarray):
-        self.n_rows = n_rows
-        self.n_cols = n_cols
-        self._words = words
-        self._words.setflags(write=False)
+    def __init__(self, n_cols: int, rows: Iterable[int]):
+        """The matrix with these rows; refuses a row with a bit at or past
+        n_cols, or a negative one."""
+        rows = tuple(map(operator.index, rows))
+        if any(row >> n_cols for row in rows):
+            raise ValueError(f"a row has a bit at or past column {n_cols}")
+        self.n_rows, self.n_cols, self._rows = len(rows), n_cols, rows
+
+    @classmethod
+    def _of(cls, n_cols: int, rows: tuple[int, ...]) -> "BitMatrix":
+        """The matrix of rows that have no bit at or past n_cols, unchecked."""
+        m = object.__new__(cls)
+        m.n_rows, m.n_cols, m._rows = len(rows), n_cols, rows
+        return m
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zeros(cls, n_rows: int, n_cols: int) -> "BitMatrix":
-        n_words = -(-n_cols // _WORD) if n_cols else 0
-        return cls(n_rows, n_cols, np.zeros((n_rows, n_words), dtype=np.uint64))
+        return cls._of(n_cols, (0,) * n_rows)
 
     @classmethod
     def from_dense(cls, dense) -> "BitMatrix":
@@ -146,35 +136,29 @@ class BitMatrix:
             raise ValueError(f"expected a 2-d array, got shape {arr.shape}")
         if arr.size and arr.max() > 1:
             raise ValueError("matrix entries must be 0 or 1")
-        n_rows, n_cols = arr.shape
-        n_words = -(-n_cols // _WORD)
-        packed = np.zeros((n_rows, n_words * 8), dtype=np.uint8)
-        packed[:, : -(-n_cols // 8)] = np.packbits(arr, axis=1, bitorder="little")
-        return cls(n_rows, n_cols, packed.view(np.uint64))
+        return cls._of(arr.shape[1], _ints(np.packbits(arr, axis=1, bitorder="little")))
 
     @classmethod
     def from_rows(cls, idx, columns, n_cols: int) -> "BitMatrix":
         """Row r has a one at column columns[k] for each k in idx[r], in any
         order, repeats allowed; a column of -1 sets nothing.  Each chunk of
         rows (at most _SCATTER_BYTES, or one row) is scattered into a zeroed
-        byte buffer of whole words plus a spare last column, where -1 lands
-        (row r's in row r-1's, the first row's in the last row's), and
+        byte buffer of n_cols + 1 columns, where -1 lands in the spare last
+        one (row r's in row r-1's, the first row's in the last row's), and
         packed with one ``packbits``."""
         if columns.size and (columns.min() < -1 or columns.max() >= n_cols):
             raise ValueError("column index out of range")
-        n_rows = idx.shape[0]
-        n_words = -(-n_cols // _WORD)
-        width = n_words * _WORD + 1
+        n_rows, width = idx.shape[0], n_cols + 1
         chunk = max(1, _SCATTER_BYTES // width)
         offsets = np.arange(0, min(chunk, n_rows) * width, width)[:, None]
-        packed = np.empty((n_rows, n_words * 8), dtype=np.uint8)
+        rows = []
         for start in range(0, n_rows, chunk):
             pos = columns[idx[start:start + chunk]]
             pos += offsets[:pos.shape[0]]
             buf = np.zeros((pos.shape[0], width), dtype=np.uint8)
             buf.reshape(-1)[pos] = 1
-            packed[start:start + chunk] = np.packbits(buf[:, :-1], axis=1, bitorder="little")
-        return cls(n_rows, n_cols, packed.view(np.uint64))
+            rows.extend(_ints(np.packbits(buf[:, :-1], axis=1, bitorder="little")))
+        return cls._of(n_cols, tuple(rows))
 
     @classmethod
     def vstack(cls, blocks: Sequence["BitMatrix"]) -> "BitMatrix":
@@ -183,8 +167,7 @@ class BitMatrix:
         n_cols = blocks[0].n_cols
         if any(b.n_cols != n_cols for b in blocks):
             raise ValueError("vstack blocks must share a column count")
-        words = np.concatenate([b._words for b in blocks], axis=0)
-        return cls(sum(b.n_rows for b in blocks), n_cols, words)
+        return cls._of(n_cols, tuple(row for b in blocks for row in b._rows))
 
     # -- accessors ------------------------------------------------------
 
@@ -193,25 +176,23 @@ class BitMatrix:
         return (self.n_rows, self.n_cols)
 
     def to_dense(self) -> np.ndarray:
-        as_bytes = np.ascontiguousarray(self._words).view(np.uint8)
-        return np.unpackbits(as_bytes, axis=1, bitorder="little", count=self.n_cols)
+        return _unpack(self._rows, self.n_cols)
 
     def row(self, i: int) -> BitString:
-        return BitString(_unpack_bits(self._words[i], self.n_cols))
+        return BitString(_unpack((self._rows[i],), self.n_cols)[0])
 
     def get(self, i: int, j: int) -> int:
         if not (0 <= i < self.n_rows and 0 <= j < self.n_cols):
             raise IndexError(f"entry ({i}, {j}) outside a {self.n_rows}x{self.n_cols} matrix")
-        w, b = divmod(j, _WORD)
-        return int((self._words[i, w] >> np.uint64(b)) & np.uint64(1))
+        return self._rows[i] >> j & 1
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitMatrix):
             return NotImplemented
-        return self.shape == other.shape and bool(np.array_equal(self._words, other._words))
+        return self.n_cols == other.n_cols and self._rows == other._rows
 
     def __hash__(self):
-        return hash((self.shape, self._words.tobytes()))
+        return hash((self.n_cols, self._rows))
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.n_rows}x{self.n_cols})"
@@ -219,8 +200,8 @@ class BitMatrix:
     # -- linear algebra -------------------------------------------------
 
     def rank(self) -> int:
-        """GF(2) row rank of the first *n_cols* columns."""
-        return self.n_rows - len(_eliminate(self._row_ints(), self.n_cols))
+        """GF(2) row rank."""
+        return self.n_rows - len(_eliminate(self._rows, self.n_cols))
 
     def mul(self, v: BitString) -> BitString:
         """Matrix-vector product over GF(2)."""
@@ -228,40 +209,46 @@ class BitMatrix:
             raise ValueError(
                 f"dimension mismatch: matrix has {self.n_cols} columns, vector has {len(v)} bits"
             )
-        if self.n_cols == 0:
-            return BitString.zeros(self.n_rows)
-        vwords = _pack_bits(np.asarray(v.bits, dtype=np.uint8))
-        parities = np.bitwise_count(self._words & vwords[None, :]).sum(axis=1) & 1
-        return BitString(parities.astype(np.uint8))
+        x = int.from_bytes(v.to_bytes(), "little")
+        return BitString(np.array([(row & x).bit_count() & 1 for row in self._rows],
+                                  dtype=np.uint8))
 
     def left_nullspace_masks(self) -> list[int]:
         """Basis of {c : c.M = 0}, each vector as a row-index bitmask."""
-        return _eliminate(self._row_ints(), self.n_cols, track=True)
-
-    def _row_ints(self) -> list[int]:
-        """Each row as one Python int, column c at bit c."""
-        raw, step = self._words.tobytes(), 8 * self._words.shape[1]
-        return [int.from_bytes(raw[r * step:(r + 1) * step], "little")
-                for r in range(self.n_rows)]
+        return _eliminate(self._rows, self.n_cols, track=True)
 
 
-def _eliminate(rows: list[int], n_cols: int, track: bool = False) -> list[int]:
-    """Insert the rows (Python ints, column c at bit c) in order into an XOR
-    basis on their first *n_cols* columns; return what is left of each row
+def _ints(packed: np.ndarray) -> tuple[int, ...]:
+    """Each line of a 2-d little-endian packbits array as one Python int."""
+    raw, step = packed.tobytes(), packed.shape[1]
+    return tuple(int.from_bytes(raw[r * step:(r + 1) * step], "little")
+                 for r in range(packed.shape[0]))
+
+
+def _unpack(rows: Sequence[int], n_cols: int) -> np.ndarray:
+    """The rows as a len(rows) x n_cols uint8 array of bits."""
+    n_bytes = -(-n_cols // 8)
+    raw = b"".join(row.to_bytes(n_bytes, "little") for row in rows)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), n_bytes)
+    return np.unpackbits(packed, axis=1, bitorder="little", count=n_cols)
+
+
+def _eliminate(rows: Sequence[int], n_cols: int, track: bool = False) -> list[int]:
+    """Insert the rows (Python ints, column c at bit c, none at or past
+    *n_cols*) in order into an XOR basis; return what is left of each row
     that depends on earlier ones.
 
-    Each row is masked once; the basis is a list indexed by leading column
-    (``bit_length``), and a row is XORed with the basis row there until
-    that slot is free or its columns are zero.  With *track*, columns
-    shift left by n_rows and row i carries the tracking bit 1 << i, so a
-    dependent row is left as a mask of rows XORing to 0.
+    The basis is a list indexed by leading column (``bit_length``), and a
+    row is XORed with the basis row there until that slot is free or its
+    columns are zero.  With *track*, columns shift left by n_rows and row i
+    carries the tracking bit 1 << i, so a dependent row is left as a mask
+    of rows XORing to 0.
     """
-    keep = (1 << n_cols) - 1
     shift = len(rows) if track else 0
     basis = [0] * (n_cols + shift + 1)
     dependent = []
     for i, row in enumerate(rows):
-        row = (row & keep) << shift | int(track) << i
+        row = row << shift | int(track) << i
         lead = row.bit_length()
         while lead > shift:
             pivot = basis[lead]

@@ -305,6 +305,20 @@ def test_witness_refuses_a_ciphertext_keyed_with_another_d():
     assert build_security_matrix(ks, Transcript((copy,), (4,))).a_matrix.n_rows == 100
 
 
+def test_mi_oracle_refuses_a_ciphertext_keyed_with_another_d():
+    # The oracle and the witness refuse the same transcripts.
+    ks = generate(SchemeSpec.parse("comb:a=3"), 4, 12, seed=12)
+    ct = amplify.encrypt(ks, amplify.ChannelCipherState(1, 2, d=1), BitString.from01("101"),
+                         seed=5)
+    tr = Transcript((ct,), (), d=3)
+    with pytest.raises(ValueError, match=r"encrypted with d = 1, not the transcript's d = 3"):
+        build_security_matrix(ks, tr)
+    with pytest.raises(ValueError, match=r"encrypted with d = 1, not the transcript's d = 3"):
+        exact_mi_oracle(ks, tr, (1, 2))
+    keyed = Transcript((ct,), (), d=1)
+    assert (exact_mi_oracle(ks, keyed, (1, 2)) == 0) == build_security_matrix(ks, keyed).full_rank
+
+
 # ---------------------------------------------------------------------------
 # exhaustive MI oracle
 

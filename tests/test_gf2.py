@@ -59,15 +59,10 @@ def test_bitstring_rejects_non_bits():
 
 @pytest.mark.parametrize("shape", [(0, 10), (3, 0), (5, 64), (5, 65), (7, 130)])
 def test_packed_words_match_reference_layout(shape):
-    # Bit k of a row sits in word k // 64 at bit k % 64.
+    # Row r is packed into one Python int, column c at bit c.
     dense = np.random.default_rng(2).integers(0, 2, size=shape, dtype=np.uint8)
     m = BitMatrix.from_dense(dense)
-    n_words = -(-shape[1] // 64)
-    for i, row in enumerate(dense):
-        value = sum(int(bit) << pos for pos, bit in enumerate(row))
-        assert [int(w) for w in m._words[i]] == [
-            (value >> (64 * w)) & (2**64 - 1) for w in range(n_words)]
-    assert m._words.shape == (shape[0], n_words)
+    assert m._rows == tuple(sum(int(bit) << c for c, bit in enumerate(row)) for row in dense)
     assert m.to_dense().shape == shape
     assert np.array_equal(m.to_dense(), dense)
 
@@ -146,18 +141,29 @@ def test_rank_invariant_under_elementary_ops():
 
 
 def test_rank_ignores_bits_past_the_last_column():
+    # A row with a bit at or past n_cols is refused where it enters, so no
+    # rank or nullspace call sees one; the constructors build none.
     rng = np.random.default_rng(13)
     for rows, cols in [(40, 70), (90, 100), (10, 5), (70, 130)]:
         dense = (rng.random((rows, cols)) < 0.3).astype(np.uint8)
         dense[1] = dense[0]
         clean = BitMatrix.from_dense(dense)
-        noise = np.zeros_like(clean._words)
-        noise[:, -1] = rng.integers(0, 2**63, size=rows, dtype=np.uint64) << np.uint64(1)
-        noise[:, -1] &= ~np.uint64((1 << cols % 64) - 1)
-        assert noise.any()
-        padded = BitMatrix(rows, cols, clean._words | noise)
-        assert padded.rank() == clean.rank() == py_rank(dense)
-        assert padded.left_nullspace_masks() == clean.left_nullspace_masks()
+        assert BitMatrix(cols, clean._rows) == clean
+        for bit in (cols, cols + 1 + int(rng.integers(100))):
+            padded = list(clean._rows)
+            padded[int(rng.integers(rows))] |= 1 << bit
+            with pytest.raises(ValueError, match="past column"):
+                BitMatrix(cols, padded)
+        with pytest.raises(ValueError, match="past column"):
+            BitMatrix(cols, [*clean._rows, -1])
+        idx = np.full((rows, int(dense.sum(axis=1).max())), cols)
+        for r, row in enumerate(dense):
+            ones = np.flatnonzero(row)
+            idx[r, :ones.size] = ones
+        scattered = BitMatrix.from_rows(idx, np.append(np.arange(cols), -1), cols)
+        assert scattered == clean
+        assert scattered.rank() == clean.rank() == py_rank(dense)
+        assert scattered.left_nullspace_masks() == clean.left_nullspace_masks()
 
 
 # ---------------------------------------------------------------------------
