@@ -129,8 +129,6 @@ class CipherText:
             raise ValueError("truncated ciphertext body")
         if len(body_raw) > n_bytes:
             raise ValueError(f"{len(body_raw) - n_bytes} bytes after the ciphertext body")
-        if n_bits % 8 and body_raw[-1] >> (n_bits % 8):
-            raise ValueError("nonzero padding bits after the ciphertext body")
         return cls(i=i, j=j, counter=counter, sampling_seed=seed,
                    body=BitString.from_bytes(body_raw, n_bits))
 

@@ -5,9 +5,9 @@ encryption and multipath planning.
 Exit codes: 0 success; 1 and 2 only as verdicts (1: `check` not
 achievable, a rank-deficient `simulate`, an infeasible `multipath`, a
 failing `paper-tables` row; 2: `check` undecided); 3 for every other
-failure, usage errors and any ValueError or OSError, decided in one
-place, the `main` group.  Without --seed or NETPAD_SEED a command draws
-a fresh seed; every run echoes its seed, so outputs replay bit-for-bit.
+failure, usage errors and any ValueError, OSError or MemoryError, all
+decided in the `main` group.  Without --seed or NETPAD_SEED a command
+draws a fresh seed; every run echoes its seed, so outputs replay bit-for-bit.
 """
 
 from __future__ import annotations
@@ -71,8 +71,8 @@ def _parse_profile(text: str, n: int) -> RateProfile:
 
 class _Netpad(click.Group):
     """Decides every exit code that is not a verdict: a click error (usage
-    errors included), a ValueError or an OSError exits 3, whether it comes
-    from parsing the group's arguments or from invoking a command."""
+    errors included), ValueError, OSError or MemoryError exits 3, whether
+    it comes from parsing the group's arguments or from invoking a command."""
 
     def parse_args(self, ctx, args):
         return self._exit_3(super().parse_args, ctx, args)
@@ -87,8 +87,8 @@ class _Netpad(click.Group):
         except click.ClickException as exc:
             exc.exit_code = EXIT_ERROR
             raise
-        except (ValueError, OSError) as exc:
-            error = click.ClickException(str(exc))
+        except (ValueError, OSError, MemoryError) as exc:
+            error = click.ClickException(str(exc) or type(exc).__name__)
             error.exit_code = EXIT_ERROR
             raise error from exc
 

@@ -56,9 +56,10 @@ class BitString:
 
     @classmethod
     def from_bytes(cls, raw: bytes, length: int | None = None) -> "BitString":
-        """The first length bits of raw (all by default), read as to_bytes writes them."""
-        return cls(np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little",
-                                 count=length))
+        """The first length bits of raw (all by default), zero-padded as to_bytes writes them."""
+        if length is not None and int.from_bytes(raw[length // 8:], "little") >> length % 8:
+            raise ValueError(f"nonzero padding bits after the first {length} bits")
+        return cls(np.unpackbits(np.frombuffer(raw, np.uint8), bitorder="little", count=length))
 
     def to_bytes(self) -> bytes:
         """The bits packed little-endian within bytes, the last byte zero-padded."""

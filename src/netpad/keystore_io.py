@@ -35,17 +35,17 @@ the file can re-seal it.  Then they raise ValueError (CLI exit 3) on a
 pool source other than 0, group node ids not strictly ascending in
 1..n, a repeated node set, a group with no pool index, a pool index
 >= u, repeated in a group or in two groups, a view node outside 1..n or
-missing from one of its groups, slots repeated or outside 1..l, and
-trailing bytes.  A full store's header must agree with its file (u with
-the scheme's pool size, n with the nodes its groups name) before the
-groups in each random part's pool range are checked against its slot
-table, drawn again from the seed.  The check compares holdings, not
-groups: a range x n boolean table of each index's holders, read from the
-file's groups, must equal ``random_holders``, the table's.  Since no
-node set repeats and no index lies in two groups, equal holdings mean
-equal groups.  It costs O(range * n) bytes and one slot draw.  A node
-view stores seed 0: the pool is drawn from the seed, so a view that
-carried it would give one hacked node every node's bits.
+missing from one of its groups, slots repeated or outside 1..l, a set
+padding bit, and trailing bytes.  A full store's header must agree with
+its file (u with the scheme's pool size, n with the nodes its groups
+name) before the groups in each random part's pool range are checked
+against its slot table, drawn again from the seed, by holdings: the
+range's indices, their holder counts and all their holders, read from
+the file's groups, must equal ``random_holdings``, the table's.  Since
+no node set repeats and no index lies in two groups, equal holdings mean
+equal groups.  The check costs O(n * l) time and memory.  A node view
+stores seed 0: the pool is drawn from the seed, so a view that carried
+it would give one hacked node every node's bits.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ import numpy as np
 
 from .gf2 import RNG_ALGORITHM, BitString
 from .predistribution import (GroupIndex, KeyStore, SchemeSpec, check_widths, first_copies,
-                              pool_index_array, pool_size, random_holders)
+                              pool_index_array, pool_size, random_holdings)
 
 MAGIC = b"NPKS"
 VERSION = 4
@@ -308,10 +308,9 @@ def load(path) -> KeyStore:
     rd = _open(path, 0)
     n, l, u, scheme, seed = _read_header(rd)
     index = _read_groups(rd, n, u)
-    # Checking a random part against its slot table costs O(u*n) bytes and
-    # a draw of n*l slots, so first check u against the header and n against
-    # the nodes the file lists (every node of a store with bits holds some):
-    # the cost is then bounded by the file.
+    # A random part's check draws and sorts n*l slots, so first check u
+    # against the header and n against the nodes the file lists (every node
+    # of a store with bits holds some): the cost is then bounded by the file.
     named = np.sort(index.set_nodes)
     if u and np.count_nonzero(named[1:] != named[:-1]) + (named.size > 0) != n:
         raise ValueError(f"keystore lists bits for fewer than its {n} nodes")
@@ -324,12 +323,15 @@ def load(path) -> KeyStore:
     for _, _, _, start, part_u, perm in ks.parts:
         if perm is None:
             continue
-        member = np.zeros((index.count, n), dtype=bool)  # row g: group g's node set
-        member[index.set_of, index.set_nodes - 1] = True
+        held, counts, holders = random_holdings(perm)
+        ends = np.cumsum(index.set_sizes)  # each set's end in set_nodes
         lo, hi = np.searchsorted(index.indices, [start, start + part_u])
-        holds = np.zeros((part_u, n), dtype=bool)  # row k: the file's holders of start + k
-        holds[index.indices[lo:hi] - start] = member[index.group_ids[lo:hi]]
-        if not np.array_equal(holds, random_holders(perm)):
+        sets = index.group_ids[lo:hi]  # the record of each of the range's bits
+        # Only once the counts agree, gather the file's holders: n*l nodes.
+        if not (np.array_equal(index.indices[lo:hi] - start, held)
+                and np.array_equal(index.set_sizes[sets], counts)
+                and np.array_equal(index.set_nodes[np.arange(holders.size) + np.repeat(
+                    ends[sets] - np.cumsum(counts), counts)], holders)):
             raise ValueError("random keystore's groups do not follow its permutation, the "
                              "slot table drawn from its seed: the file may come from another "
                              "numpy release")

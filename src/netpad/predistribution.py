@@ -447,22 +447,21 @@ def pool_size(spec: SchemeSpec, n: int, l: int) -> int:
     return sum(part.u for part in parts(spec, n, l, 0))
 
 
-def random_holders(perm: PermutationFamily) -> np.ndarray:
-    """Row k: which nodes hold bit k of the random scheme, the bits in
-    their rows of the slot table."""
-    holds = np.zeros((perm.u, perm.n), dtype=bool)
-    holds[perm.table, np.arange(perm.n)[:, None]] = True
-    return holds
+def random_holdings(perm: PermutationFamily) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each held bit of the random scheme (ascending), its holder count and
+    every held bit's holders (1-based, ascending within a bit), flat: one sort of
+    the n*l keys bit*n + node - 1, which fit 64 bits as u <= 2^32, n < 2^32."""
+    keys = perm.table.astype(np.uint64) * perm.n + np.arange(perm.n, dtype=np.uint64)[:, None]
+    bits, nodes = np.divmod(np.sort(keys.ravel()), perm.n)
+    starts = np.flatnonzero(np.diff(bits, prepend=~bits[:1]))  # each held bit's first key
+    return (bits[starts].astype(np.int64), np.diff(np.append(starts, bits.size)),
+            nodes.astype(np.int64) + 1)
 
 
 def random_groups(perm: PermutationFamily) -> GroupIndex:
-    """The random scheme's groups: each nonempty holder set of a bit is a
-    group, in order of first index.  A loaded store is checked against
-    random_holders (u*n bytes), not against these."""
-    bits, nodes = np.nonzero(random_holders(perm))  # each held bit's holders, ascending
-    counts = np.bincount(bits, minlength=perm.u)
-    held = np.flatnonzero(counts)  # a bit no node holds is in no group
-    return _merged(counts[held], nodes + 1, held, np.arange(held.size))
+    """The random scheme's groups: each bit's nonempty holder set, in order of first index."""
+    held, counts, holders = random_holdings(perm)
+    return _merged(counts, holders, held, np.arange(held.size))
 
 
 def random_regular_groups(n: int, a: int, m: int, seed):

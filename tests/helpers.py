@@ -1,10 +1,11 @@
 """Independent oracles used across the test suite.
 
 Everything here is deliberately naive and shares no code with the
-library: pure-Python elimination, a per-index slot map, the NPKS
-seal, tuple predicates for group membership, pool scans over per-node storage locations, brute-force
-graph/subset enumeration, the key sampler's earlier int64 loop and the
-group-flow checker's earlier Fraction arithmetic.
+library: pure-Python elimination, a per-index slot map, the random
+scheme's dense u x n holdings table, the NPKS seal, tuple predicates for
+group membership, pool scans over per-node storage locations,
+brute-force graph/subset enumeration, the key sampler's earlier int64
+loop and the group-flow checker's earlier Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -81,6 +82,20 @@ def reseal(raw: bytes) -> bytes:
     """An NPKS file's bytes with its trailing 32-byte sha256 seal
     recomputed, so that an edited field reaches the loader's own check."""
     return raw[:-32] + hashlib.sha256(raw[:-32]).digest()
+
+
+def dense_random_holdings(table: np.ndarray, u: int):
+    """The random scheme's holdings as first built, from a u x n boolean
+    table whose row k marks the nodes whose slot-table rows hold pool
+    index k: each held index (ascending), its holder count and every held
+    index's holders (1-based, ascending within an index), flat."""
+    n = table.shape[0]
+    holds = np.zeros((u, n), dtype=bool)
+    holds[table, np.arange(n)[:, None]] = True
+    bits, nodes = np.nonzero(holds)
+    counts = np.bincount(bits, minlength=u)
+    held = np.flatnonzero(counts)
+    return held, counts[held], nodes + 1
 
 
 def holding_oracle(node_sets, nodes) -> list[bool]:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from netpad import keystore_io
+from netpad import keystore_io, predistribution
 from netpad.cli import main
 from netpad.multipath import Topology
 from netpad.secure_check import RateProfile
@@ -522,6 +522,24 @@ PEAK_MB = {
     "keygen --scheme random:p=1/1000000000000 --n 4 --l 6 --out {refused_out}": 4,
     "keygen --scheme comb:a=2 --n 4 --l 4294967296 --out {refused_out}": 4,
 }
+
+
+@pytest.mark.parametrize("error,message", [
+    (MemoryError("Unable to allocate 4.47 GiB for an array with shape (600000000, 4)"),
+     "Unable to allocate 4.47 GiB"),
+    (MemoryError(), "MemoryError"),
+])
+def test_out_of_memory_exits_3(error, message, tmp_path, monkeypatch):
+    # Exit 1 is a verdict ("not achievable"), so running out of memory
+    # must not escape as a traceback with exit 1.
+    def allocate(perm):
+        raise error
+    monkeypatch.setattr(predistribution, "random_holdings", allocate)
+    out = tmp_path / "ks.npks"
+    res = run("keygen", "--scheme", "random:p=1/2", "--n", "4", "--l", "6", "--out", str(out))
+    assert res.exit_code == 3, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert f"Error: {message}" in res.output and not out.exists()
 
 
 def test_encrypt_refuses_more_key_bits_than_the_channel_shares(files, tmp_path):

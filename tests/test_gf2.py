@@ -560,3 +560,16 @@ def test_bitstring_bytes_roundtrip():
     assert raw == bytes([0b00001101, 0b00000011])  # little-endian within bytes
     assert BitString.from_bytes(raw, 10) == bits
     assert len(BitString.from_bytes(raw)) == 16
+
+
+@pytest.mark.parametrize("raw,length", [
+    (bytes([0b00001101, 0b00000111]), 10),  # bit 10 set
+    (bytes([0b00001101, 0b10000011]), 10),  # bit 15 set
+    (bytes([0b00001101, 0b00000001]), 8),  # a whole byte past the bits
+    (bytes([0b00001101, 0b00000000, 0b01000000]), 10),
+])
+def test_bitstring_from_bytes_refuses_set_padding(raw, length):
+    with pytest.raises(ValueError, match="padding"):
+        BitString.from_bytes(raw, length)
+    cleared = BitString.from_bytes(raw)[:length]  # the same bits, padding cleared
+    assert BitString.from_bytes(cleared.to_bytes(), length) == cleared

@@ -621,6 +621,90 @@ def test_every_move_within_a_random_range_is_refused(text, tmp_path):
     assert moves > 0 and (emptied > 0) == (part.start > 0)
 
 
+@pytest.mark.parametrize("text", ["random:p=1/2", "hybrid:lambda=1/2,(comb:a=3),(random:p=1/2)"])
+def test_every_holder_swap_within_a_random_range_is_refused(text, tmp_path):
+    # Each node id of a record holding random bits, changed to any node
+    # that keeps the set ascending and new: every holder count stays, so
+    # only the holders themselves differ from the slot table's.
+    ks = generate(SchemeSpec.parse(text), 4, 12, seed=9)
+    (part,) = [part for part in ks.parts if part.perm]
+    index, path = ks.index, tmp_path / "swapped.npks"
+    in_part = (index.indices >= part.start) & (index.indices < part.start + part.u)
+    sets = set(index.groups())
+    ends = np.cumsum(index.set_sizes)
+    swaps = 0
+    for record in np.unique(index.group_ids[in_part]):
+        for at in range(ends[record] - index.set_sizes[record], ends[record]):
+            for node in range(1, 5):
+                set_nodes = index.set_nodes.copy()
+                set_nodes[at] = node
+                nodes = tuple(set_nodes[ends[record] - index.set_sizes[record]:ends[record]])
+                if list(nodes) != sorted(set(nodes)) or nodes in sets:
+                    continue
+                keystore_io.save(dataclasses.replace(
+                    ks, index=dataclasses.replace(index, set_nodes=set_nodes)), path)
+                with pytest.raises(ValueError) as refused:
+                    keystore_io.load(path)
+                assert str(refused.value) == REFUSAL
+                swaps += 1
+    assert swaps > 0
+
+
+def test_every_unheld_index_in_a_random_range_is_refused(tmp_path):
+    # At p = 1/8 about 59% of this pool lies in no group.  Held indices
+    # replaced by unheld ones, the groups re-sorted, are each refused.
+    ks = generate(SchemeSpec.parse("random:p=1/8"), 4, 20, seed=5)
+    index, path = ks.index, tmp_path / "unheld.npks"
+    unheld = np.setdiff1d(np.arange(ks.u), index.indices)
+    for at in range(0, index.indices.size, 7):
+        for value in unheld[::11]:
+            indices = index.indices.copy()
+            indices[at] = value
+            order = np.argsort(indices)
+            keystore_io.save(dataclasses.replace(ks, index=dataclasses.replace(
+                index, indices=indices[order], group_ids=index.group_ids[order])), path)
+            with pytest.raises(ValueError) as refused:
+                keystore_io.load(path)
+            assert str(refused.value) == REFUSAL
+
+
+def test_random_store_memory_is_bounded_by_n_times_l(tmp_path):
+    # u = 6,000,000 pool bits, 96 of them held: generate and load each
+    # peak below 4 bytes per pool bit (the pool itself takes one byte per
+    # bit, unpacked), where a u x n holders table takes n = 16.
+    def traced(step):
+        tracemalloc.start()
+        try:
+            return step(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    path = tmp_path / "sparse.npks"
+    ks, generated = traced(lambda: generate(SchemeSpec.parse("random:p=1/1000000"), 16, 6, seed=3))
+    keystore_io.save(ks, path)
+    loaded, load_peak = traced(lambda: keystore_io.load(path))
+    assert ks.u == loaded.u == 6_000_000 and ks.index.indices.size <= 96
+    assert generated < 4 * ks.u and load_peak < 4 * ks.u, (generated, load_peak)
+
+
+@pytest.mark.parametrize("as_view", [False, True])
+def test_loaders_refuse_set_padding_bits(as_view, tmp_path):
+    # comb:a=3 n=4 l=3: u = 4 pool bits, and node 1 holds 3 of them, so
+    # the last byte before the seal has unused high bits in either file.
+    ks = generate(SchemeSpec.parse("comb:a=3"), 4, 3, seed=3)
+    path = tmp_path / "padded.npks"
+    if as_view:
+        keystore_io.save_node_view(ks, 1, path)
+    else:
+        keystore_io.save(ks, path)
+    loader = keystore_io.load_node_view if as_view else keystore_io.load
+    raw = path.read_bytes()
+    assert ks.u == 4 and len(ks.node_bits(1)) == 3 and raw[-33] < 0x10
+    path.write_bytes(reseal(raw[:-33] + bytes([raw[-33] | 0x80]) + raw[-32:]))
+    with pytest.raises(ValueError, match="padding"):
+        loader(path)
+
+
 def test_random_store_with_bits_no_node_holds_loads(tmp_path):
     # At p = 1/8 and n = 4 a bit is held by no node with probability
     # (7/8)^4, so about 59% of the pool lies in no group.

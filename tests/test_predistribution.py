@@ -15,10 +15,11 @@ from netpad.predistribution import (
     first_copies,
     generate,
     pool_size,
+    random_holdings,
     random_regular_groups,
 )
 
-from helpers import holders_by_index, pair_index_sets, union_size_oracle
+from helpers import dense_random_holdings, holders_by_index, pair_index_sets, union_size_oracle
 
 GRID = [
     ("pairwise", 4, 9),
@@ -211,6 +212,63 @@ def test_random_parts_keep_one_slot_table(text, tmp_path):
     loaded = keystore_io.load(tmp_path / "ks.npks")
     for node in range(1, 5):
         assert all(map(np.array_equal, loaded.slots(node), ks.slots(node)))
+
+
+# Random and hybrid stores, from p = 1 (every node holds every bit) to
+# p = 1/1000 (most bits held by one node or none), up to n = 32.
+HOLDINGS = [
+    ("random:p=1", 4, 6),
+    ("random:p=1", 32, 5),
+    ("random:p=1/3", 5, 12),
+    ("random:p=1/3", 32, 20),
+    ("random:p=1/1000", 8, 6),
+    ("random:p=1/1000", 32, 10),
+    ("hybrid:lambda=1/2,(comb:a=3),(random:p=1/3)", 6, 24),
+    ("hybrid:lambda=1/3,(random:p=1/1000),(pairwise)", 16, 30),
+    ("hybrid:lambda=1/2,(random:p=1),(random:p=1/3)", 8, 12),
+]
+
+
+@pytest.mark.parametrize("text,n,l", HOLDINGS)
+def test_random_holdings_match_the_dense_table(text, n, l):
+    ks = generate(SchemeSpec.parse(text), n, l, seed=12)
+    perms = [part.perm for part in ks.parts if part.perm]
+    assert perms
+    for perm in perms:
+        found, dense = random_holdings(perm), dense_random_holdings(perm.table, perm.u)
+        assert all(a.dtype == np.int64 and np.array_equal(a, b) for a, b in zip(found, dense))
+        if perm.u == perm.l:  # p = 1: one group of every node holds every bit
+            held, counts, holders = found
+            assert held.tolist() == list(range(perm.u)) and counts.tolist() == [n] * perm.u
+            assert holders.tolist() == list(range(1, n + 1)) * perm.u
+
+
+@pytest.mark.parametrize("text,n,l", HOLDINGS)
+def test_random_groups_match_the_dense_table(text, n, l, monkeypatch):
+    # Keygen with random_groups built from the dense table gives a store
+    # whose index arrays equal the sorted holdings' exactly.
+    spec = SchemeSpec.parse(text)
+    ks = generate(spec, n, l, seed=12)
+
+    def dense_groups(perm):
+        held, counts, holders = dense_random_holdings(perm.table, perm.u)
+        return predistribution._merged(counts, holders, held, np.arange(held.size))
+    monkeypatch.setattr(predistribution, "random_groups", dense_groups)
+    dense = generate(spec, n, l, seed=12).index
+    for field in ("set_sizes", "set_nodes", "indices", "group_ids"):
+        assert np.array_equal(getattr(ks.index, field), getattr(dense, field)), field
+        assert getattr(ks.index, field).dtype == getattr(dense, field).dtype
+
+
+def test_random_holdings_keys_fit_64_bits():
+    # bit * n + node - 1 near u = 2^32 and n = 2^21 + 3: the keys pass 2^53,
+    # where a float64 key would round odd keys away.  Node i holds bit
+    # 2^32 - i alone.
+    n = 2**21 + 3
+    perm = type("Perm", (), {"n": n, "table": 2**32 - np.arange(1, n + 1)[:, None]})
+    held, counts, holders = random_holdings(perm)
+    assert np.array_equal(held, 2**32 - np.arange(n, 0, -1))
+    assert np.all(counts == 1) and np.array_equal(holders, np.arange(n, 0, -1))
 
 
 @pytest.mark.parametrize("text", ["random:p=1/2", "sampled:a=3,m=4",
