@@ -5,7 +5,8 @@ tiny scale, and run Monte Carlo rank experiments.
 
 ``netpad simulate`` and the full-rank and cross-independence experiments
 take the endpoint path: ``profile_transcript`` encrypts with
-``amplify.encrypt``, and the witness reads the rows it drew back.
+``amplify.encrypt``, and the witness reads the rows it drew back.  Each
+message is certified with the d its ciphertext records.
 
 Certification is deterministic rank arithmetic; the enumeration oracle
 exists only to validate the rank criterion itself and never shares code
@@ -44,7 +45,6 @@ class Transcript:
 
     ciphertexts: tuple[CipherText, ...]
     hacked: tuple[int, ...]
-    d: int = DEFAULT_WEIGHT
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ def profile_transcript(ks: KeyStore, profile: RateProfile, hacked, d: int,
         if m_bits and i not in hacked and j not in hacked:
             cts.append(encrypt(ks, ChannelCipherState(i, j, d=d),
                                BitString.random(m_bits, rng), seed=[seed, i, j]))
-    return Transcript(ciphertexts=tuple(cts), hacked=hacked, d=d)
+    return Transcript(ciphertexts=tuple(cts), hacked=hacked)
 
 
 def _unhacked_columns(ks: KeyStore, hacked) -> tuple[np.ndarray, int]:
@@ -80,13 +80,9 @@ def _unhacked_columns(ks: KeyStore, hacked) -> tuple[np.ndarray, int]:
 
 
 def _check_message(ct: CipherText, tr: Transcript) -> None:
-    """Refuse a message on a hacked channel, or one that encrypt keyed with
-    a d other than the transcript's."""
+    """Refuse a message on a hacked channel."""
     if ct.i in tr.hacked or ct.j in tr.hacked:
         raise ValueError(f"ciphertext on hacked channel ({ct.i},{ct.j})")
-    if ct._d not in (None, tr.d):
-        raise ValueError(f"ciphertext on ({ct.i},{ct.j}) was encrypted with d = {ct._d}, "
-                         f"not the transcript's d = {tr.d}")
 
 
 def _message_blocks(ks: KeyStore, tr: Transcript) -> tuple[list[BitMatrix], int]:
@@ -98,7 +94,7 @@ def _message_blocks(ks: KeyStore, tr: Transcript) -> tuple[list[BitMatrix], int]
     for ct in tr.ciphertexts:
         _check_message(ct, tr)
         columns = col_of[ks.common_indices(ct.i, ct.j)]
-        blocks.append(BitMatrix.from_rows(ct.rows(columns.size, tr.d), columns, n_cols))
+        blocks.append(BitMatrix.from_rows(ct.rows(columns.size), columns, n_cols))
     return blocks, n_cols
 
 
@@ -115,10 +111,10 @@ def build_security_matrix(ks: KeyStore, tr: Transcript) -> SecrecyWitness:
 # exhaustive mutual-information oracle (tiny pools only)
 
 
-def _row_masks(ks: KeyStore, ct: CipherText, d: int) -> list[int]:
+def _row_masks(ks: KeyStore, ct: CipherText) -> list[int]:
     """Each key bit of a ciphertext as a bitmask over the full pool."""
     common = ks.common_bits(ct.i, ct.j)
-    dense = sampling_matrix(len(ct.body), len(common), d, ct.sampling_seed).to_dense()
+    dense = sampling_matrix(len(ct.body), len(common), ct.d, ct.sampling_seed).to_dense()
     return [sum(1 << common[pos] for pos in np.nonzero(row)[0]) for row in dense]
 
 
@@ -150,7 +146,7 @@ def exact_mi_oracle(ks: KeyStore, tr: Transcript, channel) -> float:
     other_masks: list[int] = []
     for ct in tr.ciphertexts:
         _check_message(ct, tr)
-        masks = _row_masks(ks, ct, tr.d)
+        masks = _row_masks(ks, ct)
         if (ct.i, ct.j) == (i, j):
             target_masks.extend(masks)
         else:

@@ -7,12 +7,12 @@ rests on the pool bits, not on the sampler.  Both endpoints and the
 auditor draw the d positions of every key bit from one sampler,
 ``gf2.sample_indices``, in O(m*d) time and memory for m key bits: the
 endpoints XOR the pool bits at those positions, and an auditor rebuilds
-the same rows as a sampling matrix, bit-for-bit.  An in-memory
+the same rows as a sampling matrix, bit-for-bit, with the d that the
+``CipherText`` records (NPCT version 2 holds only d = 128).  An in-memory
 ``CipherText`` keeps the rows of its key (``CipherText.rows``), so each
 message is drawn once: ``encrypt`` stores the rows it gathered and the
-auditor reads them back.  A ciphertext decoded from bytes, or a
-``dataclasses.replace`` copy, starts without rows and draws them again
-from its header.
+auditor reads them back.  A decoded or ``dataclasses.replace`` copy
+starts without rows and draws them again from its header and d.
 
 The endpoints read the values of u_ij by one group mask
 (``common_values``), with no Python list of pool indices.
@@ -80,27 +80,29 @@ class CipherText:
     counter: int
     sampling_seed: bytes  # 16 bytes, public
     body: BitString
-    # Not part of the message: (sampler arguments, rows) of the last rows()
-    # call, and the d of encrypt's key.
-    _rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _d: int | None = field(default=None, init=False, repr=False, compare=False)
+    d: int = DEFAULT_WEIGHT  # the sampling weight of the key
+    # Not part of the message: (n_common, rows) of the last rows() call.
+    _kept: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def rows(self, n_common: int, d: int) -> np.ndarray:
+    def rows(self, n_common: int) -> np.ndarray:
         """Row r holds the d positions in u_ij that key bit r XORs, as
         sample_indices draws them from this header for |u_ij| = n_common:
         read-only, in the narrowest unsigned dtype that holds them.  Drawn
-        on first use and kept for the same sampler arguments."""
-        args = (len(self.body), n_common, d, self.sampling_seed)
-        if self._rows is None or self._rows[0] != args:
-            self._keep(args, sample_indices(*args[:3], seed_to_int(self.sampling_seed)))
-        return self._rows[1]
+        on first use and kept for the same n_common."""
+        if self._kept is None or self._kept[0] != n_common:
+            self._keep(n_common, sample_indices(len(self.body), n_common, self.d,
+                                                seed_to_int(self.sampling_seed)))
+        return self._kept[1]
 
-    def _keep(self, args: tuple, idx: np.ndarray) -> None:
-        rows = idx.astype(np.min_scalar_type(max(args[1] - 1, 0)))
+    def _keep(self, n_common: int, idx: np.ndarray) -> None:
+        rows = idx.astype(np.min_scalar_type(max(n_common - 1, 0)))
         rows.setflags(write=False)
-        object.__setattr__(self, "_rows", (args, rows))
+        object.__setattr__(self, "_kept", (n_common, rows))
 
     def to_bytes(self) -> bytes:
+        if self.d != DEFAULT_WEIGHT:
+            raise ValueError(f"NPCT version {VERSION} holds only d = {DEFAULT_WEIGHT} "
+                             f"ciphertexts, not d = {self.d}")
         if not (0 <= self.i < 2**32 and 0 <= self.j < 2**32 and 0 <= self.counter < 2**64):
             raise ValueError(f"NPCT holds node ids below 2^32 and counters below 2^64, "
                              f"not ({self.i},{self.j}) counter {self.counter}")
@@ -147,12 +149,12 @@ def sampling_matrix(n_key_bits: int, n_common: int, d: int,
                                       seed_to_int(sampling_seed))
 
 
-def _shared_bits(ks, state: ChannelCipherState) -> np.ndarray:
+def _shared_bits(ks, i: int, j: int, d: int) -> np.ndarray:
     """The values of u_ij, the pool bits both endpoints hold; at least d."""
-    common = ks.common_values(state.i, state.j)
-    if state.d > len(common):
-        raise ShortChannelError(f"channel ({state.i},{state.j}) has |u_ij| = {len(common)} "
-                                f"common bits, fewer than the sampling weight d = {state.d}")
+    common = ks.common_values(i, j)
+    if d > len(common):
+        raise ShortChannelError(f"channel ({i},{j}) has |u_ij| = {len(common)} "
+                                f"common bits, fewer than the sampling weight d = {d}")
     return common
 
 
@@ -170,7 +172,7 @@ def derive_key(ks, state: ChannelCipherState, n_bits: int,
     Deterministic: both endpoints derive identical keys from the same
     keystore views and header.
     """
-    common = _shared_bits(ks, state)
+    common = _shared_bits(ks, *state.pair, state.d)
     return _key(common, sample_indices(n_bits, len(common), state.d,
                                        seed_to_int(sampling_seed)))
 
@@ -184,7 +186,7 @@ def encrypt(ks, state: ChannelCipherState, plaintext: BitString, seed) -> Cipher
     """One-time pad plaintext with a fresh key; the channel's key bits over
     all its messages may not exceed |u_ij|, the secret bits its endpoints
     share."""
-    common = _shared_bits(ks, state)
+    common = _shared_bits(ks, *state.pair, state.d)
     if state.consumed + len(plaintext) > len(common):
         raise BudgetError(
             f"channel {state.pair} would consume {state.consumed + len(plaintext)} "
@@ -192,23 +194,22 @@ def encrypt(ks, state: ChannelCipherState, plaintext: BitString, seed) -> Cipher
         )
     counter = state.counter + 1
     sampling_seed = _derive_sampling_seed(seed, counter)
-    args = (len(plaintext), len(common), state.d, sampling_seed)
-    idx = sample_indices(*args[:3], seed_to_int(sampling_seed))
-    ct = CipherText(i=state.i, j=state.j, counter=counter,
-                    sampling_seed=sampling_seed, body=plaintext ^ _key(common, idx))
-    ct._keep(args, idx)
-    object.__setattr__(ct, "_d", state.d)
+    idx = sample_indices(len(plaintext), len(common), state.d, seed_to_int(sampling_seed))
+    ct = CipherText(i=state.i, j=state.j, counter=counter, sampling_seed=sampling_seed,
+                    body=plaintext ^ _key(common, idx), d=state.d)
+    ct._keep(len(common), idx)
     state.counter = counter
     state.consumed += len(plaintext)
     return ct
 
 
 def decrypt(ks, state: ChannelCipherState, ct: CipherText) -> BitString:
+    """ct's plaintext, keyed with ct.d; state checks the channel and replays."""
     if (ct.i, ct.j) != state.pair:
         raise ValueError(f"ciphertext for channel ({ct.i},{ct.j}), state is {state.pair}")
     if ct.counter in state.seen_counters:
         raise ReplayError(f"counter {ct.counter} already seen on channel {state.pair}")
-    common = _shared_bits(ks, state)
-    key = _key(common, ct.rows(len(common), state.d))
+    common = _shared_bits(ks, ct.i, ct.j, ct.d)
+    key = _key(common, ct.rows(len(common)))
     state.seen_counters.add(ct.counter)
     return ct.body ^ key

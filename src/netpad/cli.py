@@ -316,15 +316,14 @@ def experiment(name, r, ratio, mode, scheme_text, n, t, profile_text, l_values,
 @click.option("--peer", type=int, required=True)
 @click.option("--in", "in_path", type=click.Path(), required=True)
 @click.option("--out", type=click.Path(), required=True)
-@click.option("--d", type=click.IntRange(1), default=amplify.DEFAULT_WEIGHT)
 @click.option("--counter", type=click.IntRange(1, 2**64 - 1), default=1)
 @seed_option
-def encrypt_cmd(store_path, peer, in_path, out, d, counter, seed):
+def encrypt_cmd(store_path, peer, in_path, out, counter, seed):
     """One-time-pad encrypt a file to a peer node (magic NPCT)."""
     seed = _resolve_seed(seed)
     view = keystore_io.load_node_view(store_path)
     plaintext = BitString.from_bytes(Path(in_path).read_bytes())
-    state = amplify.ChannelCipherState(view.node, peer, d=d, counter=counter - 1)
+    state = amplify.ChannelCipherState(view.node, peer, counter=counter - 1)
     ct = amplify.encrypt(view, state, plaintext, seed=seed)
     Path(out).write_bytes(ct.to_bytes())
     click.echo(f"wrote {out}: channel {state.pair} counter={ct.counter} "
@@ -335,13 +334,11 @@ def encrypt_cmd(store_path, peer, in_path, out, d, counter, seed):
 @click.option("--keystore", "store_path", type=click.Path(), required=True)
 @click.option("--in", "in_path", type=click.Path(), required=True)
 @click.option("--out", type=click.Path(), required=True)
-@click.option("--d", type=click.IntRange(1), default=amplify.DEFAULT_WEIGHT)
-def decrypt_cmd(store_path, in_path, out, d):
+def decrypt_cmd(store_path, in_path, out):
     """Decrypt an NPCT ciphertext file."""
     view = keystore_io.load_node_view(store_path)
     ct = amplify.CipherText.from_bytes(Path(in_path).read_bytes())
-    state = amplify.ChannelCipherState(ct.i, ct.j, d=d)
-    plaintext = amplify.decrypt(view, state, ct)
+    plaintext = amplify.decrypt(view, amplify.ChannelCipherState(ct.i, ct.j), ct)
     Path(out).write_bytes(plaintext.to_bytes())
     click.echo(f"wrote {out}: {len(plaintext)} bits from channel ({ct.i},{ct.j})")
 

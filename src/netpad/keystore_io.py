@@ -59,8 +59,8 @@ from pathlib import Path
 import numpy as np
 
 from .gf2 import RNG_ALGORITHM, BitString
-from .predistribution import (GroupIndex, KeyStore, SchemeSpec, check_widths, first_copies,
-                              pool_index_array, pool_size, random_holdings)
+from .predistribution import (GroupIndex, KeyStore, SchemeSpec, check_channel, check_widths,
+                              first_copies, pool_index_array, pool_size, random_holdings)
 
 MAGIC = b"NPKS"
 VERSION = 4
@@ -243,6 +243,7 @@ class NodeView:
         return dict(zip(self.held.tolist(), self.held_bits.tolist()))
 
     def _common(self, i: int, j: int) -> np.ndarray:
+        check_channel(self.n, i, j)
         if self.node not in (i, j):
             raise ValueError(f"node view {self.node} is not an endpoint of ({i},{j})")
         return self.index.holding(i, j)[self.index.group_ids]

@@ -144,6 +144,15 @@ def pool_index_array(indices, u: int) -> np.ndarray:
     return idx.astype(np.int64, copy=False)
 
 
+def check_channel(n: int, i: int, j: int) -> None:
+    """Refuse a channel (i, j) unless i and j are two distinct nodes of 1..n."""
+    for node in (i, j):
+        if not 1 <= node <= n:
+            raise ValueError(f"node {node} outside 1..{n}")
+    if i == j:
+        raise ValueError(f"a channel needs two distinct endpoints, not ({i},{j})")
+
+
 def _mixed(ids: np.ndarray) -> np.ndarray:
     """Each id times an odd 64-bit constant, folded by one xorshift, as
     uint64 lanes that wrap."""
@@ -277,10 +286,7 @@ class KeyStore:
 
     def common_indices(self, i: int, j: int) -> np.ndarray:
         """Pool indices held by both i and j, ascending, read by one group mask."""
-        self._check_node(i)
-        self._check_node(j)
-        if i == j:
-            raise ValueError("common_bits needs two distinct nodes")
+        check_channel(self.n, i, j)
         return self.index.indices_of(self.index.holding(i, j))
 
     def common_bits(self, i: int, j: int) -> list[int]:
@@ -307,14 +313,11 @@ class KeyStore:
     def unhacked_common_indices(self, channels, hacked) -> list[int]:
         """Pool indices in the union of u_ij over channels, minus u_h."""
         hacked = set(hacked)
-        channels = [tuple(sorted(c)) for c in channels]
-        for i, j in channels:
-            self._check_node(i)
-            self._check_node(j)
+        chosen = np.zeros(self.index.count, dtype=bool)
+        for i, j in map(sorted, channels):
+            check_channel(self.n, i, j)
             if i in hacked or j in hacked:
                 raise ValueError(f"channel ({i},{j}) touches a hacked node")
-        chosen = np.zeros(self.index.count, dtype=bool)
-        for i, j in channels:
             chosen |= self.index.holding(i, j)
         return self.index.indices_of(chosen & ~self.index.touching(hacked)).tolist()
 

@@ -221,8 +221,8 @@ def test_criterion_05_rank_witness_validity(capsys):
                             key = amplify.derive_key(ks, state, m_bits, sampling_seed)
                             cts.append(amplify.CipherText(
                                 i=state.i, j=state.j, counter=1,
-                                sampling_seed=sampling_seed, body=msg ^ key))
-                        tr = Transcript(ciphertexts=tuple(cts), hacked=hacked, d=d)
+                                sampling_seed=sampling_seed, body=msg ^ key, d=d))
+                        tr = Transcript(ciphertexts=tuple(cts), hacked=hacked)
                         mi = max(exact_mi_oracle(ks, tr, (ct.i, ct.j))
                                  for ct in cts)
                         full = build_security_matrix(ks, tr).full_rank

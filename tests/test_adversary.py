@@ -1,6 +1,8 @@
+import dataclasses
 import hashlib
 import itertools
 import math
+import struct
 import sys
 from fractions import Fraction
 
@@ -39,14 +41,14 @@ def first_ciphertext(ks, channel, d, plaintext, seed):
     sampling_seed = amplify._derive_sampling_seed(seed, 1)
     key = amplify.derive_key(ks, state, len(plaintext), sampling_seed)
     return amplify.CipherText(i=state.i, j=state.j, counter=1,
-                              sampling_seed=sampling_seed, body=plaintext ^ key)
+                              sampling_seed=sampling_seed, body=plaintext ^ key, d=d)
 
 
 def make_transcript(ks, channels, m_bits, d, hacked=(), seed=0):
     rng = np.random.default_rng(seed)
     cts = tuple(first_ciphertext(ks, ch, d, BitString.random(m_bits, rng), [seed, *ch])
                 for ch in channels)
-    return Transcript(ciphertexts=cts, hacked=tuple(hacked), d=d)
+    return Transcript(ciphertexts=cts, hacked=tuple(hacked))
 
 
 def dense_security_matrix(ks, tr) -> np.ndarray:
@@ -58,7 +60,7 @@ def dense_security_matrix(ks, tr) -> np.ndarray:
     blocks = [np.zeros((0, len(unhacked)), dtype=np.uint8)]
     for ct in tr.ciphertexts:
         common = [k for k in range(ks.u) if {ct.i, ct.j} <= holders[k]]
-        local = amplify.sampling_matrix(len(ct.body), len(common), tr.d,
+        local = amplify.sampling_matrix(len(ct.body), len(common), ct.d,
                                         ct.sampling_seed).to_dense()
         block = np.zeros((local.shape[0], len(unhacked)), dtype=np.uint8)
         for pos, k in enumerate(common):
@@ -119,7 +121,7 @@ def test_security_matrix_matches_a_dense_construction_at_word_edges(text, n, l, 
 
 def test_empty_transcript_is_vacuously_secret():
     ks = generate(SchemeSpec.parse("pairwise"), 4, 6, seed=0)
-    w = build_security_matrix(ks, Transcript(ciphertexts=(), hacked=(4,), d=1))
+    w = build_security_matrix(ks, Transcript(ciphertexts=(), hacked=(4,)))
     assert w.full_rank and w.rank == 0
 
 
@@ -135,7 +137,7 @@ def test_hacked_channel_rejected():
     ks = generate(SchemeSpec.parse("pairwise"), 4, 6, seed=0)
     tr = make_transcript(ks, [(1, 4)], m_bits=1, d=1)
     with pytest.raises(ValueError):
-        build_security_matrix(ks, Transcript(tr.ciphertexts, hacked=(4,), d=1))
+        build_security_matrix(ks, Transcript(tr.ciphertexts, hacked=(4,)))
 
 
 def test_oversized_message_breaks_rank():
@@ -157,7 +159,7 @@ def test_security_matrix_rank_matches_the_elimination_oracle():
     assert w.rank == py_rank(w.a_matrix.to_dense())
     assert w.full_rank == (w.rank == 150)
 
-    repeated = Transcript(tr.ciphertexts + tr.ciphertexts[2:3], hacked=(5,), d=16)
+    repeated = Transcript(tr.ciphertexts + tr.ciphertexts[2:3], hacked=(5,))
     w = build_security_matrix(ks, repeated)
     assert w.a_matrix.shape == (180, 200)
     assert not w.full_rank
@@ -196,31 +198,37 @@ def encrypted_transcript(ks, hacked, d, m_bits, seed):
         plain.append(BitString.random(m_bits, rng))
         cts.append(amplify.encrypt(ks, amplify.ChannelCipherState(i, j, d=d), plain[-1],
                                    seed=[seed, i, j]))
-    return Transcript(ciphertexts=tuple(cts), hacked=tuple(hacked), d=d), plain
+    return Transcript(ciphertexts=tuple(cts), hacked=tuple(hacked)), plain
 
 
 def decoded(tr):
+    """tr as a receiver rebuilds it, each copy without rows: read from NPCT
+    bytes at d = 128, the only d version 2 holds, else a dataclasses.replace
+    copy."""
     return Transcript(tuple(amplify.CipherText.from_bytes(ct.to_bytes())
-                            for ct in tr.ciphertexts), tr.hacked, tr.d)
+                            if ct.d == amplify.DEFAULT_WEIGHT else dataclasses.replace(ct)
+                            for ct in tr.ciphertexts), tr.hacked)
 
 
 @pytest.mark.parametrize("text", [
     "pairwise", "same", "comb:a=3", "sampled:a=3,m=5", "random:p=1/2",
     "hybrid:lambda=1/2,(comb:a=3),(random:p=1/2)"])
-@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("d", [1, 3, 128])
 def test_witness_of_encrypted_ciphertexts_equals_that_of_their_decoded_copies(text, d):
     # encrypt hands its sampling rows to the witness; a decoded copy has
-    # none and draws them again from its header.
-    ks = generate(SchemeSpec.parse(text), 5, 120, seed=4)
+    # none and draws them again from its header and d.
+    ks = generate(SchemeSpec.parse(text), 5, 600 if d == 128 else 120, seed=4)
     tr, plain = encrypted_transcript(ks, (5,), d, m_bits=8, seed=d)
     copies = decoded(tr)
     assert len(tr.ciphertexts) >= 3
+    assert all(copy._kept is None and copy == ct for ct, copy in zip(tr.ciphertexts,
+                                                                    copies.ciphertexts))
     fresh, again = build_security_matrix(ks, tr), build_security_matrix(ks, copies)
     assert fresh.a_matrix == again.a_matrix == BitMatrix.from_dense(dense_security_matrix(ks, tr))
     assert fresh.rank == again.rank and fresh.full_rank == again.full_rank
     for ct, copy, msg in zip(tr.ciphertexts, copies.ciphertexts, plain):
         for received in (ct, copy):
-            assert amplify.decrypt(ks, amplify.ChannelCipherState(ct.i, ct.j, d=d),
+            assert amplify.decrypt(ks, amplify.ChannelCipherState(ct.i, ct.j),
                                    received) == msg
 
 
@@ -267,8 +275,8 @@ def test_experiments_encrypt_each_message_once(draws, monkeypatch):
     assert draws == [(16, 200, 32)] * 9
 
 
-# sha256 of the NPCT bytes of profile_transcript's ciphertexts, in order:
-# the messages and sampling seeds simulate has always encrypted with.
+# sha256 of the NPCT version 2 layout of profile_transcript's ciphertexts,
+# in order: the messages and sampling seeds simulate has always encrypted with.
 TRANSCRIPT_DIGESTS = [
     ("comb:a=3", 5, 600, 1, Fraction(1, 30), 32, 2,
      "4a5edc6c63ee2f123455a8860f37fb37dc07fece66090f1acb6010a1a304327a"),
@@ -279,44 +287,54 @@ TRANSCRIPT_DIGESTS = [
 ]
 
 
+def npct_v2(ct) -> bytes:
+    """ct's fields in the NPCT version 2 layout, whatever its d: the 46-byte
+    header a reader parses, then the body."""
+    return (b"NPCT" + struct.pack("<HIIQ", 2, ct.i, ct.j, ct.counter) + ct.sampling_seed
+            + struct.pack("<Q", len(ct.body)) + ct.body.to_bytes())
+
+
 @pytest.mark.parametrize("text,n,l,t,r,d,seed,digest", TRANSCRIPT_DIGESTS)
 def test_profile_transcript_is_frozen(text, n, l, t, r, d, seed, digest):
     ks = generate(SchemeSpec.parse(text), n, l, seed)
     tr = profile_transcript(ks, RateProfile.uniform(n, r), NetworkParams(n, t).last_t_nodes,
                             d, seed)
-    assert len(tr.ciphertexts) == 6 and tr.d == d
-    assert hashlib.sha256(b"".join(ct.to_bytes() for ct in tr.ciphertexts)).hexdigest() == digest
+    assert len(tr.ciphertexts) == 6 and all(ct.d == d for ct in tr.ciphertexts)
+    for ct in tr.ciphertexts:
+        assert npct_v2(ct) == dataclasses.replace(ct, d=amplify.DEFAULT_WEIGHT).to_bytes()
+    assert hashlib.sha256(b"".join(map(npct_v2, tr.ciphertexts))).hexdigest() == digest
 
 
-def test_witness_refuses_a_ciphertext_keyed_with_another_d():
-    # An in-memory ciphertext knows the d encrypt keyed it with; a
-    # transcript with another d would certify rows that made no key.
+def test_witness_certifies_each_message_with_its_own_d():
+    # One transcript mixes d = 8 and d = 128: each message's block holds the
+    # rows its own key was drawn with, so what is certified is what keyed it.
     ks = generate(SchemeSpec.parse("comb:a=3"), 4, 1260, seed=7)
-    msg = BitString.random(100, np.random.default_rng(0))
-    ct = amplify.encrypt(ks, amplify.ChannelCipherState(1, 2, d=8), msg, seed=1)
-    with pytest.raises(ValueError, match=r"encrypted with d = 8, not the transcript's d = 128"):
-        build_security_matrix(ks, Transcript((ct,), (4,)))
-    ct.rows(len(ks.common_bits(1, 2)), 128)  # a redraw for another d changes nothing
-    w = build_security_matrix(ks, Transcript((ct,), (4,), d=8))
-    assert w.a_matrix.n_rows == 100
-    assert w.a_matrix.to_dense().sum(axis=1).max() <= 8
-    # NPCT carries no d, so a decoded copy is certified with the transcript's.
-    copy = amplify.CipherText.from_bytes(ct.to_bytes())
-    assert build_security_matrix(ks, Transcript((copy,), (4,))).a_matrix.n_rows == 100
+    rng = np.random.default_rng(0)
+    light = amplify.encrypt(ks, amplify.ChannelCipherState(1, 2, d=8),
+                            BitString.random(100, rng), seed=1)
+    heavy = amplify.encrypt(ks, amplify.ChannelCipherState(1, 3),
+                            BitString.random(100, rng), seed=2)
+    assert (light.d, heavy.d) == (8, 128)
+    tr = Transcript((light, heavy), (4,))
+    w = build_security_matrix(ks, tr)
+    assert w.a_matrix == BitMatrix.from_dense(dense_security_matrix(ks, tr))
+    weights = w.a_matrix.to_dense().sum(axis=1)
+    assert weights[:100].max() <= 8 < weights[100:].min()
 
 
-def test_mi_oracle_refuses_a_ciphertext_keyed_with_another_d():
-    # The oracle and the witness refuse the same transcripts.
+def test_mi_oracle_and_witness_read_each_ciphertexts_d():
+    # d = 1 and d = 3 on one pool, alone and in one transcript: the oracle
+    # and the witness agree, each reading the d of every ciphertext.
     ks = generate(SchemeSpec.parse("comb:a=3"), 4, 12, seed=12)
-    ct = amplify.encrypt(ks, amplify.ChannelCipherState(1, 2, d=1), BitString.from01("101"),
-                         seed=5)
-    tr = Transcript((ct,), (), d=3)
-    with pytest.raises(ValueError, match=r"encrypted with d = 1, not the transcript's d = 3"):
-        build_security_matrix(ks, tr)
-    with pytest.raises(ValueError, match=r"encrypted with d = 1, not the transcript's d = 3"):
-        exact_mi_oracle(ks, tr, (1, 2))
-    keyed = Transcript((ct,), (), d=1)
-    assert (exact_mi_oracle(ks, keyed, (1, 2)) == 0) == build_security_matrix(ks, keyed).full_rank
+    cts = [amplify.encrypt(ks, amplify.ChannelCipherState(1, j, d=d), BitString.from01("101"),
+                           seed=5) for j, d in ((2, 1), (2, 3), (3, 3))]
+    verdicts = []
+    for chosen in ([cts[0]], [cts[1]], [cts[0], cts[2]]):
+        tr = Transcript(tuple(chosen), ())
+        full = build_security_matrix(ks, tr).full_rank
+        assert (mi_max_over_channels(ks, tr) < 1e-9) == full
+        verdicts.append(full)
+    assert verdicts == [False, True, False]  # d = 1 draws one position twice
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +376,10 @@ def test_key_reuse_leaks_exactly_one_bit():
     key = amplify.derive_key(ks, amplify.ChannelCipherState(1, 2, d=2), 1, seed_bytes)
     cts = tuple(
         amplify.CipherText(i=1, j=2, counter=c, sampling_seed=seed_bytes,
-                           body=BitString([b]) ^ key)
+                           body=BitString([b]) ^ key, d=2)
         for c, b in [(1, 0), (2, 1)]
     )
-    tr = Transcript(ciphertexts=cts, hacked=(), d=2)
+    tr = Transcript(ciphertexts=cts, hacked=())
     assert exact_mi_oracle(ks, tr, (1, 2)) == pytest.approx(1.0)
 
 

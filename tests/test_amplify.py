@@ -9,6 +9,7 @@ from netpad.amplify import (
     ChannelCipherState,
     CipherText,
     ReplayError,
+    ShortChannelError,
     decrypt,
     derive_key,
     encrypt,
@@ -49,11 +50,22 @@ def test_roundtrip_across_schemes(text, n, l):
 
 
 def test_wire_format_roundtrip(ks):
-    tx, _ = fresh_states()
     msg = BitString.from01("110100111010001")
-    ct = encrypt(ks, tx, msg, seed=9)
+    ct = encrypt(ks, ChannelCipherState(1, 2), msg, seed=9)
     again = CipherText.from_bytes(ct.to_bytes())
-    assert again == ct
+    assert again == ct and again.d == 128
+
+
+@pytest.mark.parametrize("d", [1, 64, 129])
+def test_wire_format_refuses_a_d_it_cannot_hold(ks, d):
+    # NPCT version 2 has no d field and means d = 128: a file written for
+    # another d would decrypt to garbage.
+    ct = encrypt(ks, ChannelCipherState(1, 2, d=d), BitString.zeros(8), seed=9)
+    assert ct.d == d and ct != dataclasses.replace(ct, d=128)
+    with pytest.raises(ValueError, match=f"NPCT version 2 holds only d = 128 ciphertexts, "
+                                         f"not d = {d}"):
+        ct.to_bytes()
+    assert dataclasses.replace(ct, d=128).to_bytes()[:4] == b"NPCT"
 
 
 def test_wire_format_rejects_garbage():
@@ -142,6 +154,17 @@ def test_decrypt_checks_channel(ks):
         decrypt(ks, ChannelCipherState(1, 3, d=32), ct)
 
 
+def test_decrypt_draws_with_the_ciphertexts_d(ks):
+    # The receiver's state does not choose the rows; the ciphertext's d
+    # does, and the short-channel check tests that d (|u_12| = 400).
+    msg = BitString.random(40, np.random.default_rng(2))
+    ct = encrypt(ks, ChannelCipherState(1, 2, d=8), msg, seed=3)
+    assert decrypt(ks, ChannelCipherState(1, 2), ct) == msg
+    assert decrypt(ks, ChannelCipherState(1, 2, d=401), ct) == msg
+    with pytest.raises(ShortChannelError, match="d = 401"):
+        decrypt(ks, ChannelCipherState(1, 2, d=8), dataclasses.replace(ct, d=401))
+
+
 def test_weight_cannot_exceed_common_bits(ks):
     state = ChannelCipherState(1, 2, d=len(ks.common_bits(1, 2)) + 1)
     with pytest.raises(ValueError):
@@ -198,25 +221,26 @@ def test_ciphertext_keeps_the_rows_its_key_was_made_from(ks):
     copy = CipherText.from_bytes(ct.to_bytes())
     expected = sample_indices(64, 400, 128, seed_to_int(ct.sampling_seed))
     for c in (ct, copy):
-        rows = c.rows(400, 128)
+        rows = c.rows(400)
         assert rows.dtype == np.uint16 and np.array_equal(rows, expected)
-        assert c.rows(400, 128) is rows
+        assert c.rows(400) is rows
         with pytest.raises(ValueError):
             rows[0, 0] = 1
     # Positions 0..255 fit uint8.
-    assert ct.rows(256, 3).dtype == np.uint8 and ct.rows(257, 3).dtype == np.uint16
+    light = dataclasses.replace(ct, d=3)
+    assert light.rows(256).dtype == np.uint8 and light.rows(257).dtype == np.uint16
 
 
 def test_kept_rows_are_not_part_of_the_message(ks):
     msg = BitString.random(64, np.random.default_rng(5))
     ct = encrypt(ks, ChannelCipherState(1, 2), msg, seed=21)
     bare = CipherText.from_bytes(ct.to_bytes())
-    assert ct._rows is not None and bare._rows is None
+    assert ct._kept is not None and bare._kept is None
     for _ in range(2):
         assert ct == bare and hash(ct) == hash(bare) and repr(ct) == repr(bare)
         assert ct.to_bytes() == bare.to_bytes() == bytes.fromhex(FROZEN_CT)
         assert "rows" not in repr(ct)
-        bare.rows(400, 7)  # a memo for other arguments changes nothing either
+        bare.rows(300)  # a memo for another |u_ij| changes nothing either
 
 
 def test_replaced_or_reread_ciphertext_never_returns_stale_rows(ks):
@@ -229,14 +253,16 @@ def test_replaced_or_reread_ciphertext_never_returns_stale_rows(ks):
         (dataclasses.replace(ct, counter=9), (64, ct.sampling_seed)),
     ]
     for copy, (m, seed) in cases:
-        assert np.array_equal(copy.rows(400, 128),
+        assert np.array_equal(copy.rows(400),
                               sample_indices(m, 400, 128, seed_to_int(seed)))
-    # Other sampler arguments on the same object draw again, then back.
-    first = ct.rows(400, 128)
-    assert np.array_equal(ct.rows(300, 128),
+    light = dataclasses.replace(ct, d=16)
+    assert np.array_equal(light.rows(400),
+                          sample_indices(64, 400, 16, seed_to_int(ct.sampling_seed)))
+    # Another |u_ij| on the same object draws again, then back.
+    first = ct.rows(400)
+    assert np.array_equal(ct.rows(300),
                           sample_indices(64, 300, 128, seed_to_int(ct.sampling_seed)))
-    assert ct.rows(400, 16).shape == (64, 16)
-    assert np.array_equal(ct.rows(400, 128), first)
+    assert np.array_equal(ct.rows(400), first)
     # The receiver of the replaced body decrypts with the replaced rows.
     short = dataclasses.replace(ct, body=ct.body[:40])
     assert decrypt(ks, ChannelCipherState(1, 2), short) == \

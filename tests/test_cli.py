@@ -139,16 +139,34 @@ def test_encrypt_decrypt_file_roundtrip(tmp_path):
 
 
 def test_encrypt_rejects_zero_weight(tmp_path):
-    # With d = 0 every key bit is an empty XOR: the body would be the plaintext.
+    # With d = 0 every key bit is an empty XOR: the body would be the
+    # plaintext.  encrypt keys with d = 128, the only d an NPCT file holds,
+    # and has no --d to set another.
     run("keygen", "--scheme", "comb:a=3", "--n", "4", "--l", "1260",
         "--seed", "3", "--node", "1", "--out", str(tmp_path / "n1.npks"))
     (tmp_path / "msg.bin").write_bytes(b"attack at dawn")
     res = run("encrypt", "--keystore", str(tmp_path / "n1.npks"), "--peer", "2",
               "--in", str(tmp_path / "msg.bin"), "--out", str(tmp_path / "msg.npct"),
               "--d", "0", "--seed", "5")
-    assert res.exit_code != 0
-    assert "Invalid value for '--d'" in res.output
+    assert res.exit_code == 3
+    assert "No such option '--d'" in res.output
     assert not (tmp_path / "msg.npct").exists()
+
+
+def test_a_file_cannot_be_keyed_or_read_with_another_d(files, tmp_path):
+    # NPCT version 2 has no d field: an encrypt --d 64 file, or a
+    # decrypt --d 64 of a d = 128 file, wrote the wrong plaintext and exited 0.
+    out = tmp_path / "msg.out"
+    for args in (["encrypt", "--keystore", files["n1_npks"], "--peer", "2", "--seed", "5",
+                  "--in", files["msg_bin"], "--d", "64", "--out", str(out)],
+                 ["decrypt", "--keystore", files["n2_npks"], "--in", files["msg_npct"],
+                  "--d", "64", "--out", str(out)]):
+        res = run(*args)
+        assert res.exit_code == 3 and "No such option '--d'" in res.output, res.output
+        assert not out.exists()
+    res = run("decrypt", "--keystore", files["n2_npks"], "--in", files["msg_npct"],
+              "--out", str(out))
+    assert res.exit_code == 0 and out.read_bytes() == b"attack at dawn"
 
 
 def test_encrypt_is_replayable_with_same_seed(tmp_path):
@@ -385,6 +403,10 @@ SIMULATE = "simulate --scheme comb:a=3 --n 4 --l 120 --t 1 --d 8 --seed 2 --prof
     ("experiment lemma-rank --mode gauss --trials 1", 3),
     ("keygen --scheme sampled:a=3,m=18 --n 6 --l 90 --seed 1 --out {no_dir}", 3),
     (f"{ENCRYPT} {{missing}} --d 0", 3),
+    # A node view checks a channel's endpoints as its store does.
+    ("encrypt --keystore {n1_npks} --peer 9 --in {msg_bin} --out {refused_out}", 3),
+    ("encrypt --keystore {n1_npks} --peer 0 --in {msg_bin} --out {refused_out}", 3),
+    ("encrypt --keystore {n1_npks} --peer 1 --in {msg_bin} --out {refused_out}", 3),
     ("check --t 1 --profile uniform:1/18", 3),  # neither --store nor --scheme
     ("frobnicate", 3),
     ("--bogus capacity", 3),
@@ -490,6 +512,12 @@ NAMED = {
     "experiment lemma-rank --r -5 --trials 1": "'--r'",
     "experiment lemma-rank --r 0 --trials 1": "'--r'",
     "experiment full-rank --d 0 --trials 2": "'--d'",
+    "encrypt --keystore {n1_npks} --peer 9 --in {msg_bin} --out {refused_out}":
+        "node 9 outside 1..4",
+    "encrypt --keystore {n1_npks} --peer 0 --in {msg_bin} --out {refused_out}":
+        "node 0 outside 1..4",
+    "encrypt --keystore {n1_npks} --peer 1 --in {msg_bin} --out {refused_out}":
+        "two distinct endpoints",
     "experiment lemma-rank --ratio nan --trials 1": "'--ratio'",
     "experiment lemma-rank --mode bernoulli:0 --trials 1": "for --mode:",
     "experiment lemma-rank --mode bernoulli:-1 --trials 1": "for --mode:",

@@ -94,7 +94,7 @@ def test_library_paths_never_build_store_groups(text, n, l, tmp_path):
         check_feasibility(store, profile, 1)
         state = amplify.ChannelCipherState(1, 2, d=2)
         ct = amplify.encrypt(store, state, BitString.from01("10"), seed=1)
-        build_security_matrix(store, Transcript(ciphertexts=(ct,), hacked=(n,), d=2))
+        build_security_matrix(store, Transcript(ciphertexts=(ct,), hacked=(n,)))
         conditional_mi(store, 2, 1)
     for store in (ks, loaded):
         assert "groups" not in store.__dict__
@@ -162,6 +162,23 @@ def test_node_view_rejects_foreign_channels():
         view = keystore_io.load_node_view(view_path)
     with pytest.raises(ValueError):
         view.common_bits(2, 3)
+
+
+@pytest.mark.parametrize("i,j", [(1, 1), (1, 9), (9, 1), (0, 1), (1, -2)])
+def test_a_view_and_its_store_refuse_the_same_bad_endpoints(i, j, tmp_path):
+    # A view checked only that it was an endpoint: (1, 1) read all of node
+    # 1's bits and (1, 9) an empty channel.
+    ks = generate(SchemeSpec.parse("comb:a=3"), 4, 60, seed=1)
+    keystore_io.save_node_view(ks, 1, tmp_path / "v1.npks")
+    view = keystore_io.load_node_view(tmp_path / "v1.npks")
+    assert view.common_bits(1, 2) == ks.common_bits(1, 2)
+    for method in ("common_bits", "common_values"):
+        refusals = []
+        for store in (ks, view):
+            with pytest.raises(ValueError) as refused:
+                getattr(store, method)(i, j)
+            refusals.append(str(refused.value))
+        assert refusals[0] == refusals[1], refusals
 
 
 def test_encrypt_with_store_decrypt_with_view(tmp_path):
